@@ -33,7 +33,6 @@ from .net import (
     EllipticNet,
     QuadraticFormData,
     ReducedNet,
-    denominator_net,
     initial_net_value,
     recurrence_check,
     scaled_value,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import render, symmetry, theorems
@@ -62,43 +61,11 @@ def _build_net(args) -> EllipticNet:
     return EllipticNet(parse_curve(args.curve), _oriented_points(args))
 
 
-def _table_worker(curve_text: str, points_text: str, orientation: str, kind: str,
-                  prime: int | None, col: int, rows: int) -> list[str]:
-    """One grid column, for --jobs; returns plain string values."""
-    curve = parse_curve(curve_text)
-    points = parse_points(points_text)
-    if orientation == "pq":
-        points = tuple(reversed(points))
-    net = EllipticNet(curve, points)
-    reduced = ReducedNet(net, prime) if kind == "reduced" else None
-    out = []
-    for r in range(rows):
-        if kind == "denom":
-            out.append(str(net.denominator((col, r))))
-        elif kind == "net":
-            out.append(render.plain_string(net.value((col, r))))
-        else:
-            out.append(str(reduced.value((col, r)).residue))
-    return out
-
-
 def _table_values(args, kind: str) -> "dict[tuple[int, int], Fraction]":
     cols, rows = parse_grid(args.grid)
-    prime = getattr(args, "prime", None)
     values: dict[tuple[int, int], Fraction] = {}
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(_table_worker, args.curve, args.points, args.orientation,
-                            kind, prime, c, rows)
-                for c in range(cols)
-            ]
-            for c, fut in enumerate(futures):
-                for r, text in enumerate(fut.result()):
-                    values[(c, r)] = Fraction(text)
-        return values
     net = _build_net(args)
-    reduced = ReducedNet(net, prime) if kind == "reduced" else None
+    reduced = ReducedNet(net, args.prime) if kind == "reduced" else None
     for c in range(cols):
         for r in range(rows):
             if kind == "denom":
@@ -227,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--points", required=True, help='points "(x,y);(x,y)"')
         p.add_argument("--orientation", choices=("qp", "pq"), default="qp",
                        help="qp uses the points as given (table convention), pq swaps them")
-        p.add_argument("--jobs", type=int, default=1)
         if grid:
             p.add_argument("--grid", required=True, help='"COLSxROWS"')
             p.add_argument("--format", choices=(render.PLAIN, render.FACTORED,

@@ -11,7 +11,7 @@ with memoized top-down evaluation, so sparse large indices stay cheap.
 
 from __future__ import annotations
 
-from .curve import INFINITY, CurvePoint, WeierstrassCurve
+from .curve import CurvePoint, WeierstrassCurve
 from .errors import DegenerateNetError, PreconditionError
 
 # psi_4 carries the 10*b8*x^2 term of the standard references; with it the
@@ -20,7 +20,7 @@ from .errors import DegenerateNetError, PreconditionError
 
 
 class DivisionPolynomials:
-    """Memoized psi_n(P), phi_n(P) and n*P for one curve point."""
+    """Memoized psi_n(P) and phi_n(P) for one curve point."""
 
     def __init__(self, curve: WeierstrassCurve, point: CurvePoint):
         if point.is_infinity:
@@ -67,18 +67,3 @@ class DivisionPolynomials:
     def phi(self, n: int):
         """phi_n(P) = x(P) psi_n^2 - psi_{n+1} psi_{n-1}; even in n."""
         return self.point.x * self.psi(n) ** 2 - self.psi(n + 1) * self.psi(n - 1)
-
-    def multiple(self, n: int) -> CurvePoint:
-        """n*P through phi_n / psi_n^2, the y-coordinate via the group law."""
-        if n == 0:
-            raise PreconditionError("multiple requires a nonzero index")
-        psin = self.psi(n)
-        group_point = self.curve.mul(n, self.point)
-        if psin == 0:
-            if not group_point.is_infinity:
-                raise ArithmeticError("psi_n vanished but n*P is affine")
-            return INFINITY
-        x = self.phi(n) / psin**2
-        if group_point.is_infinity or group_point.x != x:
-            raise ArithmeticError("division polynomial x-coordinate disagrees with group law")
-        return CurvePoint(x, group_point.y)

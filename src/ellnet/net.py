@@ -1,31 +1,39 @@
 """Elliptic nets of rank r: net polynomial values, denominators, rescaling.
 
-Two independent evaluation strategies are provided.
+Net values are computed by one driver, ``EllipticNet._run``: an explicit
+stack of steps, each a generator that asks for the values it needs on a
+named route, so the depth of an evaluation is bounded by memory, not by the
+interpreter's recursion limit.  There are two routes.
 
-* ``points``: the addition identity
+* ``points``: the base values, then (over F_p) the division polynomial
+  value on an axis, then the addition identity
   ``W(v+u) = W(v)^2 W(u)^2 (X_u - X_v) / W(v-u)`` with ``u = +-e_i`` and the
   x-coordinates supplied by the curve group law.  The step axis is the one
   with the largest coordinate, so the max-norm shrinks toward the initial
-  values.
+  values; over F_p a step that meets a zero divisor is retried on the next
+  axis and, for rank <= 2, on the recurrence.
 * ``recurrence``: pure recurrence instantiations grounded in the initial
   values, with no group-law input.  Rank 1 delegates to the division
   polynomial doubling identities; rank 2 uses a fixed well-founded schedule
   of instantiations of the four-index recurrence (axis, adjacent-line and
   interior formulas), validated against the points strategy.
 
-Exact values over Q never divide by zero when the base points are
-independent.  Over a prime field either strategy can hit a zero divisor;
-those evaluations raise ``DegenerateNetError`` and callers fall back to
-exact evaluation over Q followed by reduction (``ReducedNet``, the default
-for mod-p work, does exactly that).
+The strategy of a net names the route its values start on.  Exact values
+over Q never divide by zero when the base points are independent; a zero
+divisor there raises ``DependentPointsError``.  Over a prime field either
+route can hit a zero divisor; an evaluation that runs out of routes raises
+``DegenerateNetError``, and callers fall back to exact evaluation over Q
+followed by reduction (``ReducedNet``, the default for mod-p work, does
+exactly that).
 """
-
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Callable, Sequence
 
 from .curve import INFINITY, CurvePoint, WeierstrassCurve, decompose, reduce_curve, reduce_mod_p
@@ -34,6 +42,7 @@ from .errors import (
     DegenerateNetError,
     DegeneratePairError,
     DependentPointsError,
+    EllnetError,
     NonIntegralReductionError,
     PreconditionError,
     SingularCurveError,
@@ -71,6 +80,38 @@ def initial_net_value(curve: WeierstrassCurve, points: Sequence[CurvePoint], v: 
             s = (yj - yi) / (xj - xi)
             return 2 * xi + xj - s * s - curve.a1 * s + curve.a2
     return None
+
+
+def _recurrence_terms(m: int, n: int):
+    """The schedule entry (first, second, sign, divisor) for W(m, n), m >= 0.
+
+    W(m, n) = (prod W(first) + sign * prod W(second)) / prod W(divisor),
+    each an instantiation of the four-index recurrence (axis, adjacent-line
+    and interior formulas) on indices that are smaller in the schedule.
+    """
+    if m == 0:  # n >= 4; the swapped axis formula
+        return (((1, n - 1), (-1, n - 2), (0, 2)),
+                ((1, 2), (-1, 1), (0, n - 1), (0, n - 2)), -1, ((0, n - 3),))
+    if n == 0:
+        return (((m - 1, 1), (m - 2, -1), (2, 0)),
+                ((2, 1), (1, -1), (m - 1, 0), (m - 2, 0)), -1, ((m - 3, 0),))
+    if n == 1:
+        return (((m - 1, 1), (m - 1, -1)),
+                ((1, 2), (m - 1, 0), (m - 1, 0)), -1, ((m - 2, -1),))
+    if n == -1:
+        return (((m - 1, 1), (m - 1, -1), (1, -1), (1, -1)),
+                ((1, -2), (m - 1, 0), (m - 1, 0)), -1, ((m - 2, 1),))
+    if n >= 2 and m == 1:
+        return (((0, 2), (1, n - 1), (0, n - 1)),
+                ((0, n), (1, n - 2)), -1, ((0, n - 2), (1, -1)))
+    if n >= 2:
+        return (((m, n - 1), (m - 2, n)),
+                ((2, 0), (m - 1, n), (m - 1, n - 1)), -1, ((m - 2, n - 1), (1, -1)))
+    if m == 1:  # n <= -2
+        return (((0, 2), (1, n + 1), (0, n + 1)),
+                ((1, -1), (0, n), (1, n + 2)), -1, ((0, n + 2),))
+    return (((2, 0), (m - 1, n), (m - 1, n + 1)),
+            ((1, -1), (m, n + 1), (m - 2, n)), 1, ((m - 2, n + 1),))
 
 
 def _normalize(v: Index) -> tuple[Index, int]:
@@ -112,8 +153,7 @@ class EllipticNet:
         self._values: dict[Index, object] = {}
         self._points_cache: dict[Index, CurvePoint] = {(0,) * self.rank: INFINITY}
         self._recurrence_base: dict[Index, object] | None = None
-        self._divpoly: DivisionPolynomials | None = None
-        self._axis_divpoly: dict[int, DivisionPolynomials] | None = None
+        self._axis_divpoly: dict[int, DivisionPolynomials] = {}
 
     @property
     def is_rational(self) -> bool:
@@ -162,20 +202,109 @@ class EllipticNet:
         v = self._key(v)
         key, sign = _normalize(v)
         if key not in self._values:
-            if self.strategy == POINTS:
-                if self.is_rational:
-                    self._eval_points_iterative(key)
-                else:
-                    self._values[key] = self._eval_points_gf(key, set())
-            else:
-                self._values[key] = self._eval_recurrence(key)
+            self._run(self.strategy, key)
         result = self._values[key]
         return -result if sign < 0 else result
+
+    def _run(self, route: str, target: Index) -> None:
+        """Evaluate W(target) on an explicit stack of steps.
+
+        A step is a generator for one index on one route.  It yields
+        ``(route, index)`` for each value it needs, is sent the signed
+        W(index), and returns the value at its own index, which is memoized.
+        A ``DegenerateNetError`` raised by a step is thrown into the step
+        that asked for the value, where a per-axis retry may catch it.  A
+        request for an index whose step on the same route is still on the
+        stack is refused with that error.
+        """
+        values = self._values
+        steps = {POINTS: self._solve, RECURRENCE: self._recurrence}
+        stack = [(route, target, 1, steps[route](target))]
+        active = {(route, target)}
+        reply = error = None
+        while stack:
+            route, key, sign, step = stack[-1]
+            thrown, error = error, None
+            try:
+                request = step.send(reply) if thrown is None else step.throw(thrown)
+            except StopIteration as done:
+                values[key] = done.value
+                reply = -done.value if sign < 0 else done.value
+            except DegenerateNetError as exc:
+                if len(stack) == 1:
+                    raise
+                error = exc
+            else:
+                route, index = request
+                key, sign = _normalize(index)
+                if key in values:
+                    reply = values[key] if sign > 0 else -values[key]
+                elif (route, key) in active:
+                    error = DegenerateNetError(f"cyclic fallback at {key} on the {route} route")
+                else:
+                    stack.append((route, key, sign, steps[route](key)))
+                    active.add((route, key))
+                    reply = None
+                continue
+            stack.pop()
+            active.discard((route, key))
+
+    def _degenerate(self, what: str) -> EllnetError:
+        """The error for a zero divisor, chosen by the field.
+
+        Over Q it means the base points are dependent, which ends the
+        evaluation; over F_p it is a zero of the reduced net, and the step
+        that asked for the value may retry another route.
+        """
+        if self.is_rational:
+            return DependentPointsError(f"{what}: base points are dependent")
+        return DegenerateNetError(f"{what} mod {self.curve.gf_modulus}")
 
     def _base_value(self, v: Index):
         if not any(v):
             return self._zero
         return initial_net_value(self.curve, self.points, v)
+
+    def _solve(self, v: Index):
+        """The points ladder: base value, axis psi (F_p only), support
+        reduction, the point step on each axis, then for rank <= 2 the
+        recurrence."""
+        base = self._base_value(v)
+        if base is not None:
+            return base
+        nonzero = [(i, c) for i, c in enumerate(v) if c]
+        if len(nonzero) == 1 and not self.is_rational:
+            try:
+                return self._axis_psi(*nonzero[0])
+            except DegenerateNetError:
+                pass
+        if self._is_small_support(v):
+            return (yield from self._support_reduce(v))
+        for axis in self._axis_order(v):
+            try:
+                return (yield from self._point_step(v, axis))
+            except DegenerateNetError:
+                continue
+        if self.rank <= 2:
+            return (yield from self._recurrence(v))
+        raise DegenerateNetError(f"all point-strategy steps degenerate at {v}")
+
+    def _point_step(self, v: Index, axis: int):
+        """W(v) = W(w)^2 (x(P_i) - x(w . P)) / W(w - s e_i), w = v - s e_i."""
+        s = 1 if v[axis] > 0 else -1
+        w = v[:axis] + (v[axis] - s,) + v[axis + 1:]
+        w_val = yield POINTS, w
+        wmu_val = yield POINTS, w[:axis] + (w[axis] - s,) + w[axis + 1:]
+        if wmu_val == 0:
+            raise self._degenerate(f"zero divisor in the point step at {v}")
+        try:
+            pw = self.point(w)
+        except SingularCurveError as exc:
+            # combinations through the singular point have no usable x-step
+            raise self._degenerate(str(exc)) from exc
+        if pw.is_infinity:
+            raise self._degenerate(f"{w} . P is the identity")
+        return w_val * w_val * (self.points[axis].x - pw.x) / wmu_val
 
     def _support_reduce(self, v: Index):
         """W(v) for an index with every coordinate in {-1, 0, 1} and at
@@ -194,159 +323,45 @@ class EllipticNet:
         w[k] = 0
         w = tuple(w)
 
-        def shift(base: Index, **offsets) -> Index:
+        def shift(base: Index, *moves: tuple[int, int]) -> Index:
             out = list(base)
-            for axis, delta in offsets.items():
-                out[int(axis[1:])] += delta
+            for axis, delta in moves:
+                out[axis] += delta
             return tuple(out)
 
         zero = (0,) * self.rank
-        psi2_i = self.value(shift(zero, **{f"a{i}": 2}))
-        divisor = self.value(shift(w, **{f"a{k}": -sk})) * psi2_i
+        psi2_i = yield POINTS, shift(zero, (i, 2))
+        divisor = (yield POINTS, shift(w, (k, -sk))) * psi2_i
         if divisor == 0:
-            if self.is_rational:
-                raise DependentPointsError("support reduction divisor vanished over Q")
-            raise DegenerateNetError(f"support reduction divides by zero at {v}")
-        t2 = (self.value(shift(zero, **{f"a{k}": sk, f"a{i}": -1}))
-              * self.value(shift(zero, **{f"a{i}": 2, f"a{k}": sk}))
-              * self.value(w)
-              * self.value(shift(w, **{f"a{i}": 1})))
-        t3 = (self.value(shift(w, **{f"a{i}": -1}))
-              * self.value(shift(tuple(-c for c in w), **{f"a{i}": -2}))
+            raise self._degenerate(f"zero divisor in the support reduction at {v}")
+        t2 = ((yield POINTS, shift(zero, (k, sk), (i, -1)))
+              * (yield POINTS, shift(zero, (i, 2), (k, sk)))
+              * (yield POINTS, w)
+              * (yield POINTS, shift(w, (i, 1))))
+        t3 = ((yield POINTS, shift(w, (i, -1)))
+              * (yield POINTS, shift(tuple(-c for c in w), (i, -2)))
               * sk
-              * self.value(shift(zero, **{f"a{i}": 1, f"a{k}": sk})))
+              * (yield POINTS, shift(zero, (i, 1), (k, sk))))
         return -(t2 + t3) / divisor
 
     @staticmethod
     def _is_small_support(v: Index) -> bool:
         return max(abs(c) for c in v) == 1 and sum(1 for c in v if c) >= 3
 
-    def _step(self, v: Index, axis: int) -> tuple[Index, Index, int]:
-        s = 1 if v[axis] > 0 else -1
-        w = v[:axis] + (v[axis] - s,) + v[axis + 1:]
-        wmu = w[:axis] + (w[axis] - s,) + w[axis + 1:]
-        return w, wmu, axis
-
     def _axis_order(self, v: Index) -> list[int]:
         axes = [i for i, c in enumerate(v) if c]
         axes.sort(key=lambda i: (-abs(v[i]), i))
         return axes
 
-    def _eval_points_iterative(self, target: Index) -> None:
-        """Exact-field evaluation; the descent never divides by zero unless
-        the base points are dependent."""
-        values = self._values
-        stack = [target]
-        while stack:
-            t = stack[-1]
-            if t in values:
-                stack.pop()
-                continue
-            base = self._base_value(t)
-            if base is not None:
-                values[t] = base
-                stack.pop()
-                continue
-            if self._is_small_support(t):
-                values[t] = self._support_reduce(t)
-                stack.pop()
-                continue
-            w, wmu, axis = self._step(t, self._axis_order(t)[0])
-            kw, sw = _normalize(w)
-            kwmu, swmu = _normalize(wmu)
-            missing = [k for k in (kw, kwmu) if k not in values]
-            if missing:
-                stack.extend(missing)
-                continue
-            w_val = values[kw] if sw > 0 else -values[kw]
-            wmu_val = values[kwmu] if swmu > 0 else -values[kwmu]
-            if wmu_val == 0:
-                raise DependentPointsError(
-                    f"net value vanished at {kwmu}: base points are dependent"
-                )
-            pw = self.point(w)
-            if pw.is_infinity:
-                raise DependentPointsError(
-                    f"{w} . P is the identity: base points are dependent"
-                )
-            values[t] = w_val * w_val * (self.points[axis].x - pw.x) / wmu_val
-            stack.pop()
-
     def _axis_psi(self, axis: int, n: int):
         """Axis values through the division polynomial doubling identities,
         which stay clear of the lattice zeros that break the X-step mod p."""
-        if self._axis_divpoly is None:
-            self._axis_divpoly = {}
         if axis not in self._axis_divpoly:
             self._axis_divpoly[axis] = DivisionPolynomials(self.curve, self.points[axis])
         return self._axis_divpoly[axis].psi(n)
 
-    def _eval_points_gf(self, v: Index, active: set[Index]):
-        """Finite-field evaluation with per-axis fallback, then recurrence."""
-        values = self._values
-        if v in values:
-            return values[v]
-        base = self._base_value(v)
-        if base is not None:
-            values[v] = base
-            return base
-        nonzero = [(i, c) for i, c in enumerate(v) if c]
-        if len(nonzero) == 1:
-            try:
-                result = self._axis_psi(*nonzero[0])
-                values[v] = result
-                return result
-            except DegenerateNetError:
-                pass
-        if v in active:
-            raise DegenerateNetError(f"cyclic fallback at {v}")
-        active.add(v)
-        if self._is_small_support(v):
-            try:
-                result = self._support_reduce(v)
-                values[v] = result
-                return result
-            finally:
-                active.discard(v)
-        try:
-            for axis in self._axis_order(v):
-                try:
-                    result = self._try_gf_step(v, axis, active)
-                except DegenerateNetError:
-                    continue
-                values[v] = result
-                return result
-            if self.rank <= 2:
-                result = self._eval_recurrence(v)
-                values[v] = result
-                return result
-            raise DegenerateNetError(f"all point-strategy steps degenerate at {v}")
-        finally:
-            active.discard(v)
-
-    def _try_gf_step(self, v: Index, axis: int, active: set[Index]):
-        w, wmu, axis = self._step(v, axis)
-        kw, sw = _normalize(w)
-        kwmu, swmu = _normalize(wmu)
-        w_val = self._eval_points_gf(kw, active)
-        wmu_val = self._eval_points_gf(kwmu, active)
-        if sw < 0:
-            w_val = -w_val
-        if swmu < 0:
-            wmu_val = -wmu_val
-        if wmu_val == 0:
-            raise DegenerateNetError(f"zero divisor W{kwmu} in step at {v}")
-        try:
-            pw = self.point(w)
-        except SingularCurveError as exc:
-            # combinations through the singular point have no usable x-step
-            raise DegenerateNetError(str(exc)) from exc
-        if pw.is_infinity:
-            raise DegenerateNetError(f"{w} . P reduces to the identity")
-        return w_val * w_val * (self.points[axis].x - pw.x) / wmu_val
-
     # ------------------------------------------------------------------
-    # recurrence strategy (rank <= 2)
+    # recurrence (rank <= 2)
     # ------------------------------------------------------------------
 
     def _recurrence_bases(self) -> dict[Index, object]:
@@ -369,68 +384,24 @@ class EllipticNet:
         self._recurrence_base = init
         return init
 
-    def _divide(self, num, den):
-        if den == 0:
-            if self.is_rational:
-                raise DependentPointsError("recurrence divisor vanished over Q")
-            raise DegenerateNetError("recurrence schedule divides by a zero net value")
-        return num / den
-
-    def _eval_recurrence(self, v: Index):
+    def _recurrence(self, v: Index):
+        """W(v) from the recurrence schedule alone; the values it needs are
+        asked on this route too, never through the points ladder."""
         if self.rank == 1:
-            if self._divpoly is None:
-                self._divpoly = DivisionPolynomials(self.curve, self.points[0])
-            return self._divpoly.psi(v[0])
+            return self._axis_psi(0, v[0])
         base = self._recurrence_bases()
         if v in base:
-            self._values[v] = base[v]
             return base[v]
-
-        def W(idx: Index):
-            key, sign = _normalize(idx)
-            if key in base:
-                val = base[key]
-            elif key in self._values:
-                val = self._values[key]
-            else:
-                val = self._eval_recurrence(key)
-            return -val if sign < 0 else val
-
-        m, n = v
-        if m == 0:
-            # swapped axis formula, n >= 4 (n == 3 is a base value)
-            num = (W((1, n - 1)) * -W((1, 2 - n)) * W((0, 2))
-                   - W((1, 2)) * -W((1, -1)) * W((0, n - 1)) * W((0, n - 2)))
-            result = self._divide(num, W((0, n - 3)))
-        elif n == 0:
-            num = (W((m - 1, 1)) * W((m - 2, -1)) * W((2, 0))
-                   - W((2, 1)) * W((1, -1)) * W((m - 1, 0)) * W((m - 2, 0)))
-            result = self._divide(num, W((m - 3, 0)))
-        elif n == 1:
-            num = W((m - 1, 1)) * W((m - 1, -1)) - W((1, 2)) * W((m - 1, 0)) ** 2
-            result = self._divide(num, W((m - 2, -1)))
-        elif n == -1:
-            num = (W((m - 1, 1)) * W((m - 1, -1)) * W((1, -1)) ** 2
-                   - W((1, -2)) * W((m - 1, 0)) ** 2)
-            result = self._divide(num, W((m - 2, 1)))
-        elif n >= 2 and m == 1:
-            num = (W((0, 2)) * W((1, n - 1)) * W((0, n - 1))
-                   - W((0, n)) * W((1, n - 2)))
-            result = self._divide(num, W((0, n - 2)) * W((1, -1)))
-        elif n >= 2:
-            num = (W((m, n - 1)) * W((m - 2, n))
-                   - W((2, 0)) * W((m - 1, n)) * W((m - 1, n - 1)))
-            result = self._divide(num, W((m - 2, n - 1)) * W((1, -1)))
-        elif n <= -2 and m == 1:
-            num = (W((0, 2)) * W((1, n + 1)) * W((0, n + 1))
-                   - W((1, -1)) * W((0, n)) * W((1, n + 2)))
-            result = self._divide(num, W((0, n + 2)))
-        else:
-            num = (W((2, 0)) * W((m - 1, n)) * W((m - 1, n + 1))
-                   + W((1, -1)) * W((m, n + 1)) * W((m - 2, n)))
-            result = self._divide(num, W((m - 2, n + 1)))
-        self._values[v] = result
-        return result
+        first, second, sign, divisor = _recurrence_terms(*v)
+        vals = []
+        for index in first + second + divisor:
+            vals.append((yield RECURRENCE, index))
+        a, b = len(first), len(first) + len(second)
+        den = reduce(mul, vals[b:])
+        if den == 0:
+            raise self._degenerate(f"zero divisor in the recurrence at {v}")
+        num1, num2 = reduce(mul, vals[:a]), reduce(mul, vals[a:b])
+        return (num1 + num2 if sign > 0 else num1 - num2) / den
 
     # ------------------------------------------------------------------
     # denominators
@@ -447,10 +418,6 @@ class EllipticNet:
         if pt.is_infinity:
             raise DependentPointsError(f"{v} . P is the identity")
         return decompose(self.curve, pt).d
-
-
-def denominator_net(net: EllipticNet, v: Sequence[int]) -> int:
-    return net.denominator(v)
 
 
 def _reduce_fraction(x: Fraction, p: int) -> PrimeFieldElement:
@@ -548,10 +515,6 @@ class QuadraticFormData:
                 if e:
                     result *= self.matrix[i][j] ** e
         return result
-
-    def exponents(self, v: Sequence[int]) -> tuple[int, ...]:
-        """Exponent array of F_v over the entries A_ij, i <= j."""
-        return tuple(v[i] * v[j] for i in range(self.rank) for j in range(i, self.rank))
 
 
 def scaled_value(net: EllipticNet | ReducedNet, qdata: QuadraticFormData, v: Sequence[int]):

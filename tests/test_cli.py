@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ellnet.cli import main, parse_curve, parse_index, parse_point
+import ellnet
+from ellnet import EllipticNet, ReducedNet
+from ellnet.cli import main, parse_curve, parse_index, parse_point, parse_points
 from ellnet.render import factor_string, normalized, plain_string
 
 DATA = Path(__file__).parent / "data"
@@ -174,8 +179,37 @@ def test_usage_exit_code():
     assert exc.value.code == 2
 
 
-def test_jobs_option_matches_serial(capsys):
-    argv = ["denom-table", *E1_ARGS, "--grid", "4x4", "--format", "plain"]
-    _, serial, _ = run_cli(capsys, argv)
-    _, parallel, _ = run_cli(capsys, argv + ["--jobs", "2"])
-    assert serial == parallel
+# One argv per subcommand, each run as its own interpreter at the default
+# recursion limit, including inputs that end in a precondition error (2) or a
+# verification failure (1).
+CLI_MATRIX = [
+    ["denom-table", *E1_ARGS, "--grid", "2x2"],
+    ["net-table", *E2_ARGS, "--grid", "3x3", "--format", "factored"],
+    ["reduced-table", *E2_ARGS, "--grid", "4x4", "--prime", "7"],
+    ["symmetry", *PQ_ARGS, "--prime", "3"],
+    ["eval", *PQ_ARGS, "--prime", "19", "--index", "101,100"],
+    ["verify", "valuation", *E2_ARGS, "--prime", "7", "--allow-singular"],
+]
+DEEP_EVAL = ["eval", *PQ_ARGS, "--method", "direct", "--prime", "1000003",
+             "--index=600,599"]
+
+
+def run_subprocess(argv):
+    src = str(Path(ellnet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "ellnet.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", CLI_MATRIX + [DEEP_EVAL],
+                         ids=[argv[0] for argv in CLI_MATRIX] + ["eval-direct-deep"])
+def test_cli_matrix_never_tracebacks(argv):
+    proc = run_subprocess(argv)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if argv is DEEP_EVAL:
+        net = ReducedNet(EllipticNet(parse_curve(PQ_ARGS[1]), parse_points(PQ_ARGS[3])),
+                         1000003)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == str(net.value((600, 599)).residue)

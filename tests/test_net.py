@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ellnet import (
     DivisionPolynomials,
     EllipticNet,
+    eval_by_symmetry,
     QuadraticFormData,
     ReducedNet,
     initial_net_value,
@@ -18,6 +20,8 @@ from ellnet import (
 from ellnet.errors import DegenerateNetError, DegeneratePairError, PreconditionError
 from ellnet.net import box_indices
 from conftest import P1, Q1
+
+DEFAULT_RECURSION_LIMIT = 1000
 
 CORNER = 23 * 103 * 340789 * 175849593114259
 
@@ -117,6 +121,11 @@ def test_quadratic_form(e1, net1):
     assert q.matrix[0][1] == 2
 
 
+def exponents(rank, v):
+    """Exponent array of F_v over the entries A_ij, i <= j."""
+    return tuple(v[i] * v[j] for i in range(rank) for j in range(i, rank))
+
+
 def test_quadratic_form_parallelogram_exponents(e1, net1):
     q = QuadraticFormData.from_curve_points(e1, net1.points)
     rng = random.Random(8)
@@ -125,8 +134,8 @@ def test_quadratic_form_parallelogram_exponents(e1, net1):
         w = (rng.randint(-9, 9), rng.randint(-9, 9))
         vw = tuple(a + b for a, b in zip(v, w))
         vmw = tuple(a - b for a, b in zip(v, w))
-        lhs = [a + b for a, b in zip(q.exponents(vw), q.exponents(vmw))]
-        rhs = [2 * a + 2 * b for a, b in zip(q.exponents(v), q.exponents(w))]
+        lhs = [a + b for a, b in zip(exponents(q.rank, vw), exponents(q.rank, vmw))]
+        rhs = [2 * a + 2 * b for a, b in zip(exponents(q.rank, v), exponents(q.rank, w))]
         assert lhs == rhs
 
 
@@ -248,3 +257,46 @@ def test_rank_three_points_strategy():
     net2d = EllipticNet(curve, pts[:2])
     for v in box_indices(2, 4):
         assert net3.value((v[0], v[1], 0)) == net2d.value(v)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Large-index evaluation must not depend on a raised recursion limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(DEFAULT_RECURSION_LIMIT)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def direct_net(reduced, strategy="points"):
+    return EllipticNet(reduced.gf_curve, reduced.gf_points, strategy=strategy)
+
+
+@pytest.mark.parametrize("p", [61, 89])
+def test_direct_large_index_matches_symmetry(default_recursion_limit, net1_pq,
+                                             symmetry_data, p):
+    direct = direct_net(ReducedNet(net1_pq, p))
+    for v in ((600, 599), (-350, 620), (900, 3)):
+        assert direct.value(v) == eval_by_symmetry(symmetry_data[p], v), (p, v)
+
+
+def test_direct_large_index_matches_recurrence(default_recursion_limit, net1_pq):
+    reduced = ReducedNet(net1_pq, 1000003)
+    direct, rec = direct_net(reduced), direct_net(reduced, strategy="recurrence")
+    for v in ((700, 1), (700, -1), (1, 700), (3, -700)):
+        assert direct.value(v) == rec.value(v), v
+
+
+def test_direct_huge_index_finishes(default_recursion_limit, net1_pq):
+    # W(v+e_i) W(v-e_i) = W(v)^2 (x(P_i) - x(v.P)), with v.P from the group law
+    reduced = ReducedNet(net1_pq, 1000003)
+    direct = direct_net(reduced)
+    v = (20000, 19999)
+    x_v = reduced.gf_curve.add(reduced.gf_curve.mul(v[0], reduced.gf_points[0]),
+                               reduced.gf_curve.mul(v[1], reduced.gf_points[1])).x
+    w = direct.value(v)
+    assert w != 0
+    for i, e in enumerate(((1, 0), (0, 1))):
+        up = direct.value((v[0] + e[0], v[1] + e[1]))
+        down = direct.value((v[0] - e[0], v[1] - e[1]))
+        assert up * down == w * w * (reduced.gf_points[i].x - x_v)
