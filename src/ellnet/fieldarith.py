@@ -207,7 +207,12 @@ def _check_prime_modulus(p: int) -> None:
 
 
 class PrimeFieldElement:
-    """An element of F_p with operator arithmetic; integers coerce freely."""
+    """An element of F_p with operator arithmetic; integers coerce freely.
+
+    The constructor checks that p is prime.  Arithmetic results reuse the
+    modulus of an operand, which was checked when that operand was made,
+    so they are built by ``_element`` without the check.
+    """
 
     __slots__ = ("residue", "p")
 
@@ -222,14 +227,14 @@ class PrimeFieldElement:
                 raise ValueError("mixed prime fields")
             return other
         if isinstance(other, int):
-            return PrimeFieldElement(other, self.p)
+            return _element(other, self.p)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElement(self.residue + o.residue, self.p)
+        return _element(self.residue + o.residue, self.p)
 
     __radd__ = __add__
 
@@ -237,19 +242,19 @@ class PrimeFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElement(self.residue - o.residue, self.p)
+        return _element(self.residue - o.residue, self.p)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElement(o.residue - self.residue, self.p)
+        return _element(o.residue - self.residue, self.p)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElement(self.residue * o.residue, self.p)
+        return _element(self.residue * o.residue, self.p)
 
     __rmul__ = __mul__
 
@@ -259,7 +264,7 @@ class PrimeFieldElement:
             return NotImplemented
         if o.residue == 0:
             raise ZeroDivisionError("division by zero in prime field")
-        return PrimeFieldElement(self.residue * pow(o.residue, -1, self.p), self.p)
+        return _element(self.residue * pow(o.residue, -1, self.p), self.p)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -270,10 +275,10 @@ class PrimeFieldElement:
     def __pow__(self, exponent: int):
         if exponent < 0 and self.residue == 0:
             raise ZeroDivisionError("inverse of zero in prime field")
-        return PrimeFieldElement(pow(self.residue, exponent, self.p), self.p)
+        return _element(pow(self.residue, exponent, self.p), self.p)
 
     def __neg__(self):
-        return PrimeFieldElement(-self.residue, self.p)
+        return _element(-self.residue, self.p)
 
     def __eq__(self, other):
         if isinstance(other, PrimeFieldElement):
@@ -290,3 +295,11 @@ class PrimeFieldElement:
 
     def __repr__(self):
         return f"PrimeFieldElement({self.residue}, {self.p})"
+
+
+def _element(residue: int, p: int) -> PrimeFieldElement:
+    """PrimeFieldElement(residue, p) for a modulus p already known to be prime."""
+    x = object.__new__(PrimeFieldElement)
+    x.residue = residue % p
+    x.p = p
+    return x

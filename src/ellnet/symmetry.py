@@ -13,7 +13,6 @@ any W(v) from the closed product formula without touching the recursion.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -95,10 +94,19 @@ def _gf_geometry(net: NetLike) -> tuple[WeierstrassCurve, tuple[CurvePoint, ...]
 def zero_lattice(net: NetLike, bound: int | None = None) -> IntegerLattice:
     """Canonical basis of Lambda = W^{-1}(0).
 
-    Requires a unique rank of apparition on every axis.  The lattice is
-    enumerated through the reduced curve group: the kernel vectors of
-    v -> v . P in the box prod [0, rho_i) together with rho_i e_i generate
-    Lambda (the net-zero box scan is kept as a test-side cross-check).
+    Requires a unique rank of apparition rho_i on every axis.  Lambda is
+    built as the kernel of v -> v . P on the reduced curve group by a
+    walk in the style of Shanks' baby-step giant-step.  The generators
+    are rho_i e_i, and the points P_k are taken one at a time: a table
+    maps each point of H = <P_1, ..., P_{k-1}> to a coefficient vector c,
+    the walk steps b . P_k for b = 1, ..., rho_k - 1 and stops at the
+    first b with -b . P_k = c . P in the table, which adds the generator
+    (c, b, 0, ...).  The cosets H + j . P_k for j < b then extend the
+    table to <P_1, ..., P_k>.  Every table entry and every step costs one
+    group addition, so the whole walk takes O(#E(F_p)) additions for any
+    rank, against the rho_1 x ... x rho_r box of kernel candidates.  The
+    tests compare it with two oracles at small p: a scan of that box
+    through the group law, and a scan of the net zeros themselves.
     """
     profile = apparition_profile(net, bound)
     for axis, entry in enumerate(profile):
@@ -110,17 +118,22 @@ def zero_lattice(net: NetLike, bound: int | None = None) -> IntegerLattice:
     curve, points = _gf_geometry(net)
     rank = net.rank
     generators: list[Vector] = [_axis_index(rank, i, rhos[i]) for i in range(rank)]
-    prefix_points: dict[tuple, CurvePoint] = {(): INFINITY}
-    for v in itertools.product(*(range(r) for r in rhos)):
-        for k in range(1, rank + 1):
-            prefix = v[:k]
-            if prefix not in prefix_points:
-                parent = prefix_points[prefix[:-1]]
-                if prefix[-1]:
-                    parent = curve.add(parent, curve.mul(prefix[-1], points[k - 1]))
-                prefix_points[prefix] = parent
-        if any(v) and prefix_points[v].is_infinity:
-            generators.append(v)
+    table: dict[CurvePoint, tuple[int, ...]] = {INFINITY: ()}
+    for k, point in enumerate(points):
+        multiples = [INFINITY]
+        for b in range(1, rhos[k]):
+            step = curve.add(multiples[-1], point)
+            hit = table.get(curve.neg(step))
+            if hit is not None:
+                generators.append(hit + (b,) + (0,) * (rank - k - 1))
+                break
+            multiples.append(step)
+        if k + 1 < rank:
+            table = {
+                curve.add(h, m): c + (j,)
+                for j, m in enumerate(multiples)
+                for h, c in table.items()
+            }
     return lattice_from_generators(rank, generators)
 
 

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from ellnet import EllipticNet, ReducedNet, WeierstrassCurve, rational_point
+from ellnet import INFINITY, EllipticNet, ReducedNet, WeierstrassCurve, rational_point
 
 # Fixture curves and generators; the table convention lists Q before P.
 E1_COEFFS = (0, 0, 0, 0, -11)
@@ -9,6 +11,33 @@ P1 = rational_point(3, 4)
 Q1 = rational_point(15, 58)
 P2 = rational_point(0, 0)
 Q2 = rational_point(1, 3)
+DEFAULT_RECURSION_LIMIT = 1000
+
+
+def assert_lattice_is_kernel(curve, points, lattice):
+    """Lambda is the kernel of v -> v . P, checked with curve.mul alone.
+
+    Every basis row maps to infinity, and the canonical representatives
+    have pairwise distinct images, so no other kernel vector exists.
+    """
+    def image(v):
+        total = INFINITY
+        for n, point in zip(v, points):
+            total = curve.add(total, curve.mul(n, point))
+        return total
+
+    for row in lattice.basis:
+        assert image(row).is_infinity, row
+    assert len({image(m) for m in lattice.representatives()}) == lattice.index()
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Large inputs must not depend on a raised recursion limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(DEFAULT_RECURSION_LIMIT)
+    yield
+    sys.setrecursionlimit(limit)
 
 
 @pytest.fixture(scope="session")

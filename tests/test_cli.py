@@ -10,7 +10,10 @@ import pytest
 import ellnet
 from ellnet import EllipticNet, ReducedNet
 from ellnet.cli import main, parse_curve, parse_index, parse_point, parse_points
+from ellnet.lattice import lattice_from_generators
 from ellnet.render import factor_string, normalized, plain_string
+
+from conftest import assert_lattice_is_kernel
 
 DATA = Path(__file__).parent / "data"
 
@@ -213,3 +216,15 @@ def test_cli_matrix_never_tracebacks(argv):
                          1000003)
         assert proc.returncode == 0
         assert proc.stdout.strip() == str(net.value((600, 599)).residue)
+
+
+def test_cli_symmetry_at_p241():
+    # the input of the bench's lattice_wall probe
+    proc = run_subprocess(["symmetry", *PQ_ARGS, "--prime", "241"])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    rows = json.loads(proc.stdout)["lattice"]
+    lattice = lattice_from_generators(2, rows)
+    assert [list(row) for row in lattice.basis] == rows
+    reduced = ReducedNet(EllipticNet(parse_curve(PQ_ARGS[1]), parse_points(PQ_ARGS[3])), 241)
+    assert_lattice_is_kernel(reduced.gf_curve, reduced.gf_points, lattice)

@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,6 @@ from ellnet.errors import DegenerateNetError, DegeneratePairError, PreconditionE
 from ellnet.net import box_indices
 from conftest import P1, Q1
 
-DEFAULT_RECURSION_LIMIT = 1000
 
 CORNER = 23 * 103 * 340789 * 175849593114259
 
@@ -257,15 +255,6 @@ def test_rank_three_points_strategy():
     net2d = EllipticNet(curve, pts[:2])
     for v in box_indices(2, 4):
         assert net3.value((v[0], v[1], 0)) == net2d.value(v)
-
-
-@pytest.fixture
-def default_recursion_limit():
-    """Large-index evaluation must not depend on a raised recursion limit."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(DEFAULT_RECURSION_LIMIT)
-    yield
-    sys.setrecursionlimit(limit)
 
 
 def direct_net(reduced, strategy="points"):

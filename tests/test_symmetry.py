@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from ellnet import (
+    INFINITY,
     EllipticNet,
     ReducedNet,
+    WeierstrassCurve,
     build_symmetry_data,
     chi,
     delta,
@@ -15,10 +18,11 @@ from ellnet import (
     xi,
     zero_lattice,
 )
-from ellnet.errors import NotSubgroupError, SmallQuotientError
+from ellnet.errors import EllnetError, NotSubgroupError, SmallQuotientError
+from ellnet.lattice import lattice_from_generators
 from ellnet.net import box_indices
-from ellnet.symmetry import NON_UNIQUE, UNIQUE
-from conftest import P1, P2
+from ellnet.symmetry import NON_UNIQUE, UNIQUE, apparition_profile
+from conftest import E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2, assert_lattice_is_kernel
 
 # Published zero-lattice bases for E1 with generators (P, Q), P listed first.
 PAPER_LATTICES = {
@@ -81,6 +85,58 @@ def test_zero_lattice_agrees_with_net_zeros(reduced1_pq):
     lat = zero_lattice(net)
     for v in box_indices(2, 15):
         assert (net.value(v) == 0) == lat.contains(v), v
+
+
+def _box_scan_lattice(net):
+    """Oracle: every kernel vector of v -> v . P in the box prod [0, rho_i)."""
+    profile = apparition_profile(net)
+    if not all(entry.is_unique for entry in profile):
+        raise NotSubgroupError("no unique rank of apparition")
+    rhos = [entry.rho for entry in profile]
+    curve = net.gf_curve
+    multiples = [[curve.mul(n, point) for n in range(rho)]
+                 for point, rho in zip(net.gf_points, rhos)]
+    generators = [tuple(rhos[i] if j == i else 0 for j in range(net.rank))
+                  for i in range(net.rank)]
+    for v in itertools.product(*(range(r) for r in rhos)):
+        total = INFINITY
+        for n, row in zip(v, multiples):
+            total = curve.add(total, row[n])
+        if any(v) and total.is_infinity:
+            generators.append(v)
+    return lattice_from_generators(net.rank, generators)
+
+
+def _walk_cases():
+    e1 = WeierstrassCurve(*E1_COEFFS)
+    e2 = WeierstrassCurve(*E2_COEFFS)
+    nets = {
+        "E1-pq": EllipticNet(e1, (P1, Q1)),
+        "E1-qp": EllipticNet(e1, (Q1, P1)),
+        "E2-qp": EllipticNet(e2, (Q2, P2)),
+        "E2-pq": EllipticNet(e2, (P2, Q2)),
+    }
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 61, 89):
+        for name, net in nets.items():
+            yield pytest.param(net, p, id=f"{name}-{p}")
+    rank1 = EllipticNet(e1, (Q1,))
+    rank3 = EllipticNet(e1, (P1, Q1, e1.add(P1, Q1)))
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        yield pytest.param(rank1, p, id=f"E1-q-{p}")
+    for p in (5, 7, 11, 13):
+        yield pytest.param(rank3, p, id=f"E1-pqs-{p}")
+
+
+@pytest.mark.parametrize("net, p", _walk_cases())
+def test_zero_lattice_walk_matches_box_scan(net, p):
+    reduced = ReducedNet(net, p)
+    try:
+        expected = _box_scan_lattice(reduced)
+    except EllnetError as exc:
+        with pytest.raises(type(exc)):
+            zero_lattice(reduced)
+        return
+    assert zero_lattice(reduced).basis == expected.basis
 
 
 def test_zero_set_closed_under_subtraction(reduced1_pq):
@@ -296,6 +352,13 @@ def test_symmetry_data_p13_properties(e1, net1_pq):
     for v in box_indices(2, 15):
         assert eval_by_symmetry(sd, v) == net.value(v)
     assert periodicity_check(sd, samples=25, seed=17)
+
+
+@pytest.mark.parametrize("p", [401, 1009])
+def test_symmetry_data_large_prime(default_recursion_limit, net1_pq, p):
+    sd = build_symmetry_data(ReducedNet(net1_pq, p))
+    assert_lattice_is_kernel(sd.net.gf_curve, sd.net.gf_points, sd.lattice)
+    assert periodicity_check(sd)
 
 
 def test_symmetry_json_round_trip(symmetry_data):
