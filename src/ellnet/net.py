@@ -23,8 +23,16 @@ over Q never divide by zero when the base points are independent; a zero
 divisor there raises ``DependentPointsError``.  Over a prime field either
 route can hit a zero divisor; an evaluation that runs out of routes raises
 ``DegenerateNetError``, and callers fall back to exact evaluation over Q
-followed by reduction (``ReducedNet``, the default for mod-p work, does
-exactly that).
+followed by reduction.
+
+``ReducedNet``, the default for mod-p work, takes the halving ladder for a
+rank-2 index off the axes with max-norm above 3: a recurrence instance
+(``_ladder_terms``) writes W(u) as a difference of two products of four
+values near u / 2, with no division, so O(log |u|) levels of a bounded
+number of values each reach the box |u| <= 3, which is taken exact over Q
+and reduced.  It never meets a zero divisor, at good or bad reduction.
+Axis values stay on the division polynomial, everything else on the direct
+route with its exact fallback.
 """
 from __future__ import annotations
 
@@ -112,6 +120,42 @@ def _recurrence_terms(m: int, n: int):
                 ((1, -1), (0, n), (1, n + 2)), -1, ((0, n + 2),))
     return (((2, 0), (m - 1, n), (m - 1, n + 1)),
             ((1, -1), (m, n + 1), (m - 2, n)), 1, ((m - 2, n + 1),))
+
+
+# (g, c, h) of the halving ladder, keyed by the parity of u; see _ladder_terms.
+_LADDER = {
+    (0, 0): ((1, 0), (0, 1), (1, 1)),
+    (0, 1): ((1, 0), (1, 0), (0, 1)),
+    (1, 0): ((1, 0), (1, 0), (1, 0)),
+    (1, 1): ((1, 0), (1, 0), (1, 1)),
+}
+LADDER_BASE_NORM = 3
+
+
+def _ladder_terms(u: Index) -> tuple[tuple[Index, ...], tuple[Index, ...]]:
+    """The halving step (first, second) with W(u) = prod W(first) - prod W(second).
+
+    The net recurrence at p = v + a, q = v + b, r = c, s = d, with g = a - b,
+    c and h = c + d in {e1, e2, e1 + e2}, where W = 1, reads
+
+        W(u) = W(A+h) W(A-c) W(B+d) W(B) - W(B+h) W(B-c) W(A+d) W(A)
+
+    for u = 2v + a + b + d, A = (u + g - d) / 2 and B = A - g.  The parity
+    of u fixes (g, c, h) so that u + g - d is even and, for max-norm above
+    LADDER_BASE_NORM, every index on the right is smaller in max-norm.  It
+    is a halving step in the spirit of Shipsey's EDS doubling and Stange's
+    double-and-add on elliptic nets ("The Tate pairing via elliptic nets").
+    """
+    (g1, g2), (c1, c2), (h1, h2) = _LADDER[u[0] & 1, u[1] & 1]
+    d1, d2 = h1 - c1, h2 - c2
+    a1, a2 = (u[0] + g1 - d1) // 2, (u[1] + g2 - d2) // 2
+    b1, b2 = a1 - g1, a2 - g2
+    return (((a1 + h1, a2 + h2), (a1 - c1, a2 - c2), (b1 + d1, b2 + d2), (b1, b2)),
+            ((b1 + h1, b2 + h2), (b1 - c1, b2 - c2), (a1 + d1, a2 + d2), (a1, a2)))
+
+
+def _max_norm(v: Index) -> int:
+    return max(map(abs, v))
 
 
 def _normalize(v: Index) -> tuple[Index, int]:
@@ -432,8 +476,15 @@ class ReducedNet:
 
     Valid whenever every P_i and every P_i +- P_j stays away from infinity
     mod p, which the constructor verifies; net values are then p-integral.
-    Values are computed directly mod p when possible (every division along
-    a successful direct evaluation is by a unit, so the result equals the
+    A rank-2 index off the axes with max-norm above 3 takes the halving
+    ladder (``_ladder_terms``): it collects the indices it needs top-down
+    and evaluates them in increasing max-norm over int residues kept in a
+    memo, from the box of max-norm at most 3, which ``exact_value`` fills.
+    The ladder multiplies and subtracts but never divides, so it has no
+    zero divisor, and it takes O(log |v|) levels.  Every other index, the
+    axis values among them (the division polynomial is faster there), is
+    computed directly mod p when possible (every division along a
+    successful direct evaluation is by a unit, so the result equals the
     reduced exact value); evaluations that hit a zero divisor fall back to
     exact computation over Q followed by reduction.
     """
@@ -461,9 +512,12 @@ class ReducedNet:
                         )
         self._direct = EllipticNet(self.gf_curve, self.gf_points)
         self._fallback: dict[Index, PrimeFieldElement] = {}
+        self._ladder: dict[Index, int] = {}
 
     def value(self, v: Sequence[int]) -> PrimeFieldElement:
         key = tuple(int(c) for c in v)
+        if self.rank == 2 and all(key) and _max_norm(key) > LADDER_BASE_NORM:
+            return PrimeFieldElement(self._ladder_value(key), self.p)
         try:
             return self._direct.value(key)
         except DegenerateNetError:
@@ -475,6 +529,26 @@ class ReducedNet:
     def exact_value(self, v: Sequence[int]) -> PrimeFieldElement:
         """Force the exact-over-Q-then-reduce path."""
         return _reduce_fraction(self.net.value(v), self.p)
+
+    def _ladder_value(self, v: Index) -> int:
+        """The residue of W(v) by the halving ladder, for rank 2."""
+        memo, p = self._ladder, self.p
+        target, sign = _normalize(v)
+        steps: dict[Index, list[tuple[Index, int]]] = {}
+        stack = [target]
+        while stack:
+            u = stack.pop()
+            if u in memo or u in steps:
+                continue
+            if _max_norm(u) <= LADDER_BASE_NORM:
+                memo[u] = self.exact_value(u).residue
+                continue
+            steps[u] = [_normalize(t) for t in itertools.chain(*_ladder_terms(u))]
+            stack.extend(key for key, _ in steps[u])
+        for u in sorted(steps, key=_max_norm):
+            w = [memo[key] if s > 0 else -memo[key] for key, s in steps[u]]
+            memo[u] = (w[0] * w[1] * w[2] * w[3] - w[4] * w[5] * w[6] * w[7]) % p
+        return memo[target] if sign > 0 else -memo[target] % p
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,8 @@ CLI_MATRIX = [
 ]
 DEEP_EVAL = ["eval", *PQ_ARGS, "--method", "direct", "--prime", "1000003",
              "--index=600,599"]
+HUGE_INDEX = "--index=738495061837265019283746501923,-401928374650192837465019283746"
+HUGE_EVAL = ["eval", *PQ_ARGS, "--method", "direct", "--prime", "89", HUGE_INDEX]
 
 
 def run_subprocess(argv):
@@ -205,8 +207,9 @@ def run_subprocess(argv):
                           capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("argv", CLI_MATRIX + [DEEP_EVAL],
-                         ids=[argv[0] for argv in CLI_MATRIX] + ["eval-direct-deep"])
+@pytest.mark.parametrize("argv", CLI_MATRIX + [DEEP_EVAL, HUGE_EVAL],
+                         ids=[argv[0] for argv in CLI_MATRIX]
+                         + ["eval-direct-deep", "eval-direct-huge"])
 def test_cli_matrix_never_tracebacks(argv):
     proc = run_subprocess(argv)
     assert proc.returncode in (0, 1, 2), proc.stderr
@@ -216,6 +219,25 @@ def test_cli_matrix_never_tracebacks(argv):
                          1000003)
         assert proc.returncode == 0
         assert proc.stdout.strip() == str(net.value((600, 599)).residue)
+    if argv is HUGE_EVAL:
+        symmetry = run_subprocess(["eval", *PQ_ARGS, "--method", "symmetry", "--prime", "89",
+                                   HUGE_INDEX])
+        assert proc.returncode == symmetry.returncode == 0, symmetry.stderr
+        assert proc.stdout == symmetry.stdout
+
+
+# Indices where direct evaluation on the points route retries exponentially:
+# E2 mod 7 has bad reduction, and E1 mod 29 meets lattice zeros.
+@pytest.mark.parametrize("args, prime, index", [
+    (E2_ARGS, 7, (11, 11)),
+    (E2_ARGS, 7, (12, 12)),
+    (PQ_ARGS, 29, (25, 24)),
+])
+def test_eval_direct_matches_exact(capsys, args, prime, index):
+    code, out, _ = run_cli(capsys, ["eval", *args, "--method", "direct", "--prime", str(prime),
+                                    f"--index={index[0]},{index[1]}"])
+    net = ReducedNet(EllipticNet(parse_curve(args[1]), parse_points(args[3])), prime)
+    assert code == 0 and out.strip() == str(net.exact_value(index).residue)
 
 
 def test_cli_symmetry_at_p241():

@@ -6,6 +6,7 @@ import pytest
 from ellnet import (
     DivisionPolynomials,
     EllipticNet,
+    build_symmetry_data,
     eval_by_symmetry,
     QuadraticFormData,
     ReducedNet,
@@ -17,7 +18,7 @@ from ellnet import (
     scaled_value,
 )
 from ellnet.errors import DegenerateNetError, DegeneratePairError, PreconditionError
-from ellnet.net import box_indices
+from ellnet.net import LADDER_BASE_NORM, _LADDER, _ladder_terms, box_indices
 from conftest import P1, Q1
 
 
@@ -276,16 +277,73 @@ def test_direct_large_index_matches_recurrence(default_recursion_limit, net1_pq)
         assert direct.value(v) == rec.value(v), v
 
 
-def test_direct_huge_index_finishes(default_recursion_limit, net1_pq):
+def assert_group_law_identity(reduced, value, v):
     # W(v+e_i) W(v-e_i) = W(v)^2 (x(P_i) - x(v.P)), with v.P from the group law
-    reduced = ReducedNet(net1_pq, 1000003)
-    direct = direct_net(reduced)
-    v = (20000, 19999)
-    x_v = reduced.gf_curve.add(reduced.gf_curve.mul(v[0], reduced.gf_points[0]),
-                               reduced.gf_curve.mul(v[1], reduced.gf_points[1])).x
-    w = direct.value(v)
-    assert w != 0
+    curve, points = reduced.gf_curve, reduced.gf_points
+    x_v = curve.add(curve.mul(v[0], points[0]), curve.mul(v[1], points[1])).x
+    w = value(v)
     for i, e in enumerate(((1, 0), (0, 1))):
-        up = direct.value((v[0] + e[0], v[1] + e[1]))
-        down = direct.value((v[0] - e[0], v[1] - e[1]))
-        assert up * down == w * w * (reduced.gf_points[i].x - x_v)
+        up = value((v[0] + e[0], v[1] + e[1]))
+        down = value((v[0] - e[0], v[1] - e[1]))
+        assert up * down == w * w * (points[i].x - x_v), v
+    return w
+
+
+def test_direct_huge_index_finishes(default_recursion_limit, net1_pq):
+    reduced = ReducedNet(net1_pq, 1000003)
+    assert assert_group_law_identity(reduced, direct_net(reduced).value, (20000, 19999)) != 0
+
+
+LADDER_PRIMES = (5, 7, 11, 13, 19, 29, 61, 89, 1009, 1000003)
+UNITS = {(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)}
+
+
+def test_ladder_schedule_invariants():
+    for m in range(-200, 201):
+        for n in range(-200, 201):
+            u = (m, n)
+            if max(abs(m), abs(n)) <= LADDER_BASE_NORM:
+                continue
+            g, c, h = _LADDER[m & 1, n & 1]
+            assert {g, c, h} <= UNITS
+            d = (h[0] - c[0], h[1] - c[1])
+            assert ((g[0] - d[0] - m) % 2, (g[1] - d[1] - n) % 2) == (0, 0), u
+            first, second = _ladder_terms(u)
+            for child in first + second:
+                assert max(map(abs, child)) < max(abs(m), abs(n)), (u, child)
+
+
+@pytest.mark.parametrize("p", LADDER_PRIMES)
+def test_ladder_matches_exact_on_box(default_recursion_limit, net1_pq, net2, p):
+    # E2 mod 7 has bad reduction: (0, 0) reduces to the singular point
+    for net in (net1_pq, net2):
+        reduced = ReducedNet(net, p)
+        for v in box_indices(2, 12):
+            assert reduced.value(v) == reduced.exact_value(v), (p, v)
+
+
+@pytest.mark.parametrize("p", [7, 11, 19, 61, 89])
+def test_ladder_matches_symmetry_at_huge_indices(default_recursion_limit, net1_pq, p):
+    # the oracle's symmetry data comes from the direct points route alone
+    reduced = ReducedNet(net1_pq, p)
+    sd = build_symmetry_data(direct_net(reduced))
+    rng = random.Random(p)
+    for _ in range(100):
+        v = tuple(rng.choice((-1, 1)) * rng.randrange(10 ** 29, 10 ** 30) for _ in range(2))
+        assert reduced.value(v) == eval_by_symmetry(sd, v), (p, v)
+
+
+def test_ladder_group_law_at_huge_indices(default_recursion_limit, net1_pq):
+    reduced = ReducedNet(net1_pq, 1000003)
+    rng = random.Random(1000003)
+    values = []
+    for _ in range(20):
+        v = tuple(rng.choice((-1, 1)) * rng.randrange(10 ** 29, 10 ** 30) for _ in range(2))
+        values.append(assert_group_law_identity(reduced, reduced.value, v))
+    assert any(w != 0 for w in values)
+
+
+def test_ladder_index_of_300_digits_finishes(default_recursion_limit, net1_pq):
+    reduced = ReducedNet(net1_pq, 1000003)
+    v = (10 ** 300 + 7, -3 * 10 ** 299 + 1)
+    assert assert_group_law_identity(reduced, reduced.value, v) != 0
