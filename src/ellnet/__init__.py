@@ -8,6 +8,7 @@ the valuation and apparition theorems.
 from .curve import (
     CurvePoint,
     INFINITY,
+    IntegralModel,
     PointDecomposition,
     WeierstrassCurve,
     decompose,

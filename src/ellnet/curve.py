@@ -215,6 +215,115 @@ def decompose(curve: WeierstrassCurve, point: CurvePoint) -> PointDecomposition:
     return PointDecomposition(a, b, d)
 
 
+Triple = tuple[int, int, int]
+
+
+class IntegralModel:
+    """The group law of an integral model on (A, B, D) triples.
+
+    An affine point is (A / D^2, B / D^3) in lowest terms with D >= 1, the
+    shape ``decompose`` gives, and the identity is None.  A sum is formed
+    with cleared denominators, x = X / Z^2 and y = Y / Z^3 in integers, and
+    reaches lowest terms with one gcd(X, Z^2) and one isqrt, where a
+    ``Fraction`` chord-and-tangent step takes about a dozen gcds.  The
+    coefficients are read once, when the model is built.  As in
+    ``WeierstrassCurve.add``, an affine operand at the singular point of a
+    singular curve is refused.
+    """
+
+    __slots__ = ("curve", "a1", "a2", "a3", "a4", "a6", "singular")
+
+    def __init__(self, curve: WeierstrassCurve):
+        if not curve.is_integral:
+            raise ModelNotIntegralError("the integer group law requires integral coefficients")
+        self.curve = curve
+        self.a1, self.a2, self.a3, self.a4, self.a6 = (
+            int(c) for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+        self.singular = curve.discriminant == 0
+
+    def triple(self, point: CurvePoint) -> Triple | None:
+        if point.is_infinity:
+            return None
+        dec = decompose(self.curve, point)
+        return dec.a, dec.b, dec.d
+
+    @staticmethod
+    def point(t: Triple | None) -> CurvePoint:
+        if t is None:
+            return INFINITY
+        a, b, d = t
+        return CurvePoint(Fraction(a, d * d), Fraction(b, d**3))
+
+    def neg(self, t: Triple | None) -> Triple | None:
+        if t is None:
+            return None
+        a, b, d = t
+        return a, -b - self.a1 * a * d - self.a3 * d**3, d
+
+    @staticmethod
+    def x(t: Triple) -> Fraction:
+        a, _, d = t
+        return Fraction(a, d * d)
+
+    def denominator(self, t: Triple) -> int:
+        """D, after the on-curve and coprimality checks of ``decompose``,
+        done in integers."""
+        a, b, d = t
+        d2 = d * d
+        lhs = b * b + self.a1 * a * b * d + self.a3 * b * d2 * d
+        rhs = a**3 + self.a2 * a * a * d2 + self.a4 * a * d2 * d2 + self.a6 * d2**3
+        if lhs != rhs:
+            raise PointNotOnCurveError(f"{self.point(t)} is not on the curve")
+        if d < 1 or math.gcd(a, d) != 1 or math.gcd(b, d) != 1:
+            raise ModelNotIntegralError("coprimality of (A, B) with D fails")
+        return d
+
+    def add(self, P: Triple | None, Q: Triple | None) -> Triple | None:
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        if self.singular:
+            self.curve._refuse_singular(self.point(P))
+            self.curve._refuse_singular(self.point(Q))
+        a1, a2, a3, a4 = self.a1, self.a2, self.a3, self.a4
+        A1, B1, D1 = P
+        A2, B2, D2 = Q
+        # slope N / Z; x1z, x2z, y1z are x1 Z^2, x2 Z^2 and y1 Z^3
+        if A1 == A2 and D1 == D2:  # equal x, since both are in lowest terms
+            d2 = D1 * D1
+            if B2 == -B1 - a1 * A1 * D1 - a3 * d2 * D1:
+                return None
+            u = 2 * B1 + a1 * A1 * D1 + a3 * d2 * D1
+            n = 3 * A1 * A1 + 2 * a2 * A1 * d2 + a4 * d2 * d2 - a1 * B1 * D1
+            z = D1 * u
+            u2 = u * u
+            x1z = x2z = A1 * u2
+            y1z = B1 * u2 * u
+        else:
+            d1s, d2s = D1 * D1, D2 * D2
+            u = A2 * d1s - A1 * d2s
+            n = B2 * d1s * D1 - B1 * d2s * D2
+            z = D1 * D2 * u
+            u2 = u * u
+            x1z = A1 * d2s * u2
+            x2z = A2 * d1s * u2
+            y1z = B1 * d2s * D2 * u2 * u
+        z2 = z * z
+        x = n * n + a1 * n * z - a2 * z2 - x1z - x2z
+        y = -(n * (x - x1z) + y1z) - a1 * x * z - a3 * z2 * z
+        g = math.gcd(x, z2)
+        d2 = z2 // g
+        d = math.isqrt(d2)
+        if d * d != d2:
+            raise ModelNotIntegralError("denominator of x is not a perfect square")
+        e = z // d  # e^2 = g
+        b, rem = divmod(y, g * e)
+        if rem:
+            raise ModelNotIntegralError("denominator of y is not the cube of D")
+        return x // g, b, d
+
+
 def denominator(curve: WeierstrassCurve, point: CurvePoint) -> int:
     """D_P for an affine rational point; infinity has no denominator."""
     return decompose(curve, point).d

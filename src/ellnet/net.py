@@ -11,7 +11,12 @@ interpreter's recursion limit.  There are two routes.
   x-coordinates supplied by the curve group law.  The step axis is the one
   with the largest coordinate, so the max-norm shrinks toward the initial
   values; over F_p a step that meets a zero divisor is retried on the next
-  axis and, for rank <= 2, on the recurrence.
+  axis and, for rank <= 2, on the recurrence.  An exact net on an integral
+  model caches v . P as the integer triple (A, B, D) with
+  v . P = (A / D^2, B / D^3) in lowest terms, filled by the integer group
+  law of ``curve.IntegralModel``; the step reads x = A / D^2 from it, and
+  ``denominator`` reads D_{v . P} off it.  Other nets cache ``CurvePoint``
+  values from ``WeierstrassCurve.add``.
 * ``recurrence``: pure recurrence instantiations grounded in the initial
   values, with no group-law input.  Rank 1 delegates to the division
   polynomial doubling identities; rank 2 uses a fixed well-founded schedule
@@ -44,7 +49,8 @@ from functools import reduce
 from operator import mul
 from typing import Callable, Sequence
 
-from .curve import INFINITY, CurvePoint, WeierstrassCurve, decompose, reduce_curve, reduce_mod_p
+from .curve import (INFINITY, CurvePoint, IntegralModel, WeierstrassCurve, decompose,
+                    reduce_curve, reduce_mod_p)
 from .divpoly import DivisionPolynomials
 from .errors import (
     DegenerateNetError,
@@ -195,7 +201,14 @@ class EllipticNet:
         self._zero = points[0].x - points[0].x
         self._one = points[0].x ** 0
         self._values: dict[Index, object] = {}
-        self._points_cache: dict[Index, CurvePoint] = {(0,) * self.rank: INFINITY}
+        law = self._law = IntegralModel(curve) if curve.is_integral else None
+        if law is None:
+            cached, neg, origin = points, curve.neg, INFINITY
+        else:
+            cached, neg, origin = [law.triple(pt) for pt in points], law.neg, None
+        # (P_i, -P_i) in the cache's form
+        self._steps = tuple((pt, neg(pt)) for pt in cached)
+        self._points_cache: dict[Index, object] = {(0,) * self.rank: origin}
         self._recurrence_base: dict[Index, object] | None = None
         self._axis_divpoly: dict[int, DivisionPolynomials] = {}
 
@@ -208,13 +221,19 @@ class EllipticNet:
     # ------------------------------------------------------------------
 
     def point(self, v: Sequence[int]) -> CurvePoint:
-        """v . P = v_1 P_1 + ... + v_r P_r via cached single additions.
+        """v . P = v_1 P_1 + ... + v_r P_r."""
+        pt = self._cached_point(self._key(v))
+        return pt if self._law is None else self._law.point(pt)
+
+    def _cached_point(self, v: Index):
+        """v . P from the point cache, via cached single additions: an
+        (A, B, D) triple (None at the identity) on an integral rational
+        model, else a ``CurvePoint``.
 
         The chain toward the origin decrements the same axis the evaluation
         step uses, so successive queries along the evaluation path reuse the
         cached predecessor instead of rebuilding whole rows.
         """
-        v = self._key(v)
         cache = self._points_cache
         chain = []
         t = v
@@ -223,13 +242,16 @@ class EllipticNet:
             i = self._axis_order(t)[0]
             s = 1 if t[i] > 0 else -1
             t = t[:i] + (t[i] - s,) + t[i + 1:]
+        add = self.curve.add if self._law is None else self._law.add
         for t in reversed(chain):
             i = self._axis_order(t)[0]
             s = 1 if t[i] > 0 else -1
             parent = t[:i] + (t[i] - s,) + t[i + 1:]
-            step = self.points[i] if s > 0 else self.curve.neg(self.points[i])
-            cache[t] = self.curve.add(cache[parent], step)
+            cache[t] = add(cache[parent], self._steps[i][s < 0])
         return cache[v]
+
+    def _is_identity(self, pt) -> bool:
+        return pt.is_infinity if self._law is None else pt is None
 
     def _key(self, v: Sequence[int]) -> Index:
         v = tuple(int(c) for c in v)
@@ -342,13 +364,14 @@ class EllipticNet:
         if wmu_val == 0:
             raise self._degenerate(f"zero divisor in the point step at {v}")
         try:
-            pw = self.point(w)
+            pw = self._cached_point(w)
         except SingularCurveError as exc:
             # combinations through the singular point have no usable x-step
             raise self._degenerate(str(exc)) from exc
-        if pw.is_infinity:
+        if self._is_identity(pw):
             raise self._degenerate(f"{w} . P is the identity")
-        return w_val * w_val * (self.points[axis].x - pw.x) / wmu_val
+        xw = pw.x if self._law is None else self._law.x(pw)
+        return w_val * w_val * (self.points[axis].x - xw) / wmu_val
 
     def _support_reduce(self, v: Index):
         """W(v) for an index with every coordinate in {-1, 0, 1} and at
@@ -458,10 +481,12 @@ class EllipticNet:
             return 0
         if not self.is_rational:
             raise PreconditionError("denominator net requires a rational curve")
-        pt = self.point(v)
-        if pt.is_infinity:
+        pt = self._cached_point(v)
+        if self._is_identity(pt):
             raise DependentPointsError(f"{v} . P is the identity")
-        return decompose(self.curve, pt).d
+        if self._law is None:
+            return decompose(self.curve, pt).d
+        return self._law.denominator(pt)
 
 
 def _reduce_fraction(x: Fraction, p: int) -> PrimeFieldElement:

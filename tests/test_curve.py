@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from ellnet import (
     INFINITY,
+    IntegralModel,
     WeierstrassCurve,
     decompose,
     gf_point,
@@ -17,6 +19,7 @@ from ellnet import (
 )
 from ellnet.errors import (
     ModelNotIntegralError,
+    PointNotOnCurveError,
     PreconditionError,
     SingularCurveError,
     SingularReductionError,
@@ -195,3 +198,109 @@ def test_quasi_parallelogram_law(e1, e2):
 def test_enumerate_points(e1):
     points = list(reduce_curve(e1, 7).enumerate_points())
     assert len(points) == 13
+
+
+def _law_multiple(law, n, t):
+    """n . t by |n| single law additions, independent of curve.mul."""
+    step = t if n > 0 else law.neg(t)
+    total = None
+    for _ in range(abs(n)):
+        total = law.add(total, step)
+    return total
+
+
+def _small_model_with_a1_a3():
+    """The first nonsingular y^2 + xy + y = x^3 + a2 x^2 + a4 x + a6 with two
+    small integral points of infinite order and distinct x."""
+    for a2, a4, a6 in itertools.product(range(-3, 4), repeat=3):
+        curve = WeierstrassCurve(1, a2, 1, a4, a6, allow_singular=True)
+        if curve.discriminant == 0:
+            continue
+        found = []
+        for x in range(-6, 7):
+            for y in range(-12, 13):
+                pt = rational_point(x, y)
+                if (curve.contains(pt) and all(pt.x != q.x for q in found)
+                        and all(not curve.mul(k, pt).is_infinity for k in range(1, 13))):
+                    found.append(pt)
+        if len(found) >= 2:
+            return curve, found[0], found[1]
+    raise AssertionError("no model found")
+
+
+def _law_cases():
+    e1, e2 = WeierstrassCurve(0, 0, 0, 0, -11), WeierstrassCurve(0, 1, 7, 28, 0)
+    torsion = WeierstrassCurve(0, 0, 0, 0, 1)
+    t6 = rational_point(2, 3)
+    model, p, q = _small_model_with_a1_a3()
+    return {
+        "e1-pq": (e1, P1, Q1), "e1-qp": (e1, Q1, P1),
+        "e2-pq": (e2, P2, Q2), "e2-qp": (e2, Q2, P2),
+        "e1-2p": (e1, e1.mul(2, P1), Q1),
+        "torsion-6": (torsion, t6, t6),
+        "a1-a3": (model, p, q),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_law_cases()))
+def test_integral_law_matches_fraction_law(case):
+    curve, gen_a, gen_b = _law_cases()[case]
+    law = IntegralModel(curve)
+    ta, tb = law.triple(gen_a), law.triple(gen_b)
+    rng = random.Random(case)
+    pairs = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (-2, 1), (12, -12)]
+    pairs += [(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(40)]
+    def agrees(got, ref):
+        if ref.is_infinity:
+            return got is None
+        dec = decompose(curve, ref)
+        return (got == (dec.a, dec.b, dec.d) and law.denominator(got) == dec.d
+                and law.x(got) == ref.x and law.point(got) == ref)
+
+    for m, n in pairs:
+        ma, ref_a = _law_multiple(law, m, ta), curve.mul(m, gen_a)
+        got = law.add(ma, _law_multiple(law, n, tb))
+        assert agrees(got, curve.add(ref_a, curve.mul(n, gen_b))), (m, n)
+        # P + P and P + (-P) at a multiple, where D > 1
+        assert agrees(law.add(ma, ma), curve.add(ref_a, ref_a)), m
+        assert agrees(law.neg(ma), curve.neg(ref_a)), m
+        assert law.add(ma, law.neg(ma)) is None, m
+
+
+def test_integral_law_edge_cases(e1):
+    law = IntegralModel(e1)
+    double = decompose(e1, e1.mul(2, P1))
+    p = law.triple(P1)
+    assert law.add(p, p) == (double.a, double.b, double.d) == (345, -6179, 8)
+    assert law.add(p, law.neg(p)) is None
+    assert law.add(None, p) == p and law.add(p, None) == p
+    torsion = IntegralModel(WeierstrassCurve(0, 0, 0, 0, 1))
+    t6 = torsion.triple(rational_point(2, 3))
+    assert _law_multiple(torsion, 6, t6) is None
+    assert _law_multiple(torsion, 3, t6) == (-1, 0, 1)
+
+
+def test_integral_law_refuses_singular_operands():
+    node = WeierstrassCurve(0, 1, 0, 0, 0, allow_singular=True)
+    law = IntegralModel(node)
+    singular, smooth = law.triple(rational_point(0, 0)), law.triple(rational_point(3, 6))
+    for a, b in ((singular, smooth), (smooth, singular), (singular, singular)):
+        with pytest.raises(SingularCurveError):
+            law.add(a, b)
+        with pytest.raises(SingularCurveError):
+            node.add(law.point(a), law.point(b))
+    assert law.add(None, singular) == singular
+    assert law.add(smooth, smooth) == law.triple(node.add(law.point(smooth), law.point(smooth)))
+
+
+def test_integral_law_checks(e1):
+    law = IntegralModel(e1)
+    with pytest.raises(PointNotOnCurveError):
+        law.denominator((3, 5, 1))
+    with pytest.raises(ModelNotIntegralError):
+        law.denominator((12, 32, 2))  # P1 = (3, 4) with a non-reduced D = 2
+    # operands off the curve give a sum whose x denominator is no square
+    with pytest.raises(ModelNotIntegralError):
+        law.add((-9, 3, 4), law.triple(P1))
+    with pytest.raises(ModelNotIntegralError):
+        IntegralModel(WeierstrassCurve(0, 0, 0, Fraction(1, 4), 0))

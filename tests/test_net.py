@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 from ellnet import (
+    INFINITY,
     DivisionPolynomials,
     EllipticNet,
     build_symmetry_data,
     eval_by_symmetry,
     QuadraticFormData,
     ReducedNet,
+    WeierstrassCurve,
+    decompose,
     initial_net_value,
     rational_point,
     recurrence_check,
@@ -17,9 +20,19 @@ from ellnet import (
     reduce_mod_p,
     scaled_value,
 )
-from ellnet.errors import DegenerateNetError, DegeneratePairError, PreconditionError
+from ellnet.errors import (
+    DegenerateNetError,
+    DegeneratePairError,
+    DependentPointsError,
+    EllnetError,
+    PreconditionError,
+    SingularCurveError,
+)
 from ellnet.net import LADDER_BASE_NORM, _LADDER, _ladder_terms, box_indices
-from conftest import P1, Q1
+from conftest import E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2
+
+E1 = WeierstrassCurve(*E1_COEFFS)
+E2 = WeierstrassCurve(*E2_COEFFS)
 
 
 CORNER = 23 * 103 * 340789 * 175849593114259
@@ -347,3 +360,113 @@ def test_ladder_index_of_300_digits_finishes(default_recursion_limit, net1_pq):
     reduced = ReducedNet(net1_pq, 1000003)
     v = (10 ** 300 + 7, -3 * 10 ** 299 + 1)
     assert assert_group_law_identity(reduced, reduced.value, v) != 0
+
+
+# --- the integer (A, B, D) point cache of exact nets ------------------------
+
+
+def _outcome(fn, v):
+    try:
+        return fn(v)
+    except EllnetError as exc:
+        return type(exc)
+
+
+def _denominator_by_fraction_law(curve, points, v):
+    """D_{v . P} from curve.mul, curve.add and decompose alone."""
+    if not any(v):
+        return 0
+    total = INFINITY
+    for n, point in zip(v, points):
+        total = curve.add(total, curve.mul(n, point))
+    if total.is_infinity:
+        raise DependentPointsError(f"{v} . P is the identity")
+    return decompose(curve, total).d
+
+
+@pytest.mark.parametrize("curve_name", ["e1", "e2"])
+@pytest.mark.parametrize("orientation", ["qp", "pq"])
+def test_point_cache_matches_fraction_law_on_large_grid(default_recursion_limit,
+                                                        curve_name, orientation):
+    curve, gen_q, gen_p = {"e1": (E1, Q1, P1), "e2": (E2, Q2, P2)}[curve_name]
+    points = (gen_q, gen_p) if orientation == "qp" else (gen_p, gen_q)
+    rng = random.Random(f"{curve_name}-{orientation}")
+    grid = [(c, r) for c in range(30) for r in range(30)]
+    sample = rng.sample(grid, 20) + [(29, 29), (29, 0), (0, 29)]
+    net = EllipticNet(curve, points)
+    rec = EllipticNet(curve, points, strategy="recurrence")
+    for v in sample:
+        assert net.denominator(v) == _denominator_by_fraction_law(curve, points, v), v
+        assert net.value(v) == rec.value(v), v
+    # the public point is rebuilt from the cached triple
+    v = sample[0]
+    assert net.point(v) == curve.add(curve.mul(v[0], points[0]), curve.mul(v[1], points[1]))
+
+
+# Outcomes on the box |v| <= 3 of the net on the node y^2 = x^3 + x^2 with
+# base points (0, 0), the node, and (3, 6); every other index raises.
+NODE_VALUES = {
+    (-2, -1): 0, (-2, 0): 0, (-1, -2): -3, (-1, -1): -1, (-1, 0): -1, (-1, 1): -3,
+    (0, -3): -351, (0, -2): -12, (0, -1): -1, (0, 0): 0, (0, 1): 1, (0, 2): 12,
+    (0, 3): 351, (1, -1): 3, (1, 0): 1, (1, 1): 1, (1, 2): 3, (2, 0): 0, (2, 1): 0,
+}
+NODE_DENOMINATORS = {
+    (-1, 0): 1, (0, -3): 13, (0, -2): 4, (0, -1): 1, (0, 0): 0, (0, 1): 1, (0, 2): 4,
+    (0, 3): 13, (1, 0): 1,
+}
+
+
+def test_point_cache_refuses_the_node():
+    node = WeierstrassCurve(0, 1, 0, 0, 0, allow_singular=True)
+    points = (rational_point(0, 0), rational_point(3, 6))
+    for v in box_indices(2, 3):
+        value = _outcome(EllipticNet(node, points).value, v)
+        assert value == NODE_VALUES.get(v, DependentPointsError), v
+        den = _outcome(EllipticNet(node, points).denominator, v)
+        assert den == NODE_DENOMINATORS.get(v, SingularCurveError), v
+    for v in ((3, 0), (2, 2), (3, 1), (1, 3), (-2, 3)):
+        with pytest.raises(DependentPointsError):
+            EllipticNet(node, points).value(v)
+        with pytest.raises(SingularCurveError):
+            EllipticNet(node, points).denominator(v)
+
+
+# (curve, points, indices whose value raises, indices whose denominator raises)
+DEGENERATE_NETS = {
+    "node-smooth": ((0, 1, 0, 0, 0), ((3, 6), (8, 24)), set(), set()),
+    "dependent": (E1_COEFFS, ((3, 4), (Fraction(345, 64), Fraction(-6179, 512))),
+                  {(-3, 1), (-3, 3), (-2, 3), (2, -3), (3, -3), (3, -1)},
+                  {(-2, 1), (2, -1)}),
+    "torsion-rank-2": ((0, 0, 0, 0, 1), ((2, 3), (-1, 0)),
+                       {(-3, -3), (-3, -2), (-3, 2), (-3, 3), (-2, -3), (-2, -2),
+                        (-2, 2), (-2, 3), (0, -3), (0, 3), (2, -3), (2, -2), (2, 2),
+                        (2, 3), (3, -3), (3, -2), (3, 2), (3, 3)},
+                       {(-3, -3), (-3, -1), (-3, 1), (-3, 3), (0, -2), (0, 2), (3, -3),
+                        (3, -1), (3, 1), (3, 3)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_NETS))
+def test_point_cache_keeps_degenerate_nets(case):
+    coeffs, coords, bad_values, bad_denominators = DEGENERATE_NETS[case]
+    curve = WeierstrassCurve(*coeffs, allow_singular=True)
+    points = tuple(rational_point(x, y) for x, y in coords)
+    rec = EllipticNet(curve, points, strategy="recurrence")
+    for v in box_indices(2, 3):
+        value = _outcome(EllipticNet(curve, points).value, v)
+        assert value == (DependentPointsError if v in bad_values else rec.value(v)), v
+        den = _outcome(EllipticNet(curve, points).denominator, v)
+        assert den == _outcome(lambda u: _denominator_by_fraction_law(curve, points, u), v)
+        assert (den is DependentPointsError) == (v in bad_denominators), v
+
+
+def test_point_cache_rank_one_torsion():
+    curve = WeierstrassCurve(0, 0, 0, 0, 1)
+    t6 = rational_point(2, 3)  # of order 6
+    psi = DivisionPolynomials(curve, t6)
+    for n in range(-13, 14):
+        value = _outcome(EllipticNet(curve, (t6,)).value, (n,))
+        assert value == (psi.psi(n) if abs(n) <= 6 else DependentPointsError), n
+        den = _outcome(EllipticNet(curve, (t6,)).denominator, (n,))
+        assert den == (0 if n == 0 else DependentPointsError if n % 6 == 0 else 1), n
+        assert den == _outcome(lambda u: _denominator_by_fraction_law(curve, (t6,), u), (n,))
