@@ -7,6 +7,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -243,11 +244,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    with _unlimited_int_digits():
+        try:
+            return args.func(args)
+        except (EllnetError, ValueError, ZeroDivisionError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the limit on int <-> str conversion (Python >= 3.10.7) for the
+    duration: exact answers run past its default of 4,300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
-    except (EllnetError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -278,6 +278,19 @@ class IntegralModel:
             raise ModelNotIntegralError("coprimality of (A, B) with D fails")
         return d
 
+    def local_height(self, t: Triple, p: int) -> Fraction:
+        """``neron_local_height`` of an affine point, read off its triple.
+
+        A is prime to D, so v_p(x) = v_p(A) - 2 v_p(D), and the term
+        max(-v_p(x) / 2, 0) is v_p(D).
+        """
+        a, b, d = t
+        reduced = _reduce_triple(a, b, d, p)
+        if not reduced.is_infinity and reduce_curve(self.curve, p).is_singular_point(reduced):
+            raise SingularReductionError("local height formula requires nonsingular reduction")
+        vdisc = val_p(Fraction(self.curve.discriminant), p).unwrap()
+        return val_p(d, p).unwrap() + Fraction(vdisc, 12)
+
     def add(self, P: Triple | None, Q: Triple | None) -> Triple | None:
         if P is None:
             return Q
@@ -344,12 +357,15 @@ def reduce_mod_p(curve: WeierstrassCurve, point: CurvePoint, p: int) -> CurvePoi
     if point.is_infinity:
         return INFINITY
     dec = decompose(curve, point)
-    if dec.d % p == 0:
+    return _reduce_triple(dec.a, dec.b, dec.d, p)
+
+
+def _reduce_triple(a: int, b: int, d: int, p: int) -> CurvePoint:
+    """(A / D^2, B / D^3) mod p, infinity when p divides D."""
+    if d % p == 0:
         return INFINITY
-    inv_d2 = pow(dec.d * dec.d % p, -1, p)
-    x = dec.a * inv_d2 % p
-    y = dec.b * inv_d2 * pow(dec.d, -1, p) % p
-    return gf_point(x, y, p)
+    inv_d2 = pow(d * d % p, -1, p)
+    return gf_point(a * inv_d2 % p, b * inv_d2 * pow(d, -1, p) % p, p)
 
 
 def is_singular_reduction(curve: WeierstrassCurve, point: CurvePoint, p: int) -> bool:

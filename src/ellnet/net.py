@@ -1,8 +1,27 @@
 """Elliptic nets of rank r: net polynomial values, denominators, rescaling.
 
-Net values are computed by one driver, ``EllipticNet._run``: an explicit
-stack of steps, each a generator that asks for the values it needs on a
-named route, so the depth of an evaluation is bounded by memory, not by the
+Rank-2 values above the box |u| <= 3 come from one halving ladder,
+``_ladder``, over Q and over F_p alike: a recurrence instance
+(``_ladder_terms``) writes W(u) as a difference of two products of four
+values near u / 2, with no division, so O(log |u|) levels of a bounded
+number of values each reach the indices the ladder does not split.  Its two
+parameters are the combine step (``x % p`` on int residues, the identity on
+exact values) and a leaf callback for those indices.
+
+* A rank-2 exact net over Q on the points strategy takes the ladder for an
+  index with both coordinates nonzero and max-norm above 3; its leaves are
+  the box, on the points route, and the axis values, from the division
+  polynomial (``DivisionPolynomials.psi``, Shipsey's doubling), which also
+  answers an axis index above 3 asked directly.
+* ``ReducedNet`` takes the ladder for the same indices mod p; its leaves
+  are the box, taken exact over Q and reduced, and the axis values are
+  split by the ladder too, so it never meets a zero divisor, at good or bad
+  reduction.  Every other index goes to the direct route mod p, with a
+  fallback to exact evaluation over Q followed by reduction.
+
+Every other value comes from ``EllipticNet._run``: an explicit stack of
+steps, each a generator that asks for the values it needs on a named route,
+so the depth of an evaluation is bounded by memory, not by the
 interpreter's recursion limit.  There are two routes.
 
 * ``points``: the base values, then (over F_p) the division polynomial
@@ -16,33 +35,36 @@ interpreter's recursion limit.  There are two routes.
   v . P = (A / D^2, B / D^3) in lowest terms, filled by the integer group
   law of ``curve.IntegralModel``; the step reads x = A / D^2 from it, and
   ``denominator`` reads D_{v . P} off it.  Other nets cache ``CurvePoint``
-  values from ``WeierstrassCurve.add``.
+  values from ``WeierstrassCurve.add``.  Over Q this route serves the box
+  of the ladder, every net of rank other than 2, and the group-law oracle
+  of the tests.
 * ``recurrence``: pure recurrence instantiations grounded in the initial
   values, with no group-law input.  Rank 1 delegates to the division
   polynomial doubling identities; rank 2 uses a fixed well-founded schedule
   of instantiations of the four-index recurrence (axis, adjacent-line and
-  interior formulas), validated against the points strategy.
+  interior formulas), validated against the points strategy.  It never
+  takes the ladder, so it stays an independent oracle.
 
 The strategy of a net names the route its values start on.  Exact values
 over Q never divide by zero when the base points are independent; a zero
-divisor there raises ``DependentPointsError``.  Over a prime field either
-route can hit a zero divisor; an evaluation that runs out of routes raises
-``DegenerateNetError``, and callers fall back to exact evaluation over Q
-followed by reduction.
+divisor there raises ``DependentPointsError``.  For dependent points the
+contract is: every index the points route answers gets the same value, and
+no such index raises, since an index whose ladder box or psi raises is
+evaluated on the points route instead.  An index the points route refuses
+with ``DependentPointsError`` may get Psi_v(P) from the division-free
+ladder or psi.  Over a prime field either route can hit a zero divisor; an
+evaluation that runs out of routes raises ``DegenerateNetError``, and
+callers fall back to exact evaluation over Q followed by reduction.
 
-``ReducedNet``, the default for mod-p work, takes the halving ladder for a
-rank-2 index off the axes with max-norm above 3: a recurrence instance
-(``_ladder_terms``) writes W(u) as a difference of two products of four
-values near u / 2, with no division, so O(log |u|) levels of a bounded
-number of values each reach the box |u| <= 3, which is taken exact over Q
-and reduced.  It never meets a zero divisor, at good or bad reduction.
-Axis values stay on the division polynomial, everything else on the direct
-route with its exact fallback.
+``route_counts`` on a net counts its memoized values by route (base, psi,
+ladder, points, recurrence), and on a ``ReducedNet`` its residues (ladder,
+direct, exact_fallback).
 """
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -50,7 +72,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .curve import (INFINITY, CurvePoint, IntegralModel, WeierstrassCurve, decompose,
-                    reduce_curve, reduce_mod_p)
+                    neron_local_height, reduce_curve, reduce_mod_p)
 from .divpoly import DivisionPolynomials
 from .errors import (
     DegenerateNetError,
@@ -164,6 +186,44 @@ def _max_norm(v: Index) -> int:
     return max(map(abs, v))
 
 
+def _ladder(target: Index, memo: dict, leaf: Callable[[Index], object],
+            combine: Callable[[object], object], counts: Counter):
+    """W(target) for a normalized rank-2 index by the halving ladder.
+
+    ``leaf(u)`` gives W(u) for an index the ladder does not split and None
+    for one it splits; it must answer every u of max-norm at most
+    LADDER_BASE_NORM, where ``_ladder_terms`` does not shrink.  The indices
+    the target needs are collected top-down, then ``memo`` (keyed by
+    normalized index) is filled in increasing max-norm with
+    ``combine(prod W(first) - prod W(second))``: ``x % p`` keeps residues
+    reduced, the identity keeps exact values.  The step multiplies and
+    subtracts but never divides, so it meets no zero divisor, and the
+    target is reached in O(log |target|) levels of a bounded number of
+    values each.  ``counts["ladder"]`` counts the values the steps memoize.
+    """
+    steps: dict[Index, list[tuple[Index, int]]] = {}
+    stack = [target]
+    while stack:
+        u = stack.pop()
+        if u in memo or u in steps:
+            continue
+        w = leaf(u)
+        if w is not None:
+            memo[u] = w
+            continue
+        steps[u] = [_normalize(t) for t in itertools.chain(*_ladder_terms(u))]
+        stack.extend(key for key, _ in steps[u])
+    for u in sorted(steps, key=_max_norm):
+        w = [memo[key] if s > 0 else -memo[key] for key, s in steps[u]]
+        memo[u] = combine(w[0] * w[1] * w[2] * w[3] - w[4] * w[5] * w[6] * w[7])
+    counts["ladder"] += len(steps)
+    return memo[target]
+
+
+def _exact(x):
+    return x
+
+
 def _normalize(v: Index) -> tuple[Index, int]:
     """Oddness normalization: first nonzero coordinate made positive."""
     for c in v:
@@ -211,6 +271,9 @@ class EllipticNet:
         self._points_cache: dict[Index, object] = {(0,) * self.rank: origin}
         self._recurrence_base: dict[Index, object] | None = None
         self._axis_divpoly: dict[int, DivisionPolynomials] = {}
+        # memoized values by the route that produced them
+        self.route_counts: Counter = Counter()
+        self._takes_ladder = self.rank == 2 and strategy == POINTS and self.is_rational
 
     @property
     def is_rational(self) -> bool:
@@ -250,6 +313,18 @@ class EllipticNet:
             cache[t] = add(cache[parent], self._steps[i][s < 0])
         return cache[v]
 
+    def local_height(self, v: Sequence[int], p: int) -> Fraction | None:
+        """lambda_p(v . P) as ``neron_local_height``, None at the identity.
+
+        On an integral model it is read off the cached (A, B, D) triple.
+        """
+        pt = self._cached_point(self._key(v))
+        if self._is_identity(pt):
+            return None
+        if self._law is None:
+            return neron_local_height(self.curve, pt, p)
+        return self._law.local_height(pt, p)
+
     def _is_identity(self, pt) -> bool:
         return pt.is_infinity if self._law is None else pt is None
 
@@ -268,16 +343,42 @@ class EllipticNet:
         v = self._key(v)
         key, sign = _normalize(v)
         if key not in self._values:
-            self._run(self.strategy, key)
+            self._evaluate(key)
         result = self._values[key]
         return -result if sign < 0 else result
+
+    def _evaluate(self, key: Index) -> None:
+        """Memoize W(key).  A rank-2 exact net on the points strategy takes
+        the halving ladder above the box |u| <= LADDER_BASE_NORM, with axis
+        values from the division polynomial; where the ladder's box or psi
+        raises, and for every other net or index, the strategy's route."""
+        if self._takes_ladder and _max_norm(key) > LADDER_BASE_NORM:
+            try:
+                _ladder(key, self._values, self._ladder_leaf, _exact, self.route_counts)
+                return
+            except EllnetError:
+                pass
+        self._run(self.strategy, key)
+
+    def _ladder_leaf(self, u: Index):
+        """The box on the points route and exact axis values by psi."""
+        if _max_norm(u) <= LADDER_BASE_NORM:
+            self._run(POINTS, u)
+            return self._values[u]
+        nonzero = [(i, c) for i, c in enumerate(u) if c]
+        if len(nonzero) > 1:
+            return None
+        value = self._axis_psi(*nonzero[0])
+        self.route_counts["psi"] += 1
+        return value
 
     def _run(self, route: str, target: Index) -> None:
         """Evaluate W(target) on an explicit stack of steps.
 
         A step is a generator for one index on one route.  It yields
         ``(route, index)`` for each value it needs, is sent the signed
-        W(index), and returns the value at its own index, which is memoized.
+        W(index), and returns ``(label, value)`` for its own index: the
+        value is memoized and counted in ``route_counts`` under the label.
         A ``DegenerateNetError`` raised by a step is thrown into the step
         that asked for the value, where a per-axis retry may catch it.  A
         request for an index whose step on the same route is still on the
@@ -294,8 +395,10 @@ class EllipticNet:
             try:
                 request = step.send(reply) if thrown is None else step.throw(thrown)
             except StopIteration as done:
-                values[key] = done.value
-                reply = -done.value if sign < 0 else done.value
+                label, value = done.value
+                values[key] = value
+                self.route_counts[label] += 1
+                reply = -value if sign < 0 else value
             except DegenerateNetError as exc:
                 if len(stack) == 1:
                     raise
@@ -332,23 +435,23 @@ class EllipticNet:
         return initial_net_value(self.curve, self.points, v)
 
     def _solve(self, v: Index):
-        """The points ladder: base value, axis psi (F_p only), support
+        """The points route: base value, axis psi (F_p only), support
         reduction, the point step on each axis, then for rank <= 2 the
         recurrence."""
         base = self._base_value(v)
         if base is not None:
-            return base
+            return "base", base
         nonzero = [(i, c) for i, c in enumerate(v) if c]
         if len(nonzero) == 1 and not self.is_rational:
             try:
-                return self._axis_psi(*nonzero[0])
+                return "psi", self._axis_psi(*nonzero[0])
             except DegenerateNetError:
                 pass
         if self._is_small_support(v):
-            return (yield from self._support_reduce(v))
+            return "points", (yield from self._support_reduce(v))
         for axis in self._axis_order(v):
             try:
-                return (yield from self._point_step(v, axis))
+                return "points", (yield from self._point_step(v, axis))
             except DegenerateNetError:
                 continue
         if self.rank <= 2:
@@ -453,12 +556,12 @@ class EllipticNet:
 
     def _recurrence(self, v: Index):
         """W(v) from the recurrence schedule alone; the values it needs are
-        asked on this route too, never through the points ladder."""
+        asked on this route too, never through the points route."""
         if self.rank == 1:
-            return self._axis_psi(0, v[0])
+            return "recurrence", self._axis_psi(0, v[0])
         base = self._recurrence_bases()
         if v in base:
-            return base[v]
+            return "base", base[v]
         first, second, sign, divisor = _recurrence_terms(*v)
         vals = []
         for index in first + second + divisor:
@@ -468,7 +571,7 @@ class EllipticNet:
         if den == 0:
             raise self._degenerate(f"zero divisor in the recurrence at {v}")
         num1, num2 = reduce(mul, vals[:a]), reduce(mul, vals[a:b])
-        return (num1 + num2 if sign > 0 else num1 - num2) / den
+        return "recurrence", (num1 + num2 if sign > 0 else num1 - num2) / den
 
     # ------------------------------------------------------------------
     # denominators
@@ -502,16 +605,18 @@ class ReducedNet:
     Valid whenever every P_i and every P_i +- P_j stays away from infinity
     mod p, which the constructor verifies; net values are then p-integral.
     A rank-2 index off the axes with max-norm above 3 takes the halving
-    ladder (``_ladder_terms``): it collects the indices it needs top-down
-    and evaluates them in increasing max-norm over int residues kept in a
-    memo, from the box of max-norm at most 3, which ``exact_value`` fills.
-    The ladder multiplies and subtracts but never divides, so it has no
-    zero divisor, and it takes O(log |v|) levels.  Every other index, the
-    axis values among them (the division polynomial is faster there), is
-    computed directly mod p when possible (every division along a
-    successful direct evaluation is by a unit, so the result equals the
-    reduced exact value); evaluations that hit a zero divisor fall back to
-    exact computation over Q followed by reduction.
+    ladder over int residues, from the box of max-norm at most 3, which
+    ``exact_value`` fills; it has no zero divisor and takes O(log |v|)
+    levels.  Every other index, the axis values among them (the division
+    polynomial is faster there), is computed directly mod p when possible
+    (every division along a successful direct evaluation is by a unit, so
+    the result equals the reduced exact value); evaluations that hit a zero
+    divisor fall back to exact computation over Q followed by reduction.
+
+    ``route_counts`` counts residues by route: ``ladder`` (halving steps),
+    ``direct`` (values the direct route memoizes) and ``exact_fallback``
+    (taken exact over Q and reduced: the ladder's box and the indices where
+    the direct route runs out of routes).
     """
 
     def __init__(self, net: EllipticNet, p: int):
@@ -538,42 +643,41 @@ class ReducedNet:
         self._direct = EllipticNet(self.gf_curve, self.gf_points)
         self._fallback: dict[Index, PrimeFieldElement] = {}
         self._ladder: dict[Index, int] = {}
+        self._counts: Counter = Counter()
 
     def value(self, v: Sequence[int]) -> PrimeFieldElement:
         key = tuple(int(c) for c in v)
         if self.rank == 2 and all(key) and _max_norm(key) > LADDER_BASE_NORM:
-            return PrimeFieldElement(self._ladder_value(key), self.p)
+            target, sign = _normalize(key)
+            w = _ladder(target, self._ladder, self._ladder_leaf, self._residue, self._counts)
+            return PrimeFieldElement(w if sign > 0 else -w, self.p)
         try:
             return self._direct.value(key)
         except DegenerateNetError:
             pass
         if key not in self._fallback:
             self._fallback[key] = _reduce_fraction(self.net.value(key), self.p)
+            self._counts["exact_fallback"] += 1
         return self._fallback[key]
+
+    @property
+    def route_counts(self) -> Counter:
+        """Memoized residues by route; see the class docstring."""
+        return self._counts + Counter(direct=len(self._direct._values))
 
     def exact_value(self, v: Sequence[int]) -> PrimeFieldElement:
         """Force the exact-over-Q-then-reduce path."""
         return _reduce_fraction(self.net.value(v), self.p)
 
-    def _ladder_value(self, v: Index) -> int:
-        """The residue of W(v) by the halving ladder, for rank 2."""
-        memo, p = self._ladder, self.p
-        target, sign = _normalize(v)
-        steps: dict[Index, list[tuple[Index, int]]] = {}
-        stack = [target]
-        while stack:
-            u = stack.pop()
-            if u in memo or u in steps:
-                continue
-            if _max_norm(u) <= LADDER_BASE_NORM:
-                memo[u] = self.exact_value(u).residue
-                continue
-            steps[u] = [_normalize(t) for t in itertools.chain(*_ladder_terms(u))]
-            stack.extend(key for key, _ in steps[u])
-        for u in sorted(steps, key=_max_norm):
-            w = [memo[key] if s > 0 else -memo[key] for key, s in steps[u]]
-            memo[u] = (w[0] * w[1] * w[2] * w[3] - w[4] * w[5] * w[6] * w[7]) % p
-        return memo[target] if sign > 0 else -memo[target] % p
+    def _ladder_leaf(self, u: Index) -> int | None:
+        """The ladder's box, exact over Q and reduced; it splits the rest."""
+        if _max_norm(u) > LADDER_BASE_NORM:
+            return None
+        self._counts["exact_fallback"] += 1
+        return self.exact_value(u).residue
+
+    def _residue(self, x: int) -> int:
+        return x % self.p
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .curve import is_singular_reduction, neron_local_height, reduce_mod_p
+from .curve import is_singular_reduction, reduce_mod_p
 from .errors import NotEllipticSequenceError, PreconditionError, SingularReductionError
 from .fieldarith import PrimeFieldElement, Valuation, val_p
 from .net import EllipticNet, QuadraticFormData, box_indices
@@ -233,10 +233,9 @@ def epsilon_value(net: EllipticNet, p: int, v: Vector) -> Fraction:
     """eps(v) = lambda_p(v.P) - val_p(disc)/12 - val_p(W(v)); eps(0) = 0."""
     if not any(v):
         return Fraction(0)
-    pt = net.point(v)
-    if pt.is_infinity:
+    height = net.local_height(v, p)
+    if height is None:
         raise SingularReductionError(f"{v} . P is the identity; eps undefined")
-    height = neron_local_height(net.curve, pt, p)
     vdisc = val_p(Fraction(net.curve.discriminant), p).unwrap()
     return height - Fraction(vdisc, 12) - val_p(net.value(v), p).unwrap()
 
@@ -257,13 +256,12 @@ def epsilon_quadratic_check(net: EllipticNet, p: int, box_radius: int,
             if not any(v):
                 cache[v] = Fraction(0)
             else:
-                pt = net.point(v)
-                if pt.is_infinity:
+                height = net.local_height(v, p)
+                if height is None:
                     cache[v] = None
                 else:
                     w = value_fn(v) if value_fn is not None else net.value(v)
-                    cache[v] = (neron_local_height(net.curve, pt, p) - vdisc
-                                - val_p(w, p).unwrap())
+                    cache[v] = height - vdisc - val_p(w, p).unwrap()
         return cache[v]
 
     box = box_indices(net.rank, box_radius)

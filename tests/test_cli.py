@@ -197,6 +197,10 @@ DEEP_EVAL = ["eval", *PQ_ARGS, "--method", "direct", "--prime", "1000003",
              "--index=600,599"]
 HUGE_INDEX = "--index=738495061837265019283746501923,-401928374650192837465019283746"
 HUGE_EVAL = ["eval", *PQ_ARGS, "--method", "direct", "--prime", "89", HUGE_INDEX]
+# W(0, 119) has about 4,700 digits, past Python's default limit of 4,300 on
+# int <-> str conversion
+LONG_TABLE = ["net-table", *E1_ARGS, "--grid", "1x120"]
+LONG_TABLE_JSON = [*LONG_TABLE, "--format", "json"]
 
 
 def run_subprocess(argv):
@@ -207,9 +211,10 @@ def run_subprocess(argv):
                           capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("argv", CLI_MATRIX + [DEEP_EVAL, HUGE_EVAL],
+@pytest.mark.parametrize("argv", CLI_MATRIX + [DEEP_EVAL, HUGE_EVAL, LONG_TABLE, LONG_TABLE_JSON],
                          ids=[argv[0] for argv in CLI_MATRIX]
-                         + ["eval-direct-deep", "eval-direct-huge"])
+                         + ["eval-direct-deep", "eval-direct-huge", "net-table-1x120",
+                            "net-table-1x120-json"])
 def test_cli_matrix_never_tracebacks(argv):
     proc = run_subprocess(argv)
     assert proc.returncode in (0, 1, 2), proc.stderr
@@ -250,3 +255,35 @@ def test_cli_symmetry_at_p241():
     assert [list(row) for row in lattice.basis] == rows
     reduced = ReducedNet(EllipticNet(parse_curve(PQ_ARGS[1]), parse_points(PQ_ARGS[3])), 241)
     assert_lattice_is_kernel(reduced.gf_curve, reduced.gf_points, lattice)
+
+
+@pytest.fixture
+def unlimited_int_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv", [LONG_TABLE, LONG_TABLE_JSON], ids=["plain", "json"])
+def test_net_table_prints_answers_of_any_size(unlimited_int_digits, argv):
+    proc = run_subprocess(argv)
+    assert proc.returncode == 0, proc.stderr
+    net = EllipticNet(parse_curve(E1_ARGS[1]), parse_points(E1_ARGS[3]))
+    expected = [net.value((0, r)) for r in range(119, -1, -1)]
+    assert len(str(expected[0].numerator)) > 4300
+    if argv is LONG_TABLE:
+        got = [Fraction(line) for line in proc.stdout.splitlines()]
+    else:
+        got = [Fraction(int(e["value"]["num"]), int(e["value"]["den"]))
+               for e in json.loads(proc.stdout)]
+    assert got == expected
+
+
+def test_main_restores_the_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert main(["net-table", *E1_ARGS, "--grid", "1x2"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert main(["symmetry", *PQ_ARGS, "--prime", "3"]) == 2
+    assert sys.get_int_max_str_digits() == limit
+    capsys.readouterr()

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,8 @@ from ellnet.errors import (
     PreconditionError,
     SingularCurveError,
 )
-from ellnet.net import LADDER_BASE_NORM, _LADDER, _ladder_terms, box_indices
+from ellnet import IntegralModel
+from ellnet.net import LADDER_BASE_NORM, _LADDER, _ladder_terms, _normalize, box_indices
 from conftest import E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2
 
 E1 = WeierstrassCurve(*E1_COEFFS)
@@ -470,3 +472,180 @@ def test_point_cache_rank_one_torsion():
         den = _outcome(EllipticNet(curve, (t6,)).denominator, (n,))
         assert den == (0 if n == 0 else DependentPointsError if n % 6 == 0 else 1), n
         assert den == _outcome(lambda u: _denominator_by_fraction_law(curve, (t6,), u), (n,))
+
+
+# --- the halving ladder over Q -------------------------------------------------
+
+
+def points_route(net, v):
+    """W(v) on the points route alone: what ``value`` answered before exact
+    rank-2 nets took the ladder."""
+    key, sign = _normalize(tuple(v))
+    if key not in net._values:
+        net._run("points", key)
+    return net._values[key] * sign
+
+
+def _points_outcome(curve, points, v):
+    try:
+        return points_route(EllipticNet(curve, points), v)
+    except EllnetError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("curve_name", ["e1", "e2"])
+@pytest.mark.parametrize("orientation", ["qp", "pq"])
+def test_exact_ladder_matches_points_and_recurrence(default_recursion_limit,
+                                                   curve_name, orientation):
+    curve, gen_q, gen_p = {"e1": (E1, Q1, P1), "e2": (E2, Q2, P2)}[curve_name]
+    points = (gen_q, gen_p) if orientation == "qp" else (gen_p, gen_q)
+    net = EllipticNet(curve, points)
+    by_points = EllipticNet(curve, points)
+    rec = EllipticNet(curve, points, strategy="recurrence")
+    grid = [(c, r) for c in range(30) for r in range(30)]
+    for v in grid:
+        assert net.value(v) == points_route(by_points, v) == rec.value(v), v
+    # the grid above the box is the ladder's and the axes are psi's; the
+    # points route serves the box alone, and the oracles never take the ladder
+    box = {_normalize(u)[0] for u in box_indices(2, LADDER_BASE_NORM) if any(u)}
+    counts = net.route_counts
+    assert counts["ladder"] > 0 and counts["psi"] == 2 * (29 - LADDER_BASE_NORM)
+    assert counts["base"] + counts["points"] <= len(box)
+    assert rec.route_counts.keys() <= {"base", "recurrence"}
+    assert by_points.route_counts.keys() <= {"base", "points"}
+
+
+def _triple_multiple(law, n, t):
+    """n . t for n >= 0 by double-and-add on IntegralModel triples."""
+    acc = None
+    while n:
+        if n & 1:
+            acc = law.add(acc, t)
+        t, n = law.add(t, t), n >> 1
+    return acc
+
+
+def _x_by_double_and_add(v, k):
+    """x(v . P) on E1, (P, Q) order, as (X, Z) with x = X / Z^2, for v >= 0.
+
+    With v = 2^k u + r, u . P and r . P are IntegralModel triples by
+    double-and-add.  A triple (A, B, D) is a point in Jacobian coordinates,
+    so the k doublings of u . P and the addition of r . P are taken there
+    (y^2 = x^3 - 11), with products only: no gcd, division or square root,
+    which dominate the triple law on numbers of 10^5 digits.
+    """
+    law = IntegralModel(E1)
+    base = [law.triple(P1), law.triple(Q1)]
+    u = [c >> k for c in v]
+    r = [c - (d << k) for c, d in zip(v, u)]
+    pu, pr = ([_triple_multiple(law, n, t) for n, t in zip(w, base)] for w in (u, r))
+    x, y, z = law.add(*pu)
+    for _ in range(k):
+        yy = y * y
+        s, m = 4 * x * yy, 3 * x * x
+        x3 = m * m - 2 * s
+        x, y, z = x3, m * (s - x3) - 8 * yy * yy, 2 * y * z
+    rest = law.add(*pr)
+    if rest is None:
+        return x, z
+    x2, y2, z2 = rest
+    u1, u2 = x * z2 * z2, x2 * z * z
+    h, t = u2 - u1, y2 * z ** 3 - y * z2 ** 3
+    assert h != 0
+    hh = h * h
+    return t * t - hh * h - 2 * u1 * hh, h * z * z2
+
+
+def test_double_and_add_oracle_matches_integral_model():
+    law = IntegralModel(E1)
+    for v in ((7, 5), (0, 9), (13, 1), (16, 16), (33, 40)):
+        expected = law.x(law.add(law.triple(E1.mul(v[0], P1)), law.triple(E1.mul(v[1], Q1))))
+        for k in range(max(v).bit_length()):
+            big_x, big_z = _x_by_double_and_add(v, k)
+            assert Fraction(big_x, big_z ** 2) == expected, (v, k)
+
+
+@pytest.mark.parametrize("v", [(320, 319), (1, 300)])
+def test_exact_ladder_group_law_identity(default_recursion_limit, v):
+    # W(v+e_i) W(v-e_i) = W(v)^2 (x(P_i) - x(v . P)), with v . P by
+    # double-and-add, not from the net's point cache; in integers throughout
+    big_x, big_z = _x_by_double_and_add(v, max(v).bit_length() - 4)
+    net = EllipticNet(E1, (P1, Q1))
+    w = net.value(v)
+    assert w != 0
+    z2 = big_z * big_z
+    for i, e in enumerate(((1, 0), (0, 1))):
+        up = net.value((v[0] + e[0], v[1] + e[1]))
+        down = net.value((v[0] - e[0], v[1] - e[1]))
+        xi = net.points[i].x
+        lhs = up.numerator * down.numerator * w.denominator ** 2 * z2 * xi.denominator
+        rhs = (w.numerator ** 2 * up.denominator * down.denominator
+               * (xi.numerator * z2 - big_x * xi.denominator))
+        assert lhs == rhs, (v, i)
+
+
+def test_exact_axis_values_are_psi(default_recursion_limit):
+    # every n up to 400 on the P axis; on the Q axis, whose values are
+    # larger, every n up to 60 and then a spread
+    net = EllipticNet(E1, (P1, Q1))
+    dp, dq = DivisionPolynomials(E1, P1), DivisionPolynomials(E1, Q1)
+    for n in range(-400, 401):
+        assert net.value((n, 0)) == dp.psi(n), n
+    for n in [*range(-60, 61), 64, 97, 128, 199, -256, 311, 399, 400]:
+        assert net.value((0, n)) == dq.psi(n), n
+    # the box |n| <= 3 stays on the points route
+    assert net.route_counts["points"] == 2
+
+
+def test_exact_ladder_large_values_finish(default_recursion_limit):
+    # the ladder meets axis children such as (0, 200) here, which psi
+    # answers; on the points route they took tens of seconds
+    net = EllipticNet(E1, (P1, Q1))
+    w = net.value((1, 400))
+    assert w.denominator & (w.denominator - 1) == 0
+    assert net.route_counts["ladder"] < 100
+
+
+# "dependent" is (P, 2P) on E1; (2P, P) is the other orientation
+DEGENERATE_LADDER_CASES = dict(
+    {name: (coeffs, coords) for name, (coeffs, coords, _, _) in DEGENERATE_NETS.items()},
+    **{"(2P,P)": (E1_COEFFS, ("2P", (3, 4)))})
+# indices on the radius-8 box that the points route refuses with
+# DependentPointsError and that now answer from the ladder or psi
+DEGENERATE_NEWLY_ANSWERED = {"node-smooth": 0, "dependent": 6, "torsion-rank-2": 38,
+                             "(2P,P)": 4}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_LADDER_CASES))
+def test_ladder_keeps_degenerate_nets(default_recursion_limit, case):
+    coeffs, coords = DEGENERATE_LADDER_CASES[case]
+    curve = WeierstrassCurve(*coeffs, allow_singular=True)
+    points = tuple(curve.mul(2, P1) if c == "2P" else rational_point(*c) for c in coords)
+    rec = EllipticNet(curve, points, strategy="recurrence")
+    newly_answered = 0
+    for v in box_indices(2, 8):
+        expected = _points_outcome(curve, points, v)
+        got = _outcome(EllipticNet(curve, points).value, v)
+        if isinstance(expected, type):
+            if not isinstance(got, type):
+                # a refused index may answer, and only from the division-free routes
+                assert expected is DependentPointsError, v
+                newly_answered += 1
+                assert _outcome(rec.value, v) in (got, DependentPointsError), v
+                continue
+        assert got == expected, v
+    assert newly_answered == DEGENERATE_NEWLY_ANSWERED[case]
+
+
+def test_reduced_net_route_counts(net1_pq):
+    reduced = ReducedNet(net1_pq, 1000003)
+    reduced.value((10 ** 20 + 3, 7 * 10 ** 19))
+    counts = reduced.route_counts
+    assert counts["ladder"] > 0 and counts["exact_fallback"] > 0
+    assert counts["direct"] == 0
+    reduced.value((0, 900))
+    assert reduced.route_counts == counts + Counter(direct=1)
+    # E2 mod 7 has bad reduction: psi_2(P) = 7 sends even axis values to Q
+    bad = ReducedNet(EllipticNet(E2, (Q2, P2)), 7)
+    bad.value((0, 12))
+    assert bad.route_counts["exact_fallback"] == 1

@@ -2,17 +2,24 @@ from fractions import Fraction
 
 import pytest
 
+import ellnet.curve
+import ellnet.net
 from ellnet import (
     DivisionPolynomials,
+    EllipticNet,
+    WeierstrassCurve,
     ayad_equivalence_report,
     decompose,
     epsilon_quadratic_check,
     epsilon_value,
+    neron_local_height,
+    rational_point,
     unique_apparition_test,
     val_p,
     valuation_match_report,
 )
-from ellnet.errors import NotEllipticSequenceError, PreconditionError
+from ellnet.errors import EllnetError, NotEllipticSequenceError, PreconditionError
+from ellnet.net import box_indices
 from conftest import P1, P2
 
 
@@ -140,3 +147,43 @@ def test_epsilon_at_bad_reduction_primes(net1):
 def test_epsilon_fault_injection(net1):
     bad = lambda v: net1.value(v) * (2 if v == (1, 2) else 1)
     assert not epsilon_quadratic_check(net1, 2, 2, value_fn=bad)
+
+
+def test_epsilon_reads_heights_off_the_point_cache(monkeypatch, e1, net1, net2):
+    # local heights come from the cached (A, B, D) triple: lambda_p = v_p(D)
+    # + v_p(disc) / 12, equal to neron_local_height of the rebuilt point
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except EllnetError as exc:
+            return type(exc)
+
+    torsion = EllipticNet(WeierstrassCurve(0, 0, 0, 0, 1),
+                          (rational_point(2, 3), rational_point(-1, 0)))
+    for net, primes in ((net1, (2, 3, 5, 11)), (net2, (2, 3, 5, 7)), (torsion, (2, 3, 5))):
+        for p in primes:
+            for v in box_indices(2, 4):
+                if not any(v):
+                    continue
+                pt = net.point(v)
+                expected = None if pt.is_infinity else outcome(neron_local_height, net.curve, pt, p)
+                assert outcome(net.local_height, v, p) == expected, (p, v)
+
+    calls = []
+    original = ellnet.curve.decompose
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ellnet.curve, "decompose", counting)
+    monkeypatch.setattr(ellnet.net, "decompose", counting)
+    net = EllipticNet(e1, net1.points)
+    assert len(calls) == 2  # the triples of the base points
+    # 170 decompose calls in all when each height rebuilt its point
+    assert epsilon_quadratic_check(net, 5, 3)
+    assert len(calls) == 2
+    for v in box_indices(2, 3):
+        if any(v):
+            assert epsilon_value(net, 5, v) == 0
+    assert len(calls) == 2
