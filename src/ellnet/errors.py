@@ -40,8 +40,10 @@ class DependentPointsError(EllnetError, ArithmeticError):
 class DegenerateNetError(EllnetError, ArithmeticError):
     """A net evaluation step over a finite field required division by zero.
 
-    Callers are expected to fall back to exact evaluation over Q followed
-    by reduction.
+    The points and recurrence routes over F_p raise it at a zero of the
+    net, and the even psi recursion where psi_2 = 0.  ``ReducedNet`` meets
+    no zero divisor on its halving ladder; where psi raises it, the value
+    is taken exact over Q and reduced.
     """
 
 

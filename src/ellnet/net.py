@@ -1,43 +1,41 @@
 """Elliptic nets of rank r: net polynomial values, denominators, rescaling.
 
-Rank-2 values above the box |u| <= 3 come from one halving ladder,
-``_ladder``, over Q and over F_p alike: a recurrence instance
-(``_ladder_terms``) writes W(u) as a difference of two products of four
-values near u / 2, with no division, so O(log |u|) levels of a bounded
-number of values each reach the indices the ladder does not split.  Its two
-parameters are the combine step (``x % p`` on int residues, the identity on
-exact values) and a leaf callback for those indices.
+Values above the box |u| <= 3 come from one halving ladder, ``_ladder``,
+over Q and over F_p alike: a recurrence instance (``_ladder_terms``) writes
+W(u) as a difference of two products of four values near u / 2, with no
+division, so O(log |u|) levels of a bounded number of values each reach the
+indices the ladder does not split.  One parity rule (``_ladder_units``)
+picks the instance at every rank up to LADDER_MAX_RANK.  The ladder's two
+parameters are the combine step (``x % p`` on int residues, the identity
+on exact values) and a leaf callback for those indices.
 
 * A rank-2 exact net over Q on the points strategy takes the ladder for an
   index with both coordinates nonzero and max-norm above 3; its leaves are
   the box, on the points route, and the axis values, from the division
   polynomial (``DivisionPolynomials.psi``, Shipsey's doubling), which also
   answers an axis index above 3 asked directly.
-* ``ReducedNet`` takes the ladder for the same indices mod p; its leaves
-  are the box, taken exact over Q and reduced, and the axis values are
-  split by the ladder too, so it never meets a zero divisor, at good or bad
-  reduction.  Every other index goes to the direct route mod p, with a
-  fallback to exact evaluation over Q followed by reduction.
+* ``ReducedNet`` takes the box exact over Q and reduced, an axis index
+  from psi mod p, and every other index from the ladder mod p, at ranks
+  up to LADDER_MAX_RANK; see its docstring for the exact fallback.
 
 Every other value comes from ``EllipticNet._run``: an explicit stack of
-steps, each a generator that asks for the values it needs on a named route,
-so the depth of an evaluation is bounded by memory, not by the
-interpreter's recursion limit.  There are two routes.
+steps, each a generator that asks for the values it needs on its route, so
+the depth of an evaluation is bounded by memory, not by the interpreter's
+recursion limit.  There are two routes.
 
-* ``points``: the base values, then (over F_p) the division polynomial
-  value on an axis, then the addition identity
+* ``points``: the base values, then the addition identity
   ``W(v+u) = W(v)^2 W(u)^2 (X_u - X_v) / W(v-u)`` with ``u = +-e_i`` and the
   x-coordinates supplied by the curve group law.  The step axis is the one
   with the largest coordinate, so the max-norm shrinks toward the initial
-  values; over F_p a step that meets a zero divisor is retried on the next
-  axis and, for rank <= 2, on the recurrence.  An exact net on an integral
-  model caches v . P as the integer triple (A, B, D) with
+  values, one step per unit of |v|.  An exact net on an integral model
+  caches v . P as the integer triple (A, B, D) with
   v . P = (A / D^2, B / D^3) in lowest terms, filled by the integer group
   law of ``curve.IntegralModel``; the step reads x = A / D^2 from it, and
   ``denominator`` reads D_{v . P} off it.  Other nets cache ``CurvePoint``
   values from ``WeierstrassCurve.add``.  Over Q this route serves the box
   of the ladder, every net of rank other than 2, and the group-law oracle
-  of the tests.
+  of the tests; over F_p it is a linear oracle, which no library caller
+  takes.
 * ``recurrence``: pure recurrence instantiations grounded in the initial
   values, with no group-law input.  Rank 1 delegates to the division
   polynomial doubling identities; rank 2 uses a fixed well-founded schedule
@@ -52,13 +50,12 @@ contract is: every index the points route answers gets the same value, and
 no such index raises, since an index whose ladder box or psi raises is
 evaluated on the points route instead.  An index the points route refuses
 with ``DependentPointsError`` may get Psi_v(P) from the division-free
-ladder or psi.  Over a prime field either route can hit a zero divisor; an
-evaluation that runs out of routes raises ``DegenerateNetError``, and
-callers fall back to exact evaluation over Q followed by reduction.
+ladder or psi.  Over a prime field a zero divisor on either route raises
+``DegenerateNetError``; ``ReducedNet`` meets none on the ladder.
 
 ``route_counts`` on a net counts its memoized values by route (base, psi,
-ladder, points, recurrence), and on a ``ReducedNet`` its residues (ladder,
-direct, exact_fallback).
+ladder, points, recurrence), and on a ``ReducedNet`` its residues by
+source (exact, psi, ladder).
 """
 from __future__ import annotations
 
@@ -67,8 +64,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import mul
+from functools import cache, reduce
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .curve import (INFINITY, CurvePoint, IntegralModel, WeierstrassCurve, decompose,
@@ -150,36 +147,63 @@ def _recurrence_terms(m: int, n: int):
             ((1, -1), (m, n + 1), (m - 2, n)), 1, ((m - 2, n + 1),))
 
 
-# (g, c, h) of the halving ladder, keyed by the parity of u; see _ladder_terms.
-_LADDER = {
-    (0, 0): ((1, 0), (0, 1), (1, 1)),
-    (0, 1): ((1, 0), (1, 0), (0, 1)),
-    (1, 0): ((1, 0), (1, 0), (1, 0)),
-    (1, 1): ((1, 0), (1, 0), (1, 1)),
-}
 LADDER_BASE_NORM = 3
+LADDER_MAX_RANK = 6
+
+
+@cache
+def _ladder_units(parity: Index) -> tuple[Index, Index, Index]:
+    """(g, c, h) of the halving ladder for the indices u of one parity class:
+    units e_i or e_i + e_j, where W = 1, with g + c + h = u (mod 2).  The
+    odd coordinates of u are shared out over the three units, singly and
+    then in pairs, so at most six can be odd; one or two odd coordinates
+    are padded with e1, e1, and none gives e1, e2, e1 + e2."""
+    odd = [i for i, b in enumerate(parity) if b]
+    singles = 6 - len(odd)
+    if singles < 0:
+        raise PreconditionError("the halving ladder covers at most six odd coordinates")
+    if not odd:
+        groups = [[0], [1], [0, 1]]
+    elif len(odd) <= 2:
+        groups = [[0], [0], odd]
+    else:
+        groups = [[i] for i in odd[:singles]] + [odd[k:k + 2] for k in range(singles, len(odd), 2)]
+    return tuple(tuple(int(i in group) for i in range(len(parity))) for group in groups)
+
+
+# the rank-2 table that the unrolled step of _ladder_terms reads
+_LADDER = {parity: _ladder_units(parity) for parity in itertools.product((0, 1), repeat=2)}
 
 
 def _ladder_terms(u: Index) -> tuple[tuple[Index, ...], tuple[Index, ...]]:
     """The halving step (first, second) with W(u) = prod W(first) - prod W(second).
 
     The net recurrence at p = v + a, q = v + b, r = c, s = d, with g = a - b,
-    c and h = c + d in {e1, e2, e1 + e2}, where W = 1, reads
+    c and h = c + d units from ``_ladder_units``, where W = 1, reads
 
         W(u) = W(A+h) W(A-c) W(B+d) W(B) - W(B+h) W(B-c) W(A+d) W(A)
 
     for u = 2v + a + b + d, A = (u + g - d) / 2 and B = A - g.  The parity
-    of u fixes (g, c, h) so that u + g - d is even and, for max-norm above
-    LADDER_BASE_NORM, every index on the right is smaller in max-norm.  It
-    is a halving step in the spirit of Shipsey's EDS doubling and Stange's
-    double-and-add on elliptic nets ("The Tate pairing via elliptic nets").
+    of u fixes (g, c, h) so that u + g - d is even; for max-norm above
+    LADDER_BASE_NORM every index on the right is then smaller in max-norm.
+    It is a halving step in the spirit of Shipsey's EDS doubling and
+    Stange's double-and-add on elliptic nets ("The Tate pairing via
+    elliptic nets").  Rank 2 is unrolled, about four times faster than the
+    tuple arithmetic that serves the higher ranks.
     """
-    (g1, g2), (c1, c2), (h1, h2) = _LADDER[u[0] & 1, u[1] & 1]
-    d1, d2 = h1 - c1, h2 - c2
-    a1, a2 = (u[0] + g1 - d1) // 2, (u[1] + g2 - d2) // 2
-    b1, b2 = a1 - g1, a2 - g2
-    return (((a1 + h1, a2 + h2), (a1 - c1, a2 - c2), (b1 + d1, b2 + d2), (b1, b2)),
-            ((b1 + h1, b2 + h2), (b1 - c1, b2 - c2), (a1 + d1, a2 + d2), (a1, a2)))
+    if len(u) == 2:
+        (g1, g2), (c1, c2), (h1, h2) = _LADDER[u[0] & 1, u[1] & 1]
+        d1, d2 = h1 - c1, h2 - c2
+        a1, a2 = (u[0] + g1 - d1) // 2, (u[1] + g2 - d2) // 2
+        b1, b2 = a1 - g1, a2 - g2
+        return (((a1 + h1, a2 + h2), (a1 - c1, a2 - c2), (b1 + d1, b2 + d2), (b1, b2)),
+                ((b1 + h1, b2 + h2), (b1 - c1, b2 - c2), (a1 + d1, a2 + d2), (a1, a2)))
+    g, c, h = _ladder_units(tuple(x & 1 for x in u))
+    d = tuple(map(sub, h, c))
+    a = tuple((x + y - z) // 2 for x, y, z in zip(u, g, d))
+    b = tuple(map(sub, a, g))
+    return ((tuple(map(add, a, h)), tuple(map(sub, a, c)), tuple(map(add, b, d)), b),
+            (tuple(map(add, b, h)), tuple(map(sub, b, c)), tuple(map(add, a, d)), a))
 
 
 def _max_norm(v: Index) -> int:
@@ -188,7 +212,7 @@ def _max_norm(v: Index) -> int:
 
 def _ladder(target: Index, memo: dict, leaf: Callable[[Index], object],
             combine: Callable[[object], object], counts: Counter):
-    """W(target) for a normalized rank-2 index by the halving ladder.
+    """W(target) for a normalized index by the halving ladder.
 
     ``leaf(u)`` gives W(u) for an index the ladder does not split and None
     for one it splits; it must answer every u of max-norm at most
@@ -302,15 +326,15 @@ class EllipticNet:
         t = v
         while t not in cache:
             chain.append(t)
-            i = self._axis_order(t)[0]
+            i = self._step_axis(t)
             s = 1 if t[i] > 0 else -1
             t = t[:i] + (t[i] - s,) + t[i + 1:]
-        add = self.curve.add if self._law is None else self._law.add
+        add_points = self.curve.add if self._law is None else self._law.add
         for t in reversed(chain):
-            i = self._axis_order(t)[0]
+            i = self._step_axis(t)
             s = 1 if t[i] > 0 else -1
             parent = t[:i] + (t[i] - s,) + t[i + 1:]
-            cache[t] = add(cache[parent], self._steps[i][s < 0])
+            cache[t] = add_points(cache[parent], self._steps[i][s < 0])
         return cache[v]
 
     def local_height(self, v: Sequence[int], p: int) -> Fraction | None:
@@ -373,58 +397,42 @@ class EllipticNet:
         return value
 
     def _run(self, route: str, target: Index) -> None:
-        """Evaluate W(target) on an explicit stack of steps.
+        """Evaluate W(target) on an explicit stack of steps on one route.
 
-        A step is a generator for one index on one route.  It yields
-        ``(route, index)`` for each value it needs, is sent the signed
-        W(index), and returns ``(label, value)`` for its own index: the
-        value is memoized and counted in ``route_counts`` under the label.
-        A ``DegenerateNetError`` raised by a step is thrown into the step
-        that asked for the value, where a per-axis retry may catch it.  A
-        request for an index whose step on the same route is still on the
-        stack is refused with that error.
+        A step is a generator for one index.  It yields each index whose
+        value it needs, is sent the signed W(index), and returns
+        ``(label, value)`` for its own index: the value is memoized and
+        counted in ``route_counts`` under the label.  Every step asks for
+        indices that are smaller in a well-founded order, so the stack
+        never meets an index twice, and an error raised by a step (a zero
+        divisor) ends the evaluation.
         """
         values = self._values
-        steps = {POINTS: self._solve, RECURRENCE: self._recurrence}
-        stack = [(route, target, 1, steps[route](target))]
-        active = {(route, target)}
-        reply = error = None
+        make = self._solve if route == POINTS else self._recurrence
+        stack = [(target, 1, make(target))]
+        reply = None
         while stack:
-            route, key, sign, step = stack[-1]
-            thrown, error = error, None
+            key, sign, step = stack[-1]
             try:
-                request = step.send(reply) if thrown is None else step.throw(thrown)
+                index = step.send(reply)
             except StopIteration as done:
                 label, value = done.value
                 values[key] = value
                 self.route_counts[label] += 1
                 reply = -value if sign < 0 else value
-            except DegenerateNetError as exc:
-                if len(stack) == 1:
-                    raise
-                error = exc
-            else:
-                route, index = request
-                key, sign = _normalize(index)
-                if key in values:
-                    reply = values[key] if sign > 0 else -values[key]
-                elif (route, key) in active:
-                    error = DegenerateNetError(f"cyclic fallback at {key} on the {route} route")
-                else:
-                    stack.append((route, key, sign, steps[route](key)))
-                    active.add((route, key))
-                    reply = None
+                stack.pop()
                 continue
-            stack.pop()
-            active.discard((route, key))
+            key, sign = _normalize(index)
+            if key in values:
+                reply = values[key] if sign > 0 else -values[key]
+            else:
+                stack.append((key, sign, make(key)))
+                reply = None
 
     def _degenerate(self, what: str) -> EllnetError:
-        """The error for a zero divisor, chosen by the field.
-
-        Over Q it means the base points are dependent, which ends the
-        evaluation; over F_p it is a zero of the reduced net, and the step
-        that asked for the value may retry another route.
-        """
+        """The error for a zero divisor, chosen by the field: over Q it
+        means the base points are dependent, over F_p it is a zero of the
+        reduced net."""
         if self.is_rational:
             return DependentPointsError(f"{what}: base points are dependent")
         return DegenerateNetError(f"{what} mod {self.curve.gf_modulus}")
@@ -435,35 +443,21 @@ class EllipticNet:
         return initial_net_value(self.curve, self.points, v)
 
     def _solve(self, v: Index):
-        """The points route: base value, axis psi (F_p only), support
-        reduction, the point step on each axis, then for rank <= 2 the
-        recurrence."""
+        """The points route: a base value, the support reduction, or one
+        point step on the axis with the largest coordinate."""
         base = self._base_value(v)
         if base is not None:
             return "base", base
-        nonzero = [(i, c) for i, c in enumerate(v) if c]
-        if len(nonzero) == 1 and not self.is_rational:
-            try:
-                return "psi", self._axis_psi(*nonzero[0])
-            except DegenerateNetError:
-                pass
         if self._is_small_support(v):
             return "points", (yield from self._support_reduce(v))
-        for axis in self._axis_order(v):
-            try:
-                return "points", (yield from self._point_step(v, axis))
-            except DegenerateNetError:
-                continue
-        if self.rank <= 2:
-            return (yield from self._recurrence(v))
-        raise DegenerateNetError(f"all point-strategy steps degenerate at {v}")
+        return "points", (yield from self._point_step(v, self._step_axis(v)))
 
     def _point_step(self, v: Index, axis: int):
         """W(v) = W(w)^2 (x(P_i) - x(w . P)) / W(w - s e_i), w = v - s e_i."""
         s = 1 if v[axis] > 0 else -1
         w = v[:axis] + (v[axis] - s,) + v[axis + 1:]
-        w_val = yield POINTS, w
-        wmu_val = yield POINTS, w[:axis] + (w[axis] - s,) + w[axis + 1:]
+        w_val = yield w
+        wmu_val = yield w[:axis] + (w[axis] - s,) + w[axis + 1:]
         if wmu_val == 0:
             raise self._degenerate(f"zero divisor in the point step at {v}")
         try:
@@ -500,32 +494,31 @@ class EllipticNet:
             return tuple(out)
 
         zero = (0,) * self.rank
-        psi2_i = yield POINTS, shift(zero, (i, 2))
-        divisor = (yield POINTS, shift(w, (k, -sk))) * psi2_i
+        psi2_i = yield shift(zero, (i, 2))
+        divisor = (yield shift(w, (k, -sk))) * psi2_i
         if divisor == 0:
             raise self._degenerate(f"zero divisor in the support reduction at {v}")
-        t2 = ((yield POINTS, shift(zero, (k, sk), (i, -1)))
-              * (yield POINTS, shift(zero, (i, 2), (k, sk)))
-              * (yield POINTS, w)
-              * (yield POINTS, shift(w, (i, 1))))
-        t3 = ((yield POINTS, shift(w, (i, -1)))
-              * (yield POINTS, shift(tuple(-c for c in w), (i, -2)))
+        t2 = ((yield shift(zero, (k, sk), (i, -1)))
+              * (yield shift(zero, (i, 2), (k, sk)))
+              * (yield w)
+              * (yield shift(w, (i, 1))))
+        t3 = ((yield shift(w, (i, -1)))
+              * (yield shift(tuple(-c for c in w), (i, -2)))
               * sk
-              * (yield POINTS, shift(zero, (i, 1), (k, sk))))
+              * (yield shift(zero, (i, 1), (k, sk))))
         return -(t2 + t3) / divisor
 
     @staticmethod
     def _is_small_support(v: Index) -> bool:
         return max(abs(c) for c in v) == 1 and sum(1 for c in v if c) >= 3
 
-    def _axis_order(self, v: Index) -> list[int]:
-        axes = [i for i, c in enumerate(v) if c]
-        axes.sort(key=lambda i: (-abs(v[i]), i))
-        return axes
+    @staticmethod
+    def _step_axis(v: Index) -> int:
+        """The axis of the point step: the first with the largest |coordinate|."""
+        return max(range(len(v)), key=lambda i: abs(v[i]))
 
     def _axis_psi(self, axis: int, n: int):
-        """Axis values through the division polynomial doubling identities,
-        which stay clear of the lattice zeros that break the X-step mod p."""
+        """Axis values through the division polynomial doubling identities."""
         if axis not in self._axis_divpoly:
             self._axis_divpoly[axis] = DivisionPolynomials(self.curve, self.points[axis])
         return self._axis_divpoly[axis].psi(n)
@@ -565,7 +558,7 @@ class EllipticNet:
         first, second, sign, divisor = _recurrence_terms(*v)
         vals = []
         for index in first + second + divisor:
-            vals.append((yield RECURRENCE, index))
+            vals.append((yield index))
         a, b = len(first), len(first) + len(second)
         den = reduce(mul, vals[b:])
         if den == 0:
@@ -604,19 +597,24 @@ class ReducedNet:
 
     Valid whenever every P_i and every P_i +- P_j stays away from infinity
     mod p, which the constructor verifies; net values are then p-integral.
-    A rank-2 index off the axes with max-norm above 3 takes the halving
-    ladder over int residues, from the box of max-norm at most 3, which
-    ``exact_value`` fills; it has no zero divisor and takes O(log |v|)
-    levels.  Every other index, the axis values among them (the division
-    polynomial is faster there), is computed directly mod p when possible
-    (every division along a successful direct evaluation is by a unit, so
-    the result equals the reduced exact value); evaluations that hit a zero
-    divisor fall back to exact computation over Q followed by reduction.
+    Each index v takes its residue from one source:
 
-    ``route_counts`` counts residues by route: ``ladder`` (halving steps),
-    ``direct`` (values the direct route memoizes) and ``exact_fallback``
-    (taken exact over Q and reduced: the ladder's box and the indices where
-    the direct route runs out of routes).
+    * max-norm at most 3: ``exact_value``, exact over Q and reduced;
+    * one nonzero coordinate: psi_n of the reduced point P_i
+      (``DivisionPolynomials``, Shipsey's doubling);
+    * any other index: the halving ladder over int residues, from the box
+      of max-norm at most 3, which ``exact_value`` fills, at every rank up
+      to LADDER_MAX_RANK.  It never divides, so it meets no zero divisor,
+      and it takes O(log |v|) levels.
+
+    Where psi or the ladder raises (psi_2 = 0 mod p under an even axis
+    value, dependent points in the box), and at every index of a net of
+    rank above LADDER_MAX_RANK, the index takes ``exact_value``.  So
+    ``value`` agrees with ``exact_value`` wherever that answers, and
+    raises only where it raises.
+
+    ``route_counts`` counts the memoized residues by source: ``exact``,
+    ``psi`` and ``ladder`` (halving steps).
     """
 
     def __init__(self, net: EllipticNet, p: int):
@@ -640,41 +638,44 @@ class ReducedNet:
                         raise PreconditionError(
                             f"P_{i} +- P_{j} reduces to infinity mod {p}"
                         )
-        self._direct = EllipticNet(self.gf_curve, self.gf_points)
-        self._fallback: dict[Index, PrimeFieldElement] = {}
-        self._ladder: dict[Index, int] = {}
-        self._counts: Counter = Counter()
+        self._residues: dict[Index, int] = {}
+        self._divpolys = tuple(DivisionPolynomials(self.gf_curve, pt) for pt in self.gf_points)
+        self.route_counts: Counter = Counter()
 
     def value(self, v: Sequence[int]) -> PrimeFieldElement:
-        key = tuple(int(c) for c in v)
-        if self.rank == 2 and all(key) and _max_norm(key) > LADDER_BASE_NORM:
-            target, sign = _normalize(key)
-            w = _ladder(target, self._ladder, self._ladder_leaf, self._residue, self._counts)
-            return PrimeFieldElement(w if sign > 0 else -w, self.p)
-        try:
-            return self._direct.value(key)
-        except DegenerateNetError:
-            pass
-        if key not in self._fallback:
-            self._fallback[key] = _reduce_fraction(self.net.value(key), self.p)
-            self._counts["exact_fallback"] += 1
-        return self._fallback[key]
-
-    @property
-    def route_counts(self) -> Counter:
-        """Memoized residues by route; see the class docstring."""
-        return self._counts + Counter(direct=len(self._direct._values))
+        key, sign = _normalize(self.net._key(v))
+        if key not in self._residues:
+            self._residues[key] = self._evaluate(key)
+        w = self._residues[key]
+        return PrimeFieldElement(w if sign > 0 else -w, self.p)
 
     def exact_value(self, v: Sequence[int]) -> PrimeFieldElement:
         """Force the exact-over-Q-then-reduce path."""
         return _reduce_fraction(self.net.value(v), self.p)
 
+    def _evaluate(self, key: Index) -> int:
+        """W(key) mod p for a normalized index, from its source."""
+        if self.rank <= LADDER_MAX_RANK and _max_norm(key) > LADDER_BASE_NORM:
+            axes = [i for i, c in enumerate(key) if c]
+            try:
+                if len(axes) > 1:
+                    return _ladder(key, self._residues, self._ladder_leaf, self._residue,
+                                   self.route_counts)
+                w = self._divpolys[axes[0]].psi(key[axes[0]]).residue
+                self.route_counts["psi"] += 1
+                return w
+            except EllnetError:
+                pass
+        return self._exact_residue(key)
+
     def _ladder_leaf(self, u: Index) -> int | None:
         """The ladder's box, exact over Q and reduced; it splits the rest."""
-        if _max_norm(u) > LADDER_BASE_NORM:
-            return None
-        self._counts["exact_fallback"] += 1
-        return self.exact_value(u).residue
+        return self._exact_residue(u) if _max_norm(u) <= LADDER_BASE_NORM else None
+
+    def _exact_residue(self, u: Index) -> int:
+        w = self.exact_value(u).residue
+        self.route_counts["exact"] += 1
+        return w
 
     def _residue(self, x: int) -> int:
         return x % self.p

@@ -197,6 +197,10 @@ DEEP_EVAL = ["eval", *PQ_ARGS, "--method", "direct", "--prime", "1000003",
              "--index=600,599"]
 HUGE_INDEX = "--index=738495061837265019283746501923,-401928374650192837465019283746"
 HUGE_EVAL = ["eval", *PQ_ARGS, "--method", "direct", "--prime", "89", HUGE_INDEX]
+# indices whose length is not the rank of the net: a usage error
+SHORT_INDEX_EVAL = ["eval", *PQ_ARGS, "--method", "direct", "--prime", "19", "--index=10"]
+LONG_INDEX_EVAL = ["eval", *PQ_ARGS, "--method", "direct", "--prime", "19",
+                   "--index=10,11,12"]
 # W(0, 119) has about 4,700 digits, past Python's default limit of 4,300 on
 # int <-> str conversion
 LONG_TABLE = ["net-table", *E1_ARGS, "--grid", "1x120"]
@@ -211,14 +215,18 @@ def run_subprocess(argv):
                           capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("argv", CLI_MATRIX + [DEEP_EVAL, HUGE_EVAL, LONG_TABLE, LONG_TABLE_JSON],
+@pytest.mark.parametrize("argv", CLI_MATRIX + [DEEP_EVAL, HUGE_EVAL, LONG_TABLE, LONG_TABLE_JSON,
+                                              SHORT_INDEX_EVAL, LONG_INDEX_EVAL],
                          ids=[argv[0] for argv in CLI_MATRIX]
                          + ["eval-direct-deep", "eval-direct-huge", "net-table-1x120",
-                            "net-table-1x120-json"])
+                            "net-table-1x120-json", "eval-direct-short-index",
+                            "eval-direct-long-index"])
 def test_cli_matrix_never_tracebacks(argv):
     proc = run_subprocess(argv)
     assert proc.returncode in (0, 1, 2), proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
+    if argv in (SHORT_INDEX_EVAL, LONG_INDEX_EVAL):
+        assert proc.returncode == 2 and "index length" in proc.stderr, proc.stderr
     if argv is DEEP_EVAL:
         net = ReducedNet(EllipticNet(parse_curve(PQ_ARGS[1]), parse_points(PQ_ARGS[3])),
                          1000003)
@@ -231,8 +239,8 @@ def test_cli_matrix_never_tracebacks(argv):
         assert proc.stdout == symmetry.stdout
 
 
-# Indices where direct evaluation on the points route retries exponentially:
-# E2 mod 7 has bad reduction, and E1 mod 29 meets lattice zeros.
+# Indices where the points route over F_p meets zero divisors: E2 mod 7 has
+# bad reduction, and E1 mod 29 meets lattice zeros.
 @pytest.mark.parametrize("args, prime, index", [
     (E2_ARGS, 7, (11, 11)),
     (E2_ARGS, 7, (12, 12)),

@@ -1,4 +1,7 @@
+import functools
+import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -30,7 +33,8 @@ from ellnet.errors import (
     SingularCurveError,
 )
 from ellnet import IntegralModel
-from ellnet.net import LADDER_BASE_NORM, _LADDER, _ladder_terms, _normalize, box_indices
+from ellnet.net import (LADDER_BASE_NORM, _LADDER, _ladder_terms, _ladder_units, _normalize,
+                        box_indices)
 from conftest import E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2
 
 E1 = WeierstrassCurve(*E1_COEFFS)
@@ -176,18 +180,22 @@ def test_recurrence_check(net1):
 
 
 def test_reduced_net_matches_direct_gf(e1, net1):
+    # the raw F_p points route answers the exact value or refuses at a zero
+    # divisor; ReducedNet answers the exact value on the whole box
     reduced = ReducedNet(net1, 7)
     direct = EllipticNet(reduce_curve(e1, 7),
                          tuple(reduce_mod_p(e1, pt, 7) for pt in net1.points))
-    degenerate = 0
+    answered = 0
     for v in box_indices(2, 8):
         try:
             got = direct.value(v)
         except DegenerateNetError:
-            degenerate += 1
-            continue
-        assert got == reduced.exact_value(v), v
-    assert degenerate == 0  # rank-2 fallback chain covers the whole box
+            pass
+        else:
+            answered += 1
+            assert got == reduced.exact_value(v), v
+        assert reduced.value(v) == reduced.exact_value(v), v
+    assert answered > 0
 
 
 def test_reduced_net_fast_path_equals_exact(net1):
@@ -277,12 +285,26 @@ def direct_net(reduced, strategy="points"):
     return EllipticNet(reduced.gf_curve, reduced.gf_points, strategy=strategy)
 
 
+class ExactReducedNet(ReducedNet):
+    """Every value exact over Q on the net it wraps, then reduced."""
+
+    def value(self, v):
+        return self.exact_value(v)
+
+
+@functools.cache
+def recurrence_symmetry_data(p):
+    """Symmetry data of E1 (P, Q) mod p from the recurrence route over Q,
+    which never takes psi mod p or the ladder."""
+    net = EllipticNet(E1, (P1, Q1), strategy="recurrence")
+    return build_symmetry_data(ExactReducedNet(net, p))
+
+
 @pytest.mark.parametrize("p", [61, 89])
-def test_direct_large_index_matches_symmetry(default_recursion_limit, net1_pq,
-                                             symmetry_data, p):
-    direct = direct_net(ReducedNet(net1_pq, p))
+def test_direct_large_index_matches_symmetry(default_recursion_limit, net1_pq, p):
+    reduced = ReducedNet(net1_pq, p)
     for v in ((600, 599), (-350, 620), (900, 3)):
-        assert direct.value(v) == eval_by_symmetry(symmetry_data[p], v), (p, v)
+        assert reduced.value(v) == eval_by_symmetry(recurrence_symmetry_data(p), v), (p, v)
 
 
 def test_direct_large_index_matches_recurrence(default_recursion_limit, net1_pq):
@@ -295,12 +317,14 @@ def test_direct_large_index_matches_recurrence(default_recursion_limit, net1_pq)
 def assert_group_law_identity(reduced, value, v):
     # W(v+e_i) W(v-e_i) = W(v)^2 (x(P_i) - x(v.P)), with v.P from the group law
     curve, points = reduced.gf_curve, reduced.gf_points
-    x_v = curve.add(curve.mul(v[0], points[0]), curve.mul(v[1], points[1])).x
+    total = INFINITY
+    for n, point in zip(v, points):
+        total = curve.add(total, curve.mul(n, point))
     w = value(v)
-    for i, e in enumerate(((1, 0), (0, 1))):
-        up = value((v[0] + e[0], v[1] + e[1]))
-        down = value((v[0] - e[0], v[1] - e[1]))
-        assert up * down == w * w * (points[i].x - x_v), v
+    for i in range(len(v)):
+        up = value(v[:i] + (v[i] + 1,) + v[i + 1:])
+        down = value(v[:i] + (v[i] - 1,) + v[i + 1:])
+        assert up * down == w * w * (points[i].x - total.x), v
     return w
 
 
@@ -339,9 +363,9 @@ def test_ladder_matches_exact_on_box(default_recursion_limit, net1_pq, net2, p):
 
 @pytest.mark.parametrize("p", [7, 11, 19, 61, 89])
 def test_ladder_matches_symmetry_at_huge_indices(default_recursion_limit, net1_pq, p):
-    # the oracle's symmetry data comes from the direct points route alone
+    # the oracle's symmetry data comes from exact values on the recurrence route
     reduced = ReducedNet(net1_pq, p)
-    sd = build_symmetry_data(direct_net(reduced))
+    sd = recurrence_symmetry_data(p)
     rng = random.Random(p)
     for _ in range(100):
         v = tuple(rng.choice((-1, 1)) * rng.randrange(10 ** 29, 10 ** 30) for _ in range(2))
@@ -362,6 +386,159 @@ def test_ladder_index_of_300_digits_finishes(default_recursion_limit, net1_pq):
     reduced = ReducedNet(net1_pq, 1000003)
     v = (10 ** 300 + 7, -3 * 10 ** 299 + 1)
     assert assert_group_law_identity(reduced, reduced.value, v) != 0
+
+
+# The rank-2 table of the halving ladder, spelled out.
+RANK_TWO_LADDER = {
+    (0, 0): ((1, 0), (0, 1), (1, 1)),
+    (0, 1): ((1, 0), (1, 0), (0, 1)),
+    (1, 0): ((1, 0), (1, 0), (1, 0)),
+    (1, 1): ((1, 0), (1, 0), (1, 1)),
+}
+
+
+def assert_ladder_step(u):
+    """The units of u's parity class are some e_i or e_i + e_j and sum to u
+    mod 2, and every index of the halving step is smaller in max-norm."""
+    parity = tuple(c & 1 for c in u)
+    units = _ladder_units(parity)
+    for unit in units:
+        assert set(unit) <= {0, 1} and sum(unit) in (1, 2), (u, units)
+    assert tuple(sum(col) & 1 for col in zip(*units)) == parity, (u, units)
+    first, second = _ladder_terms(u)
+    for child in first + second:
+        assert max(map(abs, child)) < max(map(abs, u)), (u, child)
+
+
+def test_ladder_rule_reproduces_the_rank_two_table():
+    assert _LADDER == RANK_TWO_LADDER
+    for parity, units in RANK_TWO_LADDER.items():
+        assert _ladder_units(parity) == units
+
+
+def test_ladder_rule_rank_three():
+    for u in itertools.product(range(-12, 13), repeat=3):
+        if max(map(abs, u)) > LADDER_BASE_NORM:
+            assert_ladder_step(u)
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6])
+def test_ladder_rule_ranks_four_to_six(rank):
+    # every parity class at max-norm 4 and 5: each coordinate of size 4 or 5,
+    # whichever has its parity, under every sign pattern
+    for parity in itertools.product((0, 1), repeat=rank):
+        for top in (4, 5):
+            sizes = [top - ((top - b) & 1) for b in parity]
+            for signs in itertools.product((1, -1), repeat=rank):
+                u = tuple(s * m for s, m in zip(signs, sizes))
+                if max(sizes) > LADDER_BASE_NORM:
+                    assert_ladder_step(u)
+    rng = random.Random(rank)
+    for _ in range(3000):
+        bound = rng.choice((5, 12, 1000, 10 ** 30))
+        u = tuple(rng.randint(-bound, bound) for _ in range(rank))
+        if max(map(abs, u)) > LADDER_BASE_NORM:
+            assert_ladder_step(u)
+
+
+# Cremona 5077a with three independent generators, as in
+# test_rank_three_points_strategy
+CURVE_5077A = WeierstrassCurve(0, 0, 1, -7, 6)
+POINTS_5077A = (rational_point(1, 0), rational_point(2, 0), rational_point(0, 2))
+
+
+@pytest.fixture(scope="module")
+def net_5077a():
+    return EllipticNet(CURVE_5077A, POINTS_5077A)
+
+
+@pytest.mark.parametrize("p", [13, 101, 1000003])
+def test_rank_three_ladder_matches_points_route(net_5077a, p):
+    reduced = ReducedNet(net_5077a, p)
+    for v in box_indices(3, 6):
+        assert reduced.value(v) == reduced.exact_value(v), (p, v)
+    assert reduced.route_counts["ladder"] > 0 and reduced.route_counts["psi"] > 0
+    # exact nets of rank 3 stay on the points route
+    assert net_5077a.route_counts.keys() <= {"base", "points"}
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_rank_three_ladder_matches_symmetry_at_huge_indices(default_recursion_limit,
+                                                            net_5077a, p):
+    # the oracle's symmetry data comes from exact values on the points route
+    sd = build_symmetry_data(ExactReducedNet(net_5077a, p))
+    reduced = ReducedNet(net_5077a, p)
+    rng = random.Random(p)
+    for _ in range(5):
+        v = tuple(rng.choice((-1, 1)) * rng.randrange(10 ** 29, 10 ** 30) for _ in range(3))
+        assert reduced.value(v) == eval_by_symmetry(sd, v), (p, v)
+
+
+def test_rank_three_ladder_group_law_at_huge_indices(default_recursion_limit, net_5077a):
+    reduced = ReducedNet(net_5077a, 1000003)
+    rng = random.Random(5077)
+    v = tuple(rng.choice((-1, 1)) * rng.randrange(10 ** 29, 10 ** 30) for _ in range(3))
+    start = time.perf_counter()
+    w = reduced.value(v)
+    assert time.perf_counter() - start < 1
+    assert assert_group_law_identity(reduced, reduced.value, v) == w != 0
+
+
+# Cremona 234446a, of rank 4, with four integral points whose box |v| <= 3
+# the points route answers in full
+CURVE_234446A = WeierstrassCurve(1, -1, 0, -79, 289)
+POINTS_234446A = tuple(rational_point(x, y) for x, y in ((0, 17), (1, 14), (3, 7), (5, -2)))
+
+
+def test_rank_four_ladder(default_recursion_limit):
+    net = EllipticNet(CURVE_234446A, POINTS_234446A)
+    reduced = ReducedNet(net, 101)
+    for v in box_indices(4, 4):
+        assert reduced.value(v) == reduced.exact_value(v), v
+    # every coordinate odd: the top step shares four odd coordinates
+    huge = ReducedNet(net, 1000003)
+    v = (10 ** 29 + 1, -3 * 10 ** 28 - 7, 7 * 10 ** 29 + 3, -(10 ** 29) - 9)
+    assert assert_group_law_identity(huge, huge.value, v) != 0
+    assert huge.route_counts["ladder"] > 0
+
+
+# Dependent base points on E1, with the radius of the box they are checked on
+DEPENDENT_REDUCED_CASES = {"(P,Q,P+Q)": (("P", "Q", "P+Q"), 4),
+                           "(P,2P)": (("P", "2P"), 8), "(2P,P)": (("2P", "P"), 8)}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("case", sorted(DEPENDENT_REDUCED_CASES))
+def test_reduced_net_keeps_dependent_points(default_recursion_limit, case, p):
+    # value gives exact_value's residue wherever that answers, and raises only
+    # where it raises; each exact_value is taken on a fresh net, so that no
+    # other index's memo enters it
+    names, radius = DEPENDENT_REDUCED_CASES[case]
+    named = {"P": P1, "Q": Q1, "P+Q": E1.add(P1, Q1), "2P": E1.mul(2, P1)}
+    points = tuple(named[name] for name in names)
+    reduced = ReducedNet(EllipticNet(E1, points), p)
+    for v in box_indices(len(points), radius):
+        expected = _outcome(ReducedNet(EllipticNet(E1, points), p).exact_value, v)
+        got = _outcome(reduced.value, v)
+        if isinstance(got, type) or not isinstance(expected, type):
+            assert got == expected, v
+
+
+def test_reduced_net_checks_index_length(net1_pq):
+    reduced = ReducedNet(net1_pq, 7)
+    for v in ((10,), (2, 3, 4), (10, 11, 12)):
+        with pytest.raises(ValueError):
+            reduced.value(v)
+
+
+def test_direct_gf_net_is_linear():
+    # E1 mod 29 meets lattice zeros: the points route over F_p takes one step
+    # per unit of |v| and refuses at the first zero divisor
+    reduced = ReducedNet(EllipticNet(E1, (P1, Q1)), 29)
+    start = time.perf_counter()
+    got = _outcome(direct_net(reduced).value, (25, 24))
+    assert time.perf_counter() - start < 1
+    assert got in (DegenerateNetError, reduced.exact_value((25, 24)))
 
 
 # --- the integer (A, B, D) point cache of exact nets ------------------------
@@ -640,12 +817,12 @@ def test_ladder_keeps_degenerate_nets(default_recursion_limit, case):
 def test_reduced_net_route_counts(net1_pq):
     reduced = ReducedNet(net1_pq, 1000003)
     reduced.value((10 ** 20 + 3, 7 * 10 ** 19))
-    counts = reduced.route_counts
-    assert counts["ladder"] > 0 and counts["exact_fallback"] > 0
-    assert counts["direct"] == 0
+    counts = Counter(reduced.route_counts)
+    assert counts["ladder"] > 0 and counts["exact"] > 0
+    assert counts["psi"] == 0
     reduced.value((0, 900))
-    assert reduced.route_counts == counts + Counter(direct=1)
+    assert reduced.route_counts == counts + Counter(psi=1)
     # E2 mod 7 has bad reduction: psi_2(P) = 7 sends even axis values to Q
     bad = ReducedNet(EllipticNet(E2, (Q2, P2)), 7)
     bad.value((0, 12))
-    assert bad.route_counts["exact_fallback"] == 1
+    assert bad.route_counts["exact"] == 1
