@@ -607,9 +607,11 @@ class ReducedNet:
       to LADDER_MAX_RANK.  It never divides, so it meets no zero divisor,
       and it takes O(log |v|) levels.
 
-    Where psi or the ladder raises (psi_2 = 0 mod p under an even axis
-    value, dependent points in the box), and at every index of a net of
-    rank above LADDER_MAX_RANK, the index takes ``exact_value``.  So
+    Where psi raises (psi_2 = 0 mod p under an even axis value), the axis
+    index takes the ladder instead, from rank 2 up (its units need two
+    axes).  Where the ladder raises (dependent points in the box), where
+    psi raises on a rank-1 net, and at every index of a net of rank above
+    LADDER_MAX_RANK, the index takes ``exact_value``.  So
     ``value`` agrees with ``exact_value`` wherever that answers, and
     raises only where it raises.
 
@@ -657,15 +659,19 @@ class ReducedNet:
         """W(key) mod p for a normalized index, from its source."""
         if self.rank <= LADDER_MAX_RANK and _max_norm(key) > LADDER_BASE_NORM:
             axes = [i for i, c in enumerate(key) if c]
-            try:
-                if len(axes) > 1:
+            if len(axes) == 1:
+                try:
+                    w = self._divpolys[axes[0]].psi(key[axes[0]]).residue
+                    self.route_counts["psi"] += 1
+                    return w
+                except EllnetError:
+                    pass
+            if self.rank > 1:
+                try:
                     return _ladder(key, self._residues, self._ladder_leaf, self._residue,
                                    self.route_counts)
-                w = self._divpolys[axes[0]].psi(key[axes[0]]).residue
-                self.route_counts["psi"] += 1
-                return w
-            except EllnetError:
-                pass
+                except EllnetError:
+                    pass
         return self._exact_residue(key)
 
     def _ladder_leaf(self, u: Index) -> int | None:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -251,6 +252,17 @@ def test_eval_direct_matches_exact(capsys, args, prime, index):
                                     f"--index={index[0]},{index[1]}"])
     net = ReducedNet(EllipticNet(parse_curve(args[1]), parse_points(args[3])), prime)
     assert code == 0 and out.strip() == str(net.exact_value(index).residue)
+
+
+def test_eval_direct_on_bad_reduction_axis_is_bounded(capsys):
+    # psi divides by psi_2 = 0 mod 7 on this axis; the exact fallback is
+    # cubic in the index, the ladder logarithmic
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, ["eval", *E2_ARGS, "--method", "direct", "--prime", "7",
+                                      "--index=0,20001"])
+    assert code == 0, err
+    assert time.monotonic() - start < 2
+    assert 0 <= int(out) < 7
 
 
 def test_cli_symmetry_at_p241():

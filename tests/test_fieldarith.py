@@ -1,10 +1,17 @@
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ellnet
 from ellnet import INFINITE_VALUATION, PrimeFieldElement, Valuation, factorize, is_prime, val_p
 from ellnet.errors import NonPrimeModulusError
+from ellnet.fieldarith import _factor_into
 
 
 def test_val_p_examples():
@@ -87,6 +94,87 @@ def test_factorize_hard_semiprimes():
 def test_is_prime_small_cases():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+
+def test_is_prime_past_the_twelve_base_bound():
+    # a strong pseudoprime to the twelve prime bases up to 37
+    n = 399165290221 * 798330580441
+    assert n == 318665857834031151167461
+    assert not is_prime(n)
+    assert factorize(n).factors == ((399165290221, 1), (798330580441, 1))
+
+
+def _trial_division_factorize(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The odd-divisor loop that factorize replaced, kept as its oracle."""
+    sign = 1 if n > 0 else -1
+    n = abs(n)
+    powers: dict[int, int] = {}
+    for p in (2, 3, 5, 7, 11, 13):
+        while n % p == 0:
+            n //= p
+            powers[p] = powers.get(p, 0) + 1
+    d = 17
+    while d * d <= n and d < 100_000:
+        while n % d == 0:
+            n //= d
+            powers[d] = powers.get(d, 0) + 1
+        d += 2
+    if n > 1:
+        _factor_into(n, powers, random.Random(0x5EED))
+    return sign, tuple(sorted(powers.items()))
+
+
+def _assert_matches_trial_division(n):
+    f = factorize(n)
+    assert (f.sign, f.factors) == _trial_division_factorize(n), n
+
+
+AT_THE_LIMIT = {
+    "1": 1, "-1": -1, "2^200": 2**200, "3^100": 3**100,
+    "primorial-100": math.prod(p for p in range(2, 100) if is_prime(p)),
+    "99991": 99991, "100003": 100003, "99991^2": 99991**2, "99989*99991": 99989 * 99991,
+    "99991*100003*2^5": 99991 * 100003 * 2**5,
+    "99991*p20": 99991 * 10000000000000000051,
+}
+
+
+@pytest.mark.parametrize("n", AT_THE_LIMIT.values(), ids=AT_THE_LIMIT.keys())
+def test_factorize_matches_trial_division_at_the_limit(n):
+    assert is_prime(10000000000000000051)
+    _assert_matches_trial_division(n)
+
+
+def test_factorize_matches_trial_division_on_table_entries(net1, net2):
+    # Tables 1-4 (denominators and values) and a 5x12 value grid per curve
+    for net, (cols, rows) in ((net1, (5, 10)), (net2, (7, 10))):
+        for c in range(cols):
+            for r in range(rows):
+                d = net.denominator((c, r))
+                if d:
+                    _assert_matches_trial_division(d)
+    for net, (cols, rows) in ((net1, (5, 12)), (net2, (7, 10)), (net2, (5, 12))):
+        for c in range(cols):
+            for r in range(rows):
+                value = net.value((c, r))
+                if value:
+                    _assert_matches_trial_division(value.numerator)
+                    _assert_matches_trial_division(value.denominator)
+
+
+def test_plain_table_leaves_the_prime_table_unbuilt():
+    src = str(Path(ellnet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = (
+        "import ellnet, ellnet.cli, ellnet.fieldarith as fa\n"
+        "assert ellnet.cli.main(['net-table', '--curve', '0,0,0,0,-11', '--points',"
+        " '(15,58);(3,4)', '--grid', '5x5']) == 0\n"
+        "print(fa._trial_primes.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0"
 
 
 def test_prime_field_arithmetic():

@@ -822,7 +822,23 @@ def test_reduced_net_route_counts(net1_pq):
     assert counts["psi"] == 0
     reduced.value((0, 900))
     assert reduced.route_counts == counts + Counter(psi=1)
-    # E2 mod 7 has bad reduction: psi_2(P) = 7 sends even axis values to Q
+    # E2 mod 7 has bad reduction: psi_2(P) = 7 sends even axis values to
+    # the ladder, which never divides
     bad = ReducedNet(EllipticNet(E2, (Q2, P2)), 7)
     bad.value((0, 12))
-    assert bad.route_counts["exact"] == 1
+    assert bad.route_counts["ladder"] > 0
+
+
+@pytest.mark.parametrize("curve, points, p, limit", [
+    (E2, (Q2, P2), 7, 400),  # bad reduction, psi_2(P) = 7
+    (E1, (P1, Q1), 29, 200),  # Q = (15, 58) reduces to a 2-torsion point
+], ids=["E2-mod-7", "E1-mod-29"])
+def test_axis_where_psi_divides_by_zero_takes_the_ladder(curve, points, p, limit):
+    net = EllipticNet(curve, points)
+    reduced, oracle = ReducedNet(net, p), ReducedNet(net, p)
+    with pytest.raises(DegenerateNetError):
+        reduced._divpolys[1].psi(limit)
+    for n in range(limit + 1):
+        assert reduced.value((0, n)) == oracle.exact_value((0, n)), n
+    assert reduced.route_counts["ladder"] > 0
+    assert reduced.route_counts["exact"] <= len(box_indices(2, LADDER_BASE_NORM))
