@@ -42,8 +42,9 @@ class DegenerateNetError(EllnetError, ArithmeticError):
 
     The points and recurrence routes over F_p raise it at a zero of the
     net, and the even psi recursion where psi_2 = 0.  ``ReducedNet`` meets
-    no zero divisor on its halving ladder; where psi raises it, the value
-    is taken exact over Q and reduced.
+    no zero divisor on its halving ladder; where psi raises it, the ladder
+    splits the axis index, and on a rank-1 net, which has no ladder, the
+    value is taken exact over Q and reduced.
     """
 
 

@@ -1,24 +1,26 @@
 """Elliptic nets of rank r: net polynomial values, denominators, rescaling.
 
-Values above the box |u| <= 3 come from one halving ladder, ``_ladder``,
-over Q and over F_p alike: a recurrence instance (``_ladder_terms``) writes
-W(u) as a difference of two products of four values near u / 2, with no
-division, so O(log |u|) levels of a bounded number of values each reach the
-indices the ladder does not split.  One parity rule (``_ladder_units``)
-picks the instance at every rank up to LADDER_MAX_RANK.  The ladder's two
-parameters are the combine step (``x % p`` on int residues, the identity
-on exact values) and a leaf callback for those indices.
+One rule, ``_net_value``, gives each value its source, over Q and over
+F_p alike: the box |u| <= 3 from the net's box callback, an axis index
+from the division polynomial (``DivisionPolynomials.psi``, Shipsey's
+doubling), and every other index from one halving ladder, ``_ladder``,
+whose leaves are that box and psi on the axes.  A recurrence instance
+(``_ladder_terms``) writes W(u) as a difference of two products of four
+values near u / 2, with no division, so O(log |u|) levels of a bounded
+number of values each reach the leaves.  One parity rule
+(``_ladder_units``) picks the instance at every rank from 2 to
+LADDER_MAX_RANK.  Where the ladder raises, and on a net of rank above
+LADDER_MAX_RANK, the box callback answers.  The nets differ only in their
+callbacks, the box, psi and the combine step:
 
-* A rank-2 exact net over Q on the points strategy takes the ladder for an
-  index with both coordinates nonzero and max-norm above 3; its leaves are
-  the box, on the points route, and the axis values, from the division
-  polynomial (``DivisionPolynomials.psi``, Shipsey's doubling), which also
-  answers an axis index above 3 asked directly.
-* ``ReducedNet`` takes the box exact over Q and reduced, an axis index
-  from psi mod p, and every other index from the ladder mod p, at ranks
-  up to LADDER_MAX_RANK; see its docstring for the exact fallback.
+* an exact net over Q on the points strategy: the points route, psi over
+  Q, and the identity on exact values.  So rank 1 takes psi above the box
+  and ranks 2 to 6 the ladder.
+* ``ReducedNet``: ``exact_value`` (exact over Q, then reduced), psi of the
+  reduced point, and ``x % p`` on int residues.
 
-Every other value comes from ``EllipticNet._run``: an explicit stack of
+The box of an exact net, and every value of a net on the recurrence
+strategy or over F_p, comes from ``EllipticNet._run``: an explicit stack of
 steps, each a generator that asks for the values it needs on its route, so
 the depth of an evaluation is bounded by memory, not by the interpreter's
 recursion limit.  There are two routes.
@@ -33,9 +35,9 @@ recursion limit.  There are two routes.
   law of ``curve.IntegralModel``; the step reads x = A / D^2 from it, and
   ``denominator`` reads D_{v . P} off it.  Other nets cache ``CurvePoint``
   values from ``WeierstrassCurve.add``.  Over Q this route serves the box
-  of the ladder, every net of rank other than 2, and the group-law oracle
-  of the tests; over F_p it is a linear oracle, which no library caller
-  takes.
+  of the rule, the index where the ladder raises, every value of a net of
+  rank above LADDER_MAX_RANK, and the group-law oracle of the tests; over
+  F_p it is a linear oracle, which no library caller takes.
 * ``recurrence``: pure recurrence instantiations grounded in the initial
   values, with no group-law input.  Rank 1 delegates to the division
   polynomial doubling identities; rank 2 uses a fixed well-founded schedule
@@ -47,10 +49,10 @@ The strategy of a net names the route its values start on.  Exact values
 over Q never divide by zero when the base points are independent; a zero
 divisor there raises ``DependentPointsError``.  For dependent points the
 contract is: every index the points route answers gets the same value, and
-no such index raises, since an index whose ladder box or psi raises is
-evaluated on the points route instead.  An index the points route refuses
-with ``DependentPointsError`` may get Psi_v(P) from the division-free
-ladder or psi.  Over a prime field a zero divisor on either route raises
+no such index raises, since an index whose ladder box raises is evaluated
+on the points route instead.  An index the points route refuses with
+``DependentPointsError`` may get Psi_v(P) from the division-free ladder or
+psi, at any rank.  Over a prime field a zero divisor on either route raises
 ``DegenerateNetError``; ``ReducedNet`` meets none on the ladder.
 
 ``route_counts`` on a net counts its memoized values by route (base, psi,
@@ -157,11 +159,12 @@ def _ladder_units(parity: Index) -> tuple[Index, Index, Index]:
     units e_i or e_i + e_j, where W = 1, with g + c + h = u (mod 2).  The
     odd coordinates of u are shared out over the three units, singly and
     then in pairs, so at most six can be odd; one or two odd coordinates
-    are padded with e1, e1, and none gives e1, e2, e1 + e2."""
+    are padded with e1, e1, and none gives e1, e2, e1 + e2, so the rank
+    must be at least 2."""
     odd = [i for i, b in enumerate(parity) if b]
     singles = 6 - len(odd)
-    if singles < 0:
-        raise PreconditionError("the halving ladder covers at most six odd coordinates")
+    if len(parity) < 2 or singles < 0:
+        raise PreconditionError("the halving ladder takes two axes and at most six odd coordinates")
     if not odd:
         groups = [[0], [1], [0, 1]]
     elif len(odd) <= 2:
@@ -212,7 +215,7 @@ def _max_norm(v: Index) -> int:
 
 def _ladder(target: Index, memo: dict, leaf: Callable[[Index], object],
             combine: Callable[[object], object], counts: Counter):
-    """W(target) for a normalized index by the halving ladder.
+    """Memoize W(target) for a normalized index by the halving ladder.
 
     ``leaf(u)`` gives W(u) for an index the ladder does not split and None
     for one it splits; it must answer every u of max-norm at most
@@ -241,7 +244,36 @@ def _ladder(target: Index, memo: dict, leaf: Callable[[Index], object],
         w = [memo[key] if s > 0 else -memo[key] for key, s in steps[u]]
         memo[u] = combine(w[0] * w[1] * w[2] * w[3] - w[4] * w[5] * w[6] * w[7])
     counts["ladder"] += len(steps)
-    return memo[target]
+
+
+def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
+               psi: Callable[[int, int], object], combine: Callable[[object], object],
+               counts: Counter):
+    """Memoize W(key) for a normalized index by the source rule of the
+    module docstring.  ``leaf`` answers the box from ``box(u)`` and an axis
+    index from ``psi(axis, n)``, counted in ``counts["psi"]``; the ladder
+    splits every other index, and an axis index where psi raises."""
+    def leaf(u: Index):
+        if _max_norm(u) <= LADDER_BASE_NORM:
+            return box(u)
+        axes = [i for i, c in enumerate(u) if c]
+        if len(axes) > 1:
+            return None
+        try:
+            w = psi(axes[0], u[axes[0]])
+        except EllnetError:
+            return None
+        counts["psi"] += 1
+        return w
+
+    w = leaf(key) if len(key) <= LADDER_MAX_RANK else box(key)
+    if w is None:
+        try:
+            _ladder(key, memo, leaf, combine, counts)
+            return
+        except EllnetError:
+            w = box(key)
+    memo[key] = w
 
 
 def _exact(x):
@@ -297,7 +329,6 @@ class EllipticNet:
         self._axis_divpoly: dict[int, DivisionPolynomials] = {}
         # memoized values by the route that produced them
         self.route_counts: Counter = Counter()
-        self._takes_ladder = self.rank == 2 and strategy == POINTS and self.is_rational
 
     @property
     def is_rational(self) -> bool:
@@ -363,38 +394,22 @@ class EllipticNet:
     # ------------------------------------------------------------------
 
     def value(self, v: Sequence[int]):
-        """W(v) in the base field."""
+        """W(v) in the base field: on the points strategy over Q from the
+        rule of ``_net_value``, else on the strategy's route."""
         v = self._key(v)
         key, sign = _normalize(v)
         if key not in self._values:
-            self._evaluate(key)
+            if self.strategy == POINTS and self.is_rational:
+                _net_value(key, self._values, self._points_value, self._axis_psi, _exact,
+                           self.route_counts)
+            else:
+                self._run(self.strategy, key)
         result = self._values[key]
         return -result if sign < 0 else result
 
-    def _evaluate(self, key: Index) -> None:
-        """Memoize W(key).  A rank-2 exact net on the points strategy takes
-        the halving ladder above the box |u| <= LADDER_BASE_NORM, with axis
-        values from the division polynomial; where the ladder's box or psi
-        raises, and for every other net or index, the strategy's route."""
-        if self._takes_ladder and _max_norm(key) > LADDER_BASE_NORM:
-            try:
-                _ladder(key, self._values, self._ladder_leaf, _exact, self.route_counts)
-                return
-            except EllnetError:
-                pass
-        self._run(self.strategy, key)
-
-    def _ladder_leaf(self, u: Index):
-        """The box on the points route and exact axis values by psi."""
-        if _max_norm(u) <= LADDER_BASE_NORM:
-            self._run(POINTS, u)
-            return self._values[u]
-        nonzero = [(i, c) for i, c in enumerate(u) if c]
-        if len(nonzero) > 1:
-            return None
-        value = self._axis_psi(*nonzero[0])
-        self.route_counts["psi"] += 1
-        return value
+    def _points_value(self, u: Index):
+        self._run(POINTS, u)
+        return self._values[u]
 
     def _run(self, route: str, target: Index) -> None:
         """Evaluate W(target) on an explicit stack of steps on one route.
@@ -597,23 +612,24 @@ class ReducedNet:
 
     Valid whenever every P_i and every P_i +- P_j stays away from infinity
     mod p, which the constructor verifies; net values are then p-integral.
-    Each index v takes its residue from one source:
+    Each index v takes its residue from one source, by the rule of
+    ``_net_value`` that exact nets follow too:
 
     * max-norm at most 3: ``exact_value``, exact over Q and reduced;
     * one nonzero coordinate: psi_n of the reduced point P_i
       (``DivisionPolynomials``, Shipsey's doubling);
-    * any other index: the halving ladder over int residues, from the box
-      of max-norm at most 3, which ``exact_value`` fills, at every rank up
-      to LADDER_MAX_RANK.  It never divides, so it meets no zero divisor,
-      and it takes O(log |v|) levels.
+    * any other index: the halving ladder over int residues, whose leaves
+      are that box and psi on the axes, at every rank up to
+      LADDER_MAX_RANK.  It never divides, so it meets no zero divisor, and
+      it takes O(log |v|) levels.
 
-    Where psi raises (psi_2 = 0 mod p under an even axis value), the axis
-    index takes the ladder instead, from rank 2 up (its units need two
-    axes).  Where the ladder raises (dependent points in the box), where
-    psi raises on a rank-1 net, and at every index of a net of rank above
-    LADDER_MAX_RANK, the index takes ``exact_value``.  So
-    ``value`` agrees with ``exact_value`` wherever that answers, and
-    raises only where it raises.
+    Where psi raises (psi_2 = 0 mod p under an even axis value), the
+    ladder splits the axis index instead, from rank 2 up (its units need
+    two axes).  Where the ladder raises (dependent points in the box, or
+    psi on a rank-1 net), and at every index of a net of rank above
+    LADDER_MAX_RANK, the index takes ``exact_value``.  So ``value`` agrees
+    with ``exact_value`` wherever that answers, and raises only where it
+    raises.
 
     ``route_counts`` counts the memoized residues by source: ``exact``,
     ``psi`` and ``ladder`` (halving steps).
@@ -647,7 +663,8 @@ class ReducedNet:
     def value(self, v: Sequence[int]) -> PrimeFieldElement:
         key, sign = _normalize(self.net._key(v))
         if key not in self._residues:
-            self._residues[key] = self._evaluate(key)
+            _net_value(key, self._residues, self._exact_residue, self._psi, self._residue,
+                       self.route_counts)
         w = self._residues[key]
         return PrimeFieldElement(w if sign > 0 else -w, self.p)
 
@@ -655,33 +672,13 @@ class ReducedNet:
         """Force the exact-over-Q-then-reduce path."""
         return _reduce_fraction(self.net.value(v), self.p)
 
-    def _evaluate(self, key: Index) -> int:
-        """W(key) mod p for a normalized index, from its source."""
-        if self.rank <= LADDER_MAX_RANK and _max_norm(key) > LADDER_BASE_NORM:
-            axes = [i for i, c in enumerate(key) if c]
-            if len(axes) == 1:
-                try:
-                    w = self._divpolys[axes[0]].psi(key[axes[0]]).residue
-                    self.route_counts["psi"] += 1
-                    return w
-                except EllnetError:
-                    pass
-            if self.rank > 1:
-                try:
-                    return _ladder(key, self._residues, self._ladder_leaf, self._residue,
-                                   self.route_counts)
-                except EllnetError:
-                    pass
-        return self._exact_residue(key)
-
-    def _ladder_leaf(self, u: Index) -> int | None:
-        """The ladder's box, exact over Q and reduced; it splits the rest."""
-        return self._exact_residue(u) if _max_norm(u) <= LADDER_BASE_NORM else None
-
     def _exact_residue(self, u: Index) -> int:
         w = self.exact_value(u).residue
         self.route_counts["exact"] += 1
         return w
+
+    def _psi(self, axis: int, n: int) -> int:
+        return self._divpolys[axis].psi(n).residue
 
     def _residue(self, x: int) -> int:
         return x % self.p

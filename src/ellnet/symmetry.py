@@ -17,13 +17,11 @@ import math
 import random
 from dataclasses import dataclass
 
-from .curve import INFINITY, CurvePoint, WeierstrassCurve
-from .errors import NotSubgroupError, PreconditionError, SmallQuotientError
+from .curve import INFINITY, CurvePoint
+from .errors import NotSubgroupError, SmallQuotientError
 from .fieldarith import PrimeFieldElement
 from .lattice import IntegerLattice, Vector, lattice_from_generators
-from .net import EllipticNet, ReducedNet
-
-NetLike = ReducedNet | EllipticNet
+from .net import ReducedNet
 
 UNIQUE = "unique"
 NONE_FOUND = "none"
@@ -54,17 +52,14 @@ def default_search_bound(p: int) -> int:
     return p + 1 + 2 * math.isqrt(p - 1) + 3
 
 
-def rank_of_apparition(net: NetLike, axis: int, bound: int | None = None) -> ApparitionResult:
+def rank_of_apparition(net: ReducedNet, axis: int, bound: int | None = None) -> ApparitionResult:
     """Least n > 0 with W(n e_axis) = 0, with the divisibility law verified.
 
     Returns NON_UNIQUE when W(3 e_axis) = W(4 e_axis) = 0 (the Ward
     criterion), NONE when no zero occurs within the bound.
     """
     if bound is None:
-        p = getattr(net, "p", None) or net.curve.gf_modulus
-        if p is None:
-            raise PreconditionError("a search bound is required for exact nets")
-        bound = default_search_bound(p)
+        bound = default_search_bound(net.p)
     e = lambda n: _axis_index(net.rank, axis, n)
     if net.value(e(3)) == 0 and net.value(e(4)) == 0:
         return ApparitionResult(NON_UNIQUE, bound=bound)
@@ -79,19 +74,11 @@ def rank_of_apparition(net: NetLike, axis: int, bound: int | None = None) -> App
     return ApparitionResult(UNIQUE, rho=rho, bound=bound)
 
 
-def apparition_profile(net: NetLike, bound: int | None = None) -> list[ApparitionResult]:
+def apparition_profile(net: ReducedNet, bound: int | None = None) -> list[ApparitionResult]:
     return [rank_of_apparition(net, axis, bound) for axis in range(net.rank)]
 
 
-def _gf_geometry(net: NetLike) -> tuple[WeierstrassCurve, tuple[CurvePoint, ...]]:
-    if isinstance(net, ReducedNet):
-        return net.gf_curve, net.gf_points
-    if net.curve.gf_modulus is None:
-        raise PreconditionError("zero lattice is defined for nets over a prime field")
-    return net.curve, net.points
-
-
-def zero_lattice(net: NetLike, bound: int | None = None) -> IntegerLattice:
+def zero_lattice(net: ReducedNet, bound: int | None = None) -> IntegerLattice:
     """Canonical basis of Lambda = W^{-1}(0).
 
     Requires a unique rank of apparition rho_i on every axis.  Lambda is
@@ -115,7 +102,7 @@ def zero_lattice(net: NetLike, bound: int | None = None) -> IntegerLattice:
                 f"axis {axis} has no unique rank of apparition ({entry.status})"
             )
     rhos = [entry.rho for entry in profile]
-    curve, points = _gf_geometry(net)
+    curve, points = net.gf_curve, net.gf_points
     rank = net.rank
     generators: list[Vector] = [_axis_index(rank, i, rhos[i]) for i in range(rank)]
     table: dict[CurvePoint, tuple[int, ...]] = {INFINITY: ()}
@@ -137,7 +124,7 @@ def zero_lattice(net: NetLike, bound: int | None = None) -> IntegerLattice:
     return lattice_from_generators(rank, generators)
 
 
-def delta(net: NetLike, lam: Vector, v: Vector) -> PrimeFieldElement:
+def delta(net: ReducedNet, lam: Vector, v: Vector) -> PrimeFieldElement:
     """W(lam + v) / W(v); requires W(v) != 0."""
     wv = net.value(v)
     if wv == 0:
@@ -152,7 +139,7 @@ def _require_large_quotient(lattice: IntegerLattice) -> None:
         )
 
 
-def chi(net: NetLike, lattice: IntegerLattice, lam: Vector, v: Vector) -> PrimeFieldElement:
+def chi(net: ReducedNet, lattice: IntegerLattice, lam: Vector, v: Vector) -> PrimeFieldElement:
     """The bilinear symbol chi(lam, v) = delta(lam, v + u) / delta(lam, u).
 
     The auxiliary u is the first canonical representative (lexicographic
@@ -170,7 +157,7 @@ def chi(net: NetLike, lattice: IntegerLattice, lam: Vector, v: Vector) -> PrimeF
     raise SmallQuotientError("no admissible auxiliary representative found")
 
 
-def xi(net: NetLike, lattice: IntegerLattice, lam: Vector) -> PrimeFieldElement:
+def xi(net: ReducedNet, lattice: IntegerLattice, lam: Vector) -> PrimeFieldElement:
     """The quadratic cocycle xi(lam) = delta(lam, v) / chi(lam, v)."""
     _require_large_quotient(lattice)
     for u in lattice.representatives():
@@ -190,7 +177,7 @@ class SymmetryData:
     chi_basis: tuple[tuple[PrimeFieldElement, ...], ...]
     chi_axis: tuple[tuple[PrimeFieldElement, ...], ...]
     rep_values: dict[Vector, PrimeFieldElement]
-    net: NetLike
+    net: ReducedNet
 
     @property
     def rank(self) -> int:
@@ -212,11 +199,10 @@ class SymmetryData:
         }
 
 
-def build_symmetry_data(net: NetLike, bound: int | None = None) -> SymmetryData:
+def build_symmetry_data(net: ReducedNet, bound: int | None = None) -> SymmetryData:
     """Zero lattice, xi/chi tables on its basis, and W on the coset reps."""
     lattice = zero_lattice(net, bound)
     _require_large_quotient(lattice)
-    p = net.p if isinstance(net, ReducedNet) else net.curve.gf_modulus
     rank = lattice.rank
     basis = lattice.basis
     xi_basis = tuple(xi(net, lattice, lam) for lam in basis)
@@ -229,7 +215,7 @@ def build_symmetry_data(net: NetLike, bound: int | None = None) -> SymmetryData:
         for i in range(rank)
     )
     rep_values = {m: net.value(m) for m in lattice.representatives()}
-    return SymmetryData(p, lattice, xi_basis, chi_basis, chi_axis, rep_values, net)
+    return SymmetryData(net.p, lattice, xi_basis, chi_basis, chi_axis, rep_values, net)
 
 
 def eval_by_symmetry(sd: SymmetryData, v) -> PrimeFieldElement:

@@ -229,15 +229,24 @@ def unique_apparition_test(values: Sequence, p: int | None = None) -> bool:
     return unique
 
 
-def epsilon_value(net: EllipticNet, p: int, v: Vector) -> Fraction:
-    """eps(v) = lambda_p(v.P) - val_p(disc)/12 - val_p(W(v)); eps(0) = 0."""
+def _epsilon(net: EllipticNet, p: int, v: Vector, value: Callable) -> Fraction | None:
+    """eps(v) = lambda_p(v.P) - val_p(disc)/12 - val_p(W(v)), with W(v) from
+    ``value``; eps(0) = 0, and None where v.P is the identity."""
     if not any(v):
         return Fraction(0)
     height = net.local_height(v, p)
     if height is None:
-        raise SingularReductionError(f"{v} . P is the identity; eps undefined")
+        return None
     vdisc = val_p(Fraction(net.curve.discriminant), p).unwrap()
-    return height - Fraction(vdisc, 12) - val_p(net.value(v), p).unwrap()
+    return height - Fraction(vdisc, 12) - val_p(value(v), p).unwrap()
+
+
+def epsilon_value(net: EllipticNet, p: int, v: Vector) -> Fraction:
+    """eps(v) = lambda_p(v.P) - val_p(disc)/12 - val_p(W(v)); eps(0) = 0."""
+    eps = _epsilon(net, p, v, net.value)
+    if eps is None:
+        raise SingularReductionError(f"{v} . P is the identity; eps undefined")
+    return eps
 
 
 def epsilon_quadratic_check(net: EllipticNet, p: int, box_radius: int,
@@ -248,20 +257,12 @@ def epsilon_quadratic_check(net: EllipticNet, p: int, box_radius: int,
     skipped.  ``value_fn`` overrides net evaluation, which the fault
     injection tests use.
     """
-    vdisc = Fraction(val_p(Fraction(net.curve.discriminant), p).unwrap(), 12)
+    value = value_fn or net.value
     cache: dict[Vector, Fraction | None] = {}
 
     def eps(v: Vector) -> Fraction | None:
         if v not in cache:
-            if not any(v):
-                cache[v] = Fraction(0)
-            else:
-                height = net.local_height(v, p)
-                if height is None:
-                    cache[v] = None
-                else:
-                    w = value_fn(v) if value_fn is not None else net.value(v)
-                    cache[v] = height - vdisc - val_p(w, p).unwrap()
+            cache[v] = _epsilon(net, p, v, value)
         return cache[v]
 
     box = box_indices(net.rank, box_radius)

@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from ellnet import INFINITY, EllipticNet, ReducedNet, WeierstrassCurve, rational_point
+from ellnet.net import _normalize
 
 # Fixture curves and generators; the table convention lists Q before P.
 E1_COEFFS = (0, 0, 0, 0, -11)
@@ -29,6 +30,15 @@ def assert_lattice_is_kernel(curve, points, lattice):
     for row in lattice.basis:
         assert image(row).is_infinity, row
     assert len({image(m) for m in lattice.representatives()}) == lattice.index()
+
+
+def points_route(net, v):
+    """W(v) on the points route alone, with no ladder or psi: the oracle
+    that exact values are compared with."""
+    key, sign = _normalize(tuple(v))
+    if key not in net._values:
+        net._run("points", key)
+    return net._values[key] * sign
 
 
 @pytest.fixture

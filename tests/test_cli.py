@@ -12,9 +12,10 @@ import ellnet
 from ellnet import EllipticNet, ReducedNet
 from ellnet.cli import main, parse_curve, parse_index, parse_point, parse_points
 from ellnet.lattice import lattice_from_generators
+from ellnet.net import _reduce_fraction
 from ellnet.render import factor_string, normalized, plain_string
 
-from conftest import assert_lattice_is_kernel
+from conftest import assert_lattice_is_kernel, points_route
 
 DATA = Path(__file__).parent / "data"
 
@@ -206,6 +207,10 @@ LONG_INDEX_EVAL = ["eval", *PQ_ARGS, "--method", "direct", "--prime", "19",
 # int <-> str conversion
 LONG_TABLE = ["net-table", *E1_ARGS, "--grid", "1x120"]
 LONG_TABLE_JSON = [*LONG_TABLE, "--format", "json"]
+# a rank-1 net at bad reduction: psi divides by psi_2 = 0 mod 7, so the
+# value is exact over Q, where psi answers above the box
+RANK_ONE_ARGS = ["--curve", "0,1,7,28,0", "--points", "(0,0)"]
+RANK_ONE_EVAL = ["eval", *RANK_ONE_ARGS, "--prime", "7", "--method", "direct", "--index=500"]
 
 
 def run_subprocess(argv):
@@ -217,13 +222,15 @@ def run_subprocess(argv):
 
 
 @pytest.mark.parametrize("argv", CLI_MATRIX + [DEEP_EVAL, HUGE_EVAL, LONG_TABLE, LONG_TABLE_JSON,
-                                              SHORT_INDEX_EVAL, LONG_INDEX_EVAL],
+                                              SHORT_INDEX_EVAL, LONG_INDEX_EVAL, RANK_ONE_EVAL],
                          ids=[argv[0] for argv in CLI_MATRIX]
                          + ["eval-direct-deep", "eval-direct-huge", "net-table-1x120",
                             "net-table-1x120-json", "eval-direct-short-index",
-                            "eval-direct-long-index"])
+                            "eval-direct-long-index", "eval-direct-rank-one"])
 def test_cli_matrix_never_tracebacks(argv):
+    start = time.monotonic()
     proc = run_subprocess(argv)
+    elapsed = time.monotonic() - start
     assert proc.returncode in (0, 1, 2), proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
     if argv in (SHORT_INDEX_EVAL, LONG_INDEX_EVAL):
@@ -238,6 +245,14 @@ def test_cli_matrix_never_tracebacks(argv):
                                    HUGE_INDEX])
         assert proc.returncode == symmetry.returncode == 0, symmetry.stderr
         assert proc.stdout == symmetry.stdout
+    if argv is RANK_ONE_EVAL:
+        assert proc.returncode == 0 and elapsed < 2, (proc.stderr, elapsed)
+        curve, points = parse_curve(RANK_ONE_ARGS[1]), parse_points(RANK_ONE_ARGS[3])
+        reduced = ReducedNet(EllipticNet(curve, points), 7)
+        assert proc.stdout.strip() == str(reduced.value((500,)).residue)
+        by_points = EllipticNet(curve, points)
+        for n in range(151):
+            assert reduced.value((n,)) == _reduce_fraction(points_route(by_points, (n,)), 7), n
 
 
 # Indices where the points route over F_p meets zero divisors: E2 mod 7 has

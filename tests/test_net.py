@@ -34,8 +34,8 @@ from ellnet.errors import (
 )
 from ellnet import IntegralModel
 from ellnet.net import (LADDER_BASE_NORM, _LADDER, _ladder_terms, _ladder_units, _normalize,
-                        box_indices)
-from conftest import E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2
+                        _reduce_fraction, box_indices)
+from conftest import E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2, points_route
 
 E1 = WeierstrassCurve(*E1_COEFFS)
 E2 = WeierstrassCurve(*E2_COEFFS)
@@ -262,23 +262,24 @@ def test_dependent_points_detected(e1):
 
 
 def test_rank_three_points_strategy():
-    # rank >= 3 is supported through the points strategy only; fixture is a
-    # rank-3 curve with three independent generators
+    # a rank-3 curve with three independent generators; the points route on
+    # a fresh net is the oracle of values that psi and the ladder give
     from ellnet import WeierstrassCurve
 
     curve = WeierstrassCurve(0, 0, 1, -7, 6)
     pts = (rational_point(1, 0), rational_point(2, 0), rational_point(0, 2))
     net3 = EllipticNet(curve, pts)
+    by_points = EllipticNet(curve, pts)
     assert net3.value((1, 0, 0)) == 1
     assert net3.value((1, 1, 1)) != 0
     assert recurrence_check(net3.value, 3, 2, 100, seed=12) == []
     dp = DivisionPolynomials(curve, pts[2])
     for n in range(-6, 7):
-        assert net3.value((0, 0, n)) == dp.psi(n)
+        assert net3.value((0, 0, n)) == points_route(by_points, (0, 0, n)) == dp.psi(n)
     # restriction to the first two axes is the rank-2 net of (P_1, P_2)
     net2d = EllipticNet(curve, pts[:2])
     for v in box_indices(2, 4):
-        assert net3.value((v[0], v[1], 0)) == net2d.value(v)
+        assert net3.value((v[0], v[1], 0)) == points_route(net2d, v)
 
 
 def direct_net(reduced, strategy="points"):
@@ -414,6 +415,10 @@ def test_ladder_rule_reproduces_the_rank_two_table():
     assert _LADDER == RANK_TWO_LADDER
     for parity, units in RANK_TWO_LADDER.items():
         assert _ladder_units(parity) == units
+    # a rank-1 net has no unit e_1 + e_2: its values take psi or the box
+    for parity in ((0,), (1,)):
+        with pytest.raises(PreconditionError):
+            _ladder_units(parity)
 
 
 def test_ladder_rule_rank_three():
@@ -452,14 +457,20 @@ def net_5077a():
     return EllipticNet(CURVE_5077A, POINTS_5077A)
 
 
+@pytest.fixture(scope="module")
+def points_5077a():
+    """A 5077a net read through ``points_route`` alone."""
+    return EllipticNet(CURVE_5077A, POINTS_5077A)
+
+
 @pytest.mark.parametrize("p", [13, 101, 1000003])
-def test_rank_three_ladder_matches_points_route(net_5077a, p):
+def test_rank_three_ladder_matches_points_route(net_5077a, points_5077a, p):
     reduced = ReducedNet(net_5077a, p)
     for v in box_indices(3, 6):
-        assert reduced.value(v) == reduced.exact_value(v), (p, v)
+        assert reduced.value(v) == _reduce_fraction(points_route(points_5077a, v), p), (p, v)
     assert reduced.route_counts["ladder"] > 0 and reduced.route_counts["psi"] > 0
-    # exact nets of rank 3 stay on the points route
-    assert net_5077a.route_counts.keys() <= {"base", "points"}
+    # the oracle stays on the points route
+    assert points_5077a.route_counts.keys() <= {"base", "points"}
 
 
 @pytest.mark.parametrize("p", [7, 13])
@@ -493,13 +504,62 @@ POINTS_234446A = tuple(rational_point(x, y) for x, y in ((0, 17), (1, 14), (3, 7
 def test_rank_four_ladder(default_recursion_limit):
     net = EllipticNet(CURVE_234446A, POINTS_234446A)
     reduced = ReducedNet(net, 101)
+    by_points = EllipticNet(CURVE_234446A, POINTS_234446A)
     for v in box_indices(4, 4):
-        assert reduced.value(v) == reduced.exact_value(v), v
+        assert reduced.value(v) == _reduce_fraction(points_route(by_points, v), 101), v
     # every coordinate odd: the top step shares four odd coordinates
     huge = ReducedNet(net, 1000003)
     v = (10 ** 29 + 1, -3 * 10 ** 28 - 7, 7 * 10 ** 29 + 3, -(10 ** 29) - 9)
     assert assert_group_law_identity(huge, huge.value, v) != 0
     assert huge.route_counts["ladder"] > 0
+
+
+@pytest.mark.parametrize("curve, points, radius", [
+    (CURVE_5077A, POINTS_5077A, 6),
+    (CURVE_234446A, POINTS_234446A, 4),
+], ids=["5077a", "234446a"])
+def test_exact_ladder_matches_points_route_at_ranks_three_and_four(curve, points, radius):
+    net, by_points = EllipticNet(curve, points), EllipticNet(curve, points)
+    for v in box_indices(len(points), radius):
+        assert net.value(v) == points_route(by_points, v), v
+    # above the box the values are the ladder's and psi's
+    assert net.route_counts["ladder"] > 0 and net.route_counts["psi"] > 0
+    assert by_points.route_counts.keys() <= {"base", "points"}
+
+
+def test_exact_rank_three_group_law_identity(default_recursion_limit):
+    # W(v+e_i) W(v-e_i) = W(v)^2 (x(P_i) - x(v . P)) over Q, with v . P by
+    # double-and-add on IntegralModel triples, not from the net's point cache
+    v = (203, -197, 188)
+    law = IntegralModel(CURVE_5077A)
+    total = None
+    for n, point in zip(v, POINTS_5077A):
+        multiple = _triple_multiple(law, abs(n), law.triple(point))
+        total = law.add(total, multiple if n > 0 else law.neg(multiple))
+    net = EllipticNet(CURVE_5077A, POINTS_5077A)
+    w = net.value(v)
+    assert w != 0
+    for i, point in enumerate(POINTS_5077A):
+        up = net.value(v[:i] + (v[i] + 1,) + v[i + 1:])
+        down = net.value(v[:i] + (v[i] - 1,) + v[i + 1:])
+        assert up * down == w * w * (point.x - law.x(total)), i
+    assert net.route_counts["ladder"] > 0
+
+
+def test_exact_ladder_keeps_dependent_points_at_rank_three(default_recursion_limit):
+    # every index the points route answers gets its value, and none of them
+    # raises; an index it refuses may answer Psi_v(P) from the ladder or psi
+    points = (P1, Q1, E1.add(P1, Q1))
+    newly_answered = []
+    for v in box_indices(3, 4):
+        expected = _points_outcome(E1, points, v)
+        got = _outcome(EllipticNet(E1, points).value, v)
+        if expected is DependentPointsError and not isinstance(got, type):
+            newly_answered.append(v)
+        else:
+            assert got == expected, v
+    # v . P = 3P at both
+    assert newly_answered == [(-4, -1, 1), (4, 1, -1)]
 
 
 # Dependent base points on E1, with the radius of the box they are checked on
@@ -644,23 +704,17 @@ def test_point_cache_rank_one_torsion():
     t6 = rational_point(2, 3)  # of order 6
     psi = DivisionPolynomials(curve, t6)
     for n in range(-13, 14):
-        value = _outcome(EllipticNet(curve, (t6,)).value, (n,))
+        value = _points_outcome(curve, (t6,), (n,))
         assert value == (psi.psi(n) if abs(n) <= 6 else DependentPointsError), n
+        # value takes psi above the box, so the indices the points route
+        # refuses answer Psi_n(P) too
+        assert _outcome(EllipticNet(curve, (t6,)).value, (n,)) == psi.psi(n), n
         den = _outcome(EllipticNet(curve, (t6,)).denominator, (n,))
         assert den == (0 if n == 0 else DependentPointsError if n % 6 == 0 else 1), n
         assert den == _outcome(lambda u: _denominator_by_fraction_law(curve, (t6,), u), (n,))
 
 
 # --- the halving ladder over Q -------------------------------------------------
-
-
-def points_route(net, v):
-    """W(v) on the points route alone: what ``value`` answered before exact
-    rank-2 nets took the ladder."""
-    key, sign = _normalize(tuple(v))
-    if key not in net._values:
-        net._run("points", key)
-    return net._values[key] * sign
 
 
 def _points_outcome(curve, points, v):
