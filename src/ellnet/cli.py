@@ -62,43 +62,30 @@ def _build_net(args) -> EllipticNet:
     return EllipticNet(parse_curve(args.curve), _oriented_points(args))
 
 
-def _table_values(args, kind: str) -> "dict[tuple[int, int], Fraction]":
-    cols, rows = parse_grid(args.grid)
-    values: dict[tuple[int, int], Fraction] = {}
-    net = _build_net(args)
-    reduced = ReducedNet(net, args.prime) if kind == "reduced" else None
-    for c in range(cols):
-        for r in range(rows):
-            if kind == "denom":
-                values[(c, r)] = Fraction(net.denominator((c, r)))
-            elif kind == "net":
-                values[(c, r)] = net.value((c, r))
-            else:
-                values[(c, r)] = Fraction(reduced.value((c, r)).residue)
-    return values
+def _denominators(net: EllipticNet, args):
+    return lambda v: Fraction(net.denominator(v))
 
 
-def _emit_table(args, kind: str) -> int:
+def _net_values(net: EllipticNet, args):
+    return net.value
+
+
+def _residues(net: EllipticNet, args):
+    reduced = ReducedNet(net, args.prime)
+    return lambda v: Fraction(reduced.value(v).residue)
+
+
+def cmd_table(args) -> int:
+    """Print a COLSxROWS grid of ``args.entries``: every entry is computed
+    first, column by column, so an error prints no partial table."""
     cols, rows = parse_grid(args.grid)
-    values = _table_values(args, kind)
-    entry = values.__getitem__
+    entry = args.entries(_build_net(args), args)
+    values = {(c, r): entry((c, r)) for c in range(cols) for r in range(rows)}
     if args.format == render.JSON_FORMAT:
-        print(json.dumps(render.table_json(entry, cols, rows)))
+        print(json.dumps(render.table_json(values.__getitem__, cols, rows)))
     else:
-        print(render.table_text(entry, cols, rows, args.format))
+        print(render.table_text(values.__getitem__, cols, rows, args.format))
     return 0
-
-
-def cmd_denom_table(args) -> int:
-    return _emit_table(args, "denom")
-
-
-def cmd_net_table(args) -> int:
-    return _emit_table(args, "net")
-
-
-def cmd_reduced_table(args) -> int:
-    return _emit_table(args, "reduced")
 
 
 def cmd_symmetry(args) -> int:
@@ -204,15 +191,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("denom-table", help="denominator net grid")
     common(p, grid=True)
-    p.set_defaults(func=cmd_denom_table)
+    p.set_defaults(func=cmd_table, entries=_denominators)
 
     p = sub.add_parser("net-table", help="net polynomial value grid")
     common(p, grid=True)
-    p.set_defaults(func=cmd_net_table)
+    p.set_defaults(func=cmd_table, entries=_net_values)
 
     p = sub.add_parser("reduced-table", help="net values reduced mod p")
     common(p, grid=True, prime=True, prime_required=True)
-    p.set_defaults(func=cmd_reduced_table)
+    p.set_defaults(func=cmd_table, entries=_residues)
 
     p = sub.add_parser("symmetry", help="zero lattice and xi/chi tables mod p")
     common(p, prime=True, prime_required=True)

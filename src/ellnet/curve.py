@@ -337,11 +337,6 @@ class IntegralModel:
         return x // g, b, d
 
 
-def denominator(curve: WeierstrassCurve, point: CurvePoint) -> int:
-    """D_P for an affine rational point; infinity has no denominator."""
-    return decompose(curve, point).d
-
-
 def reduce_curve(curve: WeierstrassCurve, p: int) -> WeierstrassCurve:
     """Coefficientwise reduction; the result may be singular."""
     if not curve.is_integral:

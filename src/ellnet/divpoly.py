@@ -7,12 +7,15 @@ polynomial recursion,
     psi_{2k} psi_2 = psi_k (psi_{k+2} psi_{k-1}^2 - psi_{k-2} psi_{k+1}^2),
 
 with memoized top-down evaluation, so sparse large indices stay cheap.
+The even step divides by psi_2, which divides every even psi_n as a
+polynomial; so where psi_2(P) = 0 (P of order 2 over Q, or psi_2(P) = 0
+mod p) every even value is 0.
 """
 
 from __future__ import annotations
 
 from .curve import CurvePoint, WeierstrassCurve
-from .errors import DegenerateNetError, PreconditionError
+from .errors import PreconditionError
 
 # psi_4 carries the 10*b8*x^2 term of the standard references; with it the
 # fixture values match the published net tables (the E2 point (1, 3) is
@@ -40,7 +43,8 @@ class DivisionPolynomials:
         self._memo = {0: x - x, 1: one, 2: psi2, 3: psi3, 4: psi4}
 
     def psi(self, n: int):
-        """psi_n(P); odd in n."""
+        """psi_n(P); odd in n.  It never raises: the odd step does not divide,
+        and where psi_2(P) = 0 every even value is 0."""
         if n < 0:
             return -self.psi(-n)
         memo = self._memo
@@ -49,17 +53,13 @@ class DivisionPolynomials:
         k = n // 2
         if n % 2:
             value = self.psi(k + 2) * self.psi(k) ** 3 - self.psi(k - 1) * self.psi(k + 1) ** 3
+        elif memo[2] == 0:
+            value = memo[0]
         else:
-            psi2 = memo[2]
-            if psi2 == 0:
-                raise DegenerateNetError(
-                    "even-index recursion divides by psi_2 = 0; "
-                    "compute exactly over Q and reduce instead"
-                )
             value = (
                 self.psi(k)
                 * (self.psi(k + 2) * self.psi(k - 1) ** 2 - self.psi(k - 2) * self.psi(k + 1) ** 2)
-                / psi2
+                / memo[2]
             )
         memo[n] = value
         return value

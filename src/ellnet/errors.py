@@ -41,10 +41,8 @@ class DegenerateNetError(EllnetError, ArithmeticError):
     """A net evaluation step over a finite field required division by zero.
 
     The points and recurrence routes over F_p raise it at a zero of the
-    net, and the even psi recursion where psi_2 = 0.  ``ReducedNet`` meets
-    no zero divisor on its halving ladder; where psi raises it, the ladder
-    splits the axis index, and on a rank-1 net, which has no ladder, the
-    value is taken exact over Q and reduced.
+    net.  ``ReducedNet`` never raises it: its halving ladder and psi do not
+    divide by a zero.
     """
 
 

@@ -1,17 +1,17 @@
 """Elliptic nets of rank r: net polynomial values, denominators, rescaling.
 
 One rule, ``_net_value``, gives each value its source, over Q and over
-F_p alike: the box |u| <= 3 from the net's box callback, an axis index
-from the division polynomial (``DivisionPolynomials.psi``, Shipsey's
-doubling), and every other index from one halving ladder, ``_ladder``,
-whose leaves are that box and psi on the axes.  A recurrence instance
+F_p alike, in one loop that takes each index once: the box |u| <= 3 from
+the net's box callback, an axis index from the division polynomial
+(``DivisionPolynomials.psi``, Shipsey's doubling, which never raises), and
+every other index from one halving ladder.  A recurrence instance
 (``_ladder_terms``) writes W(u) as a difference of two products of four
 values near u / 2, with no division, so O(log |u|) levels of a bounded
-number of values each reach the leaves.  One parity rule
+number of values each reach the box and the axes.  One parity rule
 (``_ladder_units``) picks the instance at every rank from 2 to
-LADDER_MAX_RANK.  Where the ladder raises, and on a net of rank above
-LADDER_MAX_RANK, the box callback answers.  The nets differ only in their
-callbacks, the box, psi and the combine step:
+LADDER_MAX_RANK.  Where a box value raises, and on a net of rank above
+LADDER_MAX_RANK, the box callback answers the index itself.  The nets
+differ only in their callbacks, the box, psi and the combine step:
 
 * an exact net over Q on the points strategy: the points route, psi over
   Q, and the identity on exact values.  So rank 1 takes psi above the box
@@ -35,9 +35,10 @@ recursion limit.  There are two routes.
   law of ``curve.IntegralModel``; the step reads x = A / D^2 from it, and
   ``denominator`` reads D_{v . P} off it.  Other nets cache ``CurvePoint``
   values from ``WeierstrassCurve.add``.  Over Q this route serves the box
-  of the rule, the index where the ladder raises, every value of a net of
-  rank above LADDER_MAX_RANK, and the group-law oracle of the tests; over
-  F_p it is a linear oracle, which no library caller takes.
+  of the rule, the index whose ladder meets a box value that raises, every
+  value of a net of rank above LADDER_MAX_RANK, and the group-law oracle
+  of the tests; over F_p it is a linear oracle, which no library caller
+  takes.
 * ``recurrence``: pure recurrence instantiations grounded in the initial
   values, with no group-law input.  Rank 1 delegates to the division
   polynomial doubling identities; rank 2 uses a fixed well-founded schedule
@@ -53,7 +54,8 @@ no such index raises, since an index whose ladder box raises is evaluated
 on the points route instead.  An index the points route refuses with
 ``DependentPointsError`` may get Psi_v(P) from the division-free ladder or
 psi, at any rank.  Over a prime field a zero divisor on either route raises
-``DegenerateNetError``; ``ReducedNet`` meets none on the ladder.
+``DegenerateNetError``; ``ReducedNet`` meets none, since neither the ladder
+nor psi divides by a zero.
 
 ``route_counts`` on a net counts its memoized values by route (base, psi,
 ladder, points, recurrence), and on a ``ReducedNet`` its residues by
@@ -71,13 +73,14 @@ from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .curve import (INFINITY, CurvePoint, IntegralModel, WeierstrassCurve, decompose,
-                    neron_local_height, reduce_curve, reduce_mod_p)
+                    reduce_curve, reduce_mod_p)
 from .divpoly import DivisionPolynomials
 from .errors import (
     DegenerateNetError,
     DegeneratePairError,
     DependentPointsError,
     EllnetError,
+    ModelNotIntegralError,
     NonIntegralReductionError,
     PreconditionError,
     SingularCurveError,
@@ -213,67 +216,56 @@ def _max_norm(v: Index) -> int:
     return max(map(abs, v))
 
 
-def _ladder(target: Index, memo: dict, leaf: Callable[[Index], object],
-            combine: Callable[[object], object], counts: Counter):
-    """Memoize W(target) for a normalized index by the halving ladder.
-
-    ``leaf(u)`` gives W(u) for an index the ladder does not split and None
-    for one it splits; it must answer every u of max-norm at most
-    LADDER_BASE_NORM, where ``_ladder_terms`` does not shrink.  The indices
-    the target needs are collected top-down, then ``memo`` (keyed by
-    normalized index) is filled in increasing max-norm with
-    ``combine(prod W(first) - prod W(second))``: ``x % p`` keeps residues
-    reduced, the identity keeps exact values.  The step multiplies and
-    subtracts but never divides, so it meets no zero divisor, and the
-    target is reached in O(log |target|) levels of a bounded number of
-    values each.  ``counts["ladder"]`` counts the values the steps memoize.
-    """
-    steps: dict[Index, list[tuple[Index, int]]] = {}
-    stack = [target]
-    while stack:
-        u = stack.pop()
-        if u in memo or u in steps:
-            continue
-        w = leaf(u)
-        if w is not None:
-            memo[u] = w
-            continue
-        steps[u] = [_normalize(t) for t in itertools.chain(*_ladder_terms(u))]
-        stack.extend(key for key, _ in steps[u])
-    for u in sorted(steps, key=_max_norm):
-        w = [memo[key] if s > 0 else -memo[key] for key, s in steps[u]]
-        memo[u] = combine(w[0] * w[1] * w[2] * w[3] - w[4] * w[5] * w[6] * w[7])
-    counts["ladder"] += len(steps)
-
-
 def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
                psi: Callable[[int, int], object], combine: Callable[[object], object],
                counts: Counter):
     """Memoize W(key) for a normalized index by the source rule of the
-    module docstring.  ``leaf`` answers the box from ``box(u)`` and an axis
-    index from ``psi(axis, n)``, counted in ``counts["psi"]``; the ladder
-    splits every other index, and an axis index where psi raises."""
-    def leaf(u: Index):
-        if _max_norm(u) <= LADDER_BASE_NORM:
-            return box(u)
-        axes = [i for i, c in enumerate(u) if c]
-        if len(axes) > 1:
-            return None
-        try:
-            w = psi(axes[0], u[axes[0]])
-        except EllnetError:
-            return None
-        counts["psi"] += 1
-        return w
+    module docstring.
 
-    w = leaf(key) if len(key) <= LADDER_MAX_RANK else box(key)
-    if w is None:
-        try:
-            _ladder(key, memo, leaf, combine, counts)
-            return
-        except EllnetError:
-            w = box(key)
-    memo[key] = w
+    The indices the key needs are taken once each, top-down: the box
+    (max-norm at most LADDER_BASE_NORM) from ``box(u)``, an axis index from
+    ``psi(axis, n)``, counted in ``counts["psi"]``, and every other index
+    split by ``_ladder_terms``.  The split indices are then filled into
+    ``memo`` (keyed by normalized index) in increasing max-norm with
+    ``combine(prod W(first) - prod W(second))``, counted in
+    ``counts["ladder"]``: ``x % p`` keeps residues reduced, the identity
+    keeps exact values.  The step multiplies and subtracts but never
+    divides, so it meets no zero divisor, and the key is reached in
+    O(log |key|) levels of a bounded number of values each.  Where a box
+    value on the way raises (dependent points), the key takes ``box(key)``,
+    and a key of rank above LADDER_MAX_RANK takes it at once.
+    """
+    if len(key) > LADDER_MAX_RANK:
+        memo[key] = box(key)
+        return
+    steps: dict[Index, list[tuple[Index, int]]] = {}
+    stack = [key]
+    while stack:
+        u = stack.pop()
+        if u in memo or u in steps:
+            continue
+        if _max_norm(u) <= LADDER_BASE_NORM:
+            try:
+                memo[u] = box(u)
+            except EllnetError:
+                if u == key:
+                    raise
+                memo[key] = box(key)
+                return
+            continue
+        if u.count(0) == len(u) - 1:
+            n = sum(u)
+            memo[u] = psi(u.index(n), n)
+            counts["psi"] += 1
+            continue
+        steps[u] = [_normalize(t) for t in itertools.chain(*_ladder_terms(u))]
+        stack.extend(t for t, _ in steps[u])
+    if not steps:
+        return
+    for u in sorted(steps, key=_max_norm):
+        w = [memo[t] if s > 0 else -memo[t] for t, s in steps[u]]
+        memo[u] = combine(w[0] * w[1] * w[2] * w[3] - w[4] * w[5] * w[6] * w[7])
+    counts["ladder"] += len(steps)
 
 
 def _exact(x):
@@ -369,15 +361,14 @@ class EllipticNet:
         return cache[v]
 
     def local_height(self, v: Sequence[int], p: int) -> Fraction | None:
-        """lambda_p(v . P) as ``neron_local_height``, None at the identity.
-
-        On an integral model it is read off the cached (A, B, D) triple.
-        """
+        """lambda_p(v . P) as ``neron_local_height``, None at the identity,
+        read off the cached (A, B, D) triple; a net with no integral model
+        raises ``ModelNotIntegralError``."""
         pt = self._cached_point(self._key(v))
         if self._is_identity(pt):
             return None
         if self._law is None:
-            return neron_local_height(self.curve, pt, p)
+            raise ModelNotIntegralError("local heights need an integral rational model")
         return self._law.local_height(pt, p)
 
     def _is_identity(self, pt) -> bool:
@@ -596,8 +587,26 @@ class EllipticNet:
         if self._is_identity(pt):
             raise DependentPointsError(f"{v} . P is the identity")
         if self._law is None:
-            return decompose(self.curve, pt).d
+            raise ModelNotIntegralError("the denominator net needs an integral model")
         return self._law.denominator(pt)
+
+
+def reduce_base_points(net: EllipticNet, p: int) -> tuple[tuple[CurvePoint, ...], list[str]]:
+    """The base points reduced mod p, and the standing hypotheses of
+    reduction checked: a P_i that reduces to infinity raises
+    ``PreconditionError``, and each P_i +- P_j that does is named."""
+    curve, points = net.curve, net.points
+    reduced = []
+    for i, pt in enumerate(points):
+        reduced.append(reduce_mod_p(curve, pt, p))
+        if reduced[i].is_infinity:
+            raise PreconditionError(f"P_{i} reduces to infinity mod {p}")
+    defects = [f"P_{i} {sign} P_{j} reduces to infinity mod {p}"
+               for i, j in itertools.combinations(range(len(points)), 2)
+               for sign, combo in (("+", curve.add(points[i], points[j])),
+                                   ("-", curve.sub(points[i], points[j])))
+               if reduce_mod_p(curve, combo, p).is_infinity]
+    return tuple(reduced), defects
 
 
 def _reduce_fraction(x: Fraction, p: int) -> PrimeFieldElement:
@@ -617,19 +626,17 @@ class ReducedNet:
 
     * max-norm at most 3: ``exact_value``, exact over Q and reduced;
     * one nonzero coordinate: psi_n of the reduced point P_i
-      (``DivisionPolynomials``, Shipsey's doubling);
-    * any other index: the halving ladder over int residues, whose leaves
-      are that box and psi on the axes, at every rank up to
-      LADDER_MAX_RANK.  It never divides, so it meets no zero divisor, and
-      it takes O(log |v|) levels.
+      (``DivisionPolynomials``, Shipsey's doubling; 0 at an even n where
+      psi_2 = 0 mod p);
+    * any other index: the halving ladder over int residues, down to that
+      box and psi on the axes, at every rank up to LADDER_MAX_RANK.  It
+      never divides, so it meets no zero divisor, and it takes O(log |v|)
+      levels.
 
-    Where psi raises (psi_2 = 0 mod p under an even axis value), the
-    ladder splits the axis index instead, from rank 2 up (its units need
-    two axes).  Where the ladder raises (dependent points in the box, or
-    psi on a rank-1 net), and at every index of a net of rank above
-    LADDER_MAX_RANK, the index takes ``exact_value``.  So ``value`` agrees
-    with ``exact_value`` wherever that answers, and raises only where it
-    raises.
+    Where a box value on the way raises (dependent points), and at every
+    index of a net of rank above LADDER_MAX_RANK, the index takes
+    ``exact_value``.  So ``value`` agrees with ``exact_value`` wherever
+    that answers, and raises only where it raises.
 
     ``route_counts`` counts the memoized residues by source: ``exact``,
     ``psi`` and ``ladder`` (halving steps).
@@ -644,18 +651,9 @@ class ReducedNet:
         self.p = p
         self.rank = net.rank
         self.gf_curve = reduce_curve(net.curve, p)
-        self.gf_points = tuple(reduce_mod_p(net.curve, pt, p) for pt in net.points)
-        for i, pt in enumerate(self.gf_points):
-            if pt.is_infinity:
-                raise PreconditionError(f"P_{i} reduces to infinity mod {p}")
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                for combo in (net.curve.add(net.points[i], net.points[j]),
-                              net.curve.sub(net.points[i], net.points[j])):
-                    if reduce_mod_p(net.curve, combo, p).is_infinity:
-                        raise PreconditionError(
-                            f"P_{i} +- P_{j} reduces to infinity mod {p}"
-                        )
+        self.gf_points, defects = reduce_base_points(net, p)
+        if defects:
+            raise PreconditionError(defects[0])
         self._residues: dict[Index, int] = {}
         self._divpolys = tuple(DivisionPolynomials(self.gf_curve, pt) for pt in self.gf_points)
         self.route_counts: Counter = Counter()

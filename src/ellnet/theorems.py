@@ -10,10 +10,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .curve import is_singular_reduction, reduce_mod_p
+from .curve import is_singular_reduction
 from .errors import NotEllipticSequenceError, PreconditionError, SingularReductionError
 from .fieldarith import PrimeFieldElement, Valuation, val_p
-from .net import EllipticNet, QuadraticFormData, box_indices
+from .net import EllipticNet, QuadraticFormData, box_indices, reduce_base_points
 from .lattice import Vector
 
 
@@ -73,23 +73,14 @@ def ayad_equivalence_report(net: EllipticNet, p: int, box_radius: int = 3,
                             n_max: int = 12) -> AyadReport:
     """Evaluate properties (a)-(e) with bounded searches over an exact net.
 
-    The standing hypotheses P_i != infinity and P_i +- P_j != infinity
-    mod p are recorded as warnings when violated rather than refused: the
-    bad-reduction fixtures exercise exactly those edges.
+    A P_i that reduces to infinity mod p is refused; each P_i +- P_j that
+    does is recorded as a warning rather than refused (``reduce_base_points``):
+    the bad-reduction fixtures exercise exactly those edges.
     """
     curve = net.curve
     if not curve.is_integral:
         raise PreconditionError("Ayad checker requires an integral model")
-    warnings = []
-    for i, pt in enumerate(net.points):
-        if reduce_mod_p(curve, pt, p).is_infinity:
-            raise PreconditionError(f"P_{i} reduces to infinity mod {p}")
-    for i in range(net.rank):
-        for j in range(i + 1, net.rank):
-            for sign, combo in (("+", curve.add(net.points[i], net.points[j])),
-                                ("-", curve.sub(net.points[i], net.points[j]))):
-                if combo.is_infinity or reduce_mod_p(curve, combo, p).is_infinity:
-                    warnings.append(f"P_{i} {sign} P_{j} = infinity (mod {p})")
+    _, warnings = reduce_base_points(net, p)
 
     rank = net.rank
     vp = lambda idx: val_p(net.value(idx), p)

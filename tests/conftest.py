@@ -2,8 +2,9 @@ import sys
 
 import pytest
 
-from ellnet import INFINITY, EllipticNet, ReducedNet, WeierstrassCurve, rational_point
-from ellnet.net import _normalize
+from ellnet import (INFINITY, DivisionPolynomials, EllipticNet, ReducedNet, WeierstrassCurve,
+                    rational_point)
+from ellnet.net import _normalize, _reduce_fraction
 
 # Fixture curves and generators; the table convention lists Q before P.
 E1_COEFFS = (0, 0, 0, 0, -11)
@@ -30,6 +31,14 @@ def assert_lattice_is_kernel(curve, points, lattice):
     for row in lattice.basis:
         assert image(row).is_infinity, row
     assert len({image(m) for m in lattice.representatives()}) == lattice.index()
+
+
+def assert_psi_is_exact_psi_reduced(divpoly, curve, point, p, limit=300):
+    """psi_n mod p from ``divpoly`` equals psi_n(point) over Q reduced mod p
+    for every |n| <= limit."""
+    exact = DivisionPolynomials(curve, point)
+    for n in range(-limit, limit + 1):
+        assert divpoly.psi(n) == _reduce_fraction(exact.psi(n), p), n
 
 
 def points_route(net, v):

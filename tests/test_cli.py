@@ -178,6 +178,14 @@ def test_precondition_exit_code(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_table_error_prints_no_partial_table(capsys):
+    # P = (2, 3) has order 6, so D_{6P} does not exist: the last entry of
+    # the grid raises after six entries have answered
+    code, out, err = run_cli(capsys, ["denom-table", "--curve", "0,0,0,0,1",
+                                      "--points", "(2,3);(0,1)", "--grid", "7x1"])
+    assert code == 2 and out == "" and "(6, 0)" in err
+
+
 def test_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["denom-table", "--curve", "0,0,0,0,-11"])
@@ -207,10 +215,11 @@ LONG_INDEX_EVAL = ["eval", *PQ_ARGS, "--method", "direct", "--prime", "19",
 # int <-> str conversion
 LONG_TABLE = ["net-table", *E1_ARGS, "--grid", "1x120"]
 LONG_TABLE_JSON = [*LONG_TABLE, "--format", "json"]
-# a rank-1 net at bad reduction: psi divides by psi_2 = 0 mod 7, so the
-# value is exact over Q, where psi answers above the box
+# a rank-1 net at bad reduction: psi_2(P) = 7, so psi mod 7 answers 0 at
+# every even index, with no exact detour over Q
 RANK_ONE_ARGS = ["--curve", "0,1,7,28,0", "--points", "(0,0)"]
 RANK_ONE_EVAL = ["eval", *RANK_ONE_ARGS, "--prime", "7", "--method", "direct", "--index=500"]
+RANK_ONE_HUGE_EVAL = RANK_ONE_EVAL[:-1] + ["--index=20000"]
 
 
 def run_subprocess(argv):
@@ -222,11 +231,13 @@ def run_subprocess(argv):
 
 
 @pytest.mark.parametrize("argv", CLI_MATRIX + [DEEP_EVAL, HUGE_EVAL, LONG_TABLE, LONG_TABLE_JSON,
-                                              SHORT_INDEX_EVAL, LONG_INDEX_EVAL, RANK_ONE_EVAL],
+                                              SHORT_INDEX_EVAL, LONG_INDEX_EVAL, RANK_ONE_EVAL,
+                                              RANK_ONE_HUGE_EVAL],
                          ids=[argv[0] for argv in CLI_MATRIX]
                          + ["eval-direct-deep", "eval-direct-huge", "net-table-1x120",
                             "net-table-1x120-json", "eval-direct-short-index",
-                            "eval-direct-long-index", "eval-direct-rank-one"])
+                            "eval-direct-long-index", "eval-direct-rank-one",
+                            "eval-direct-rank-one-huge"])
 def test_cli_matrix_never_tracebacks(argv):
     start = time.monotonic()
     proc = run_subprocess(argv)
@@ -253,6 +264,13 @@ def test_cli_matrix_never_tracebacks(argv):
         by_points = EllipticNet(curve, points)
         for n in range(151):
             assert reduced.value((n,)) == _reduce_fraction(points_route(by_points, (n,)), 7), n
+    if argv is RANK_ONE_HUGE_EVAL:
+        assert proc.returncode == 0 and elapsed < 2, (proc.stderr, elapsed)
+        curve, points = parse_curve(RANK_ONE_ARGS[1]), parse_points(RANK_ONE_ARGS[3])
+        reduced = ReducedNet(EllipticNet(curve, points), 7)
+        assert proc.stdout.strip() == str(reduced.value((20000,)).residue) == "0"
+        for n in (999, 1000):
+            assert reduced.value((n,)) == reduced.exact_value((n,)), n
 
 
 # Indices where the points route over F_p meets zero divisors: E2 mod 7 has
@@ -270,8 +288,8 @@ def test_eval_direct_matches_exact(capsys, args, prime, index):
 
 
 def test_eval_direct_on_bad_reduction_axis_is_bounded(capsys):
-    # psi divides by psi_2 = 0 mod 7 on this axis; the exact fallback is
-    # cubic in the index, the ladder logarithmic
+    # psi_2 = 0 mod 7 on this axis; psi answers without the exact fallback,
+    # whose cost is cubic in the index
     start = time.monotonic()
     code, out, err = run_cli(capsys, ["eval", *E2_ARGS, "--method", "direct", "--prime", "7",
                                       "--index=0,20001"])

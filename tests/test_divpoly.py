@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ellnet import CurvePoint, DivisionPolynomials, INFINITY, reduce_curve, reduce_mod_p
-from ellnet.errors import DegenerateNetError
-from conftest import P1, P2, Q2
+from conftest import P1, P2, Q1, Q2, assert_psi_is_exact_psi_reduced
 
 
 @pytest.fixture(scope="module")
@@ -101,13 +100,11 @@ def test_elliptic_sequence_law(dp1):
         assert lhs == rhs
 
 
-def test_degenerate_even_step_over_gf(e1):
-    # E1 mod 2 has psi_2(P) = 0; even indices beyond the base table cannot
-    # be reached by the mod-p recursion and must signal degeneracy
-    red = reduce_curve(e1, 2)
-    from ellnet import gf_point
-
-    dp = DivisionPolynomials(red, gf_point(1, 0, 2))
-    assert dp.psi(3) is not None
-    with pytest.raises(DegenerateNetError):
-        dp.psi(6)
+def test_degenerate_even_step_over_gf(e1, e2):
+    # psi_2(P) = 0 mod p: psi_2 divides every even psi_n, so the even values
+    # are 0 and psi answers at every index, equal to the exact psi reduced
+    for curve, point, p in ((e1, P1, 2), (e1, Q1, 29), (e2, P2, 7)):
+        dp = DivisionPolynomials(reduce_curve(curve, p), reduce_mod_p(curve, point, p))
+        assert dp.psi(2) == 0
+        assert dp.psi(3) is not None
+        assert_psi_is_exact_psi_reduced(dp, curve, point, p)

@@ -29,13 +29,15 @@ from ellnet.errors import (
     DegeneratePairError,
     DependentPointsError,
     EllnetError,
+    ModelNotIntegralError,
     PreconditionError,
     SingularCurveError,
 )
 from ellnet import IntegralModel
 from ellnet.net import (LADDER_BASE_NORM, _LADDER, _ladder_terms, _ladder_units, _normalize,
                         _reduce_fraction, box_indices)
-from conftest import E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2, points_route
+from conftest import (E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2, assert_psi_is_exact_psi_reduced,
+                      points_route)
 
 E1 = WeierstrassCurve(*E1_COEFFS)
 E2 = WeierstrassCurve(*E2_COEFFS)
@@ -234,6 +236,17 @@ def test_gf_points_strategy_signals_degeneracy(e1):
     direct = EllipticNet(red, (gf_point(1, 0, 2),))
     with pytest.raises(DegenerateNetError):
         direct.value((6,))
+
+
+def test_gf_recurrence_rank_one_where_psi_2_vanishes(e1):
+    # the rank-1 recurrence route over F_2 takes psi, which no longer raises
+    # where psi_2 = 0: the even values are 0, the odd ones the exact psi reduced
+    direct = EllipticNet(reduce_curve(e1, 2), (reduce_mod_p(e1, P1, 2),), strategy="recurrence")
+    exact = DivisionPolynomials(e1, P1)
+    for n in range(-40, 41):
+        assert direct.value((n,)) == _reduce_fraction(exact.psi(n), 2), n
+        if n % 2 == 0:
+            assert direct.value((n,)) == 0, n
 
 
 def test_reduced_net_at_singular_reduction(net2):
@@ -611,6 +624,22 @@ def _outcome(fn, v):
         return type(exc)
 
 
+def test_nets_without_an_integral_model_refuse_heights_and_denominators(e1):
+    # (0, 1/2) has order 3 on y^2 = x^3 + 1/4, and (3, 4) mod 7 has order 13
+    # on E1 mod 7: the identity checks come first, then the missing integer law
+    rational = EllipticNet(WeierstrassCurve(0, 0, 0, 0, Fraction(1, 4)),
+                           (rational_point(0, Fraction(1, 2)),))
+    finite = EllipticNet(reduce_curve(e1, 7), (reduce_mod_p(e1, P1, 7),))
+    for net, order in ((rational, 3), (finite, 13)):
+        for n in range(1, 2 * order + 1):
+            height = _outcome(lambda v: net.local_height(v, 5), (n,))
+            assert height == (None if n % order == 0 else ModelNotIntegralError), n
+    for n in range(1, 7):
+        assert _outcome(rational.denominator, (n,)) == (
+            DependentPointsError if n % 3 == 0 else ModelNotIntegralError), n
+        assert _outcome(finite.denominator, (n,)) is PreconditionError, n
+
+
 def _denominator_by_fraction_law(curve, points, v):
     """D_{v . P} from curve.mul, curve.add and decompose alone."""
     if not any(v):
@@ -843,7 +872,7 @@ DEGENERATE_LADDER_CASES = dict(
     **{"(2P,P)": (E1_COEFFS, ("2P", (3, 4)))})
 # indices on the radius-8 box that the points route refuses with
 # DependentPointsError and that now answer from the ladder or psi
-DEGENERATE_NEWLY_ANSWERED = {"node-smooth": 0, "dependent": 6, "torsion-rank-2": 38,
+DEGENERATE_NEWLY_ANSWERED = {"node-smooth": 0, "dependent": 6, "torsion-rank-2": 42,
                              "(2P,P)": 4}
 
 
@@ -876,23 +905,22 @@ def test_reduced_net_route_counts(net1_pq):
     assert counts["psi"] == 0
     reduced.value((0, 900))
     assert reduced.route_counts == counts + Counter(psi=1)
-    # E2 mod 7 has bad reduction: psi_2(P) = 7 sends even axis values to
-    # the ladder, which never divides
+    # E2 mod 7 has bad reduction: psi_2(P) = 7, so psi gives 0 at even axis
+    # values, with no division
     bad = ReducedNet(EllipticNet(E2, (Q2, P2)), 7)
     bad.value((0, 12))
-    assert bad.route_counts["ladder"] > 0
+    assert bad.route_counts == Counter(psi=1)
 
 
 @pytest.mark.parametrize("curve, points, p, limit", [
     (E2, (Q2, P2), 7, 400),  # bad reduction, psi_2(P) = 7
     (E1, (P1, Q1), 29, 200),  # Q = (15, 58) reduces to a 2-torsion point
 ], ids=["E2-mod-7", "E1-mod-29"])
-def test_axis_where_psi_divides_by_zero_takes_the_ladder(curve, points, p, limit):
+def test_axis_where_psi_2_vanishes_takes_psi(curve, points, p, limit):
     net = EllipticNet(curve, points)
     reduced, oracle = ReducedNet(net, p), ReducedNet(net, p)
-    with pytest.raises(DegenerateNetError):
-        reduced._divpolys[1].psi(limit)
     for n in range(limit + 1):
         assert reduced.value((0, n)) == oracle.exact_value((0, n)), n
-    assert reduced.route_counts["ladder"] > 0
+    assert_psi_is_exact_psi_reduced(reduced._divpolys[1], curve, points[1], p)
+    assert reduced.route_counts["ladder"] == 0
     assert reduced.route_counts["exact"] <= len(box_indices(2, LADDER_BASE_NORM))
