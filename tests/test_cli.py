@@ -207,6 +207,10 @@ DEEP_EVAL = ["eval", *PQ_ARGS, "--method", "direct", "--prime", "1000003",
              "--index=600,599"]
 HUGE_INDEX = "--index=738495061837265019283746501923,-401928374650192837465019283746"
 HUGE_EVAL = ["eval", *PQ_ARGS, "--method", "direct", "--prime", "89", HUGE_INDEX]
+# psi at an axis index of 400 digits, alone and inside the ladder: far more
+# halvings than the default recursion limit allows frames
+AXIS_HUGE_EVAL = HUGE_EVAL[:-1] + [f"--index=0,{10 ** 400}"]
+NEAR_AXIS_HUGE_EVAL = HUGE_EVAL[:-1] + [f"--index={10 ** 400},1"]
 # indices whose length is not the rank of the net: a usage error
 SHORT_INDEX_EVAL = ["eval", *PQ_ARGS, "--method", "direct", "--prime", "19", "--index=10"]
 LONG_INDEX_EVAL = ["eval", *PQ_ARGS, "--method", "direct", "--prime", "19",
@@ -232,12 +236,14 @@ def run_subprocess(argv):
 
 @pytest.mark.parametrize("argv", CLI_MATRIX + [DEEP_EVAL, HUGE_EVAL, LONG_TABLE, LONG_TABLE_JSON,
                                               SHORT_INDEX_EVAL, LONG_INDEX_EVAL, RANK_ONE_EVAL,
-                                              RANK_ONE_HUGE_EVAL],
+                                              RANK_ONE_HUGE_EVAL, AXIS_HUGE_EVAL,
+                                              NEAR_AXIS_HUGE_EVAL],
                          ids=[argv[0] for argv in CLI_MATRIX]
                          + ["eval-direct-deep", "eval-direct-huge", "net-table-1x120",
                             "net-table-1x120-json", "eval-direct-short-index",
                             "eval-direct-long-index", "eval-direct-rank-one",
-                            "eval-direct-rank-one-huge"])
+                            "eval-direct-rank-one-huge", "eval-direct-axis-huge",
+                            "eval-direct-near-axis-huge"])
 def test_cli_matrix_never_tracebacks(argv):
     start = time.monotonic()
     proc = run_subprocess(argv)
@@ -251,9 +257,9 @@ def test_cli_matrix_never_tracebacks(argv):
                          1000003)
         assert proc.returncode == 0
         assert proc.stdout.strip() == str(net.value((600, 599)).residue)
-    if argv is HUGE_EVAL:
+    if argv in (HUGE_EVAL, AXIS_HUGE_EVAL, NEAR_AXIS_HUGE_EVAL):
         symmetry = run_subprocess(["eval", *PQ_ARGS, "--method", "symmetry", "--prime", "89",
-                                   HUGE_INDEX])
+                                   argv[-1]])
         assert proc.returncode == symmetry.returncode == 0, symmetry.stderr
         assert proc.stdout == symmetry.stdout
     if argv is RANK_ONE_EVAL:
@@ -340,3 +346,20 @@ def test_main_restores_the_int_digit_limit(capsys):
     assert main(["symmetry", *PQ_ARGS, "--prime", "3"]) == 2
     assert sys.get_int_max_str_digits() == limit
     capsys.readouterr()
+
+
+def test_consecutive_main_calls_match_fresh_processes(capsys):
+    # one parser serves every call in a process; a call must not see the
+    # subcommand, options or defaults of the call before it
+    argvs = [
+        ["eval", *PQ_ARGS, "--prime", "13", "--method", "direct", "--index=5,7"],
+        ["eval", *PQ_ARGS, "--prime", "13", "--index=5,7"],
+        ["symmetry", *PQ_ARGS, "--prime", "13", "--format", "plain"],
+        ["symmetry", *PQ_ARGS, "--prime", "13"],
+        ["denom-table", *E1_ARGS, "--grid", "2x2"],
+        ["symmetry", *PQ_ARGS, "--prime", "3"],
+    ]
+    for argv in argvs:
+        code, out, _ = run_cli(capsys, argv)
+        proc = run_subprocess(argv)
+        assert (code, out) == (proc.returncode, proc.stdout), argv

@@ -366,13 +366,21 @@ def test_ladder_schedule_invariants():
                 assert max(map(abs, child)) < max(abs(m), abs(n)), (u, child)
 
 
+@functools.cache
+def points_box(curve, points):
+    """W on the box of radius 12 from the points route of a fresh net, which
+    takes no psi and no ladder: an oracle independent of the source rule."""
+    net = EllipticNet(curve, points)
+    return {v: points_route(net, v) for v in box_indices(2, 12)}
+
+
 @pytest.mark.parametrize("p", LADDER_PRIMES)
 def test_ladder_matches_exact_on_box(default_recursion_limit, net1_pq, net2, p):
     # E2 mod 7 has bad reduction: (0, 0) reduces to the singular point
     for net in (net1_pq, net2):
         reduced = ReducedNet(net, p)
-        for v in box_indices(2, 12):
-            assert reduced.value(v) == reduced.exact_value(v), (p, v)
+        for v, w in points_box(net.curve, net.points).items():
+            assert reduced.value(v) == _reduce_fraction(w, p), (p, v)
 
 
 @pytest.mark.parametrize("p", [7, 11, 19, 61, 89])
@@ -903,13 +911,16 @@ def test_reduced_net_route_counts(net1_pq):
     counts = Counter(reduced.route_counts)
     assert counts["ladder"] > 0 and counts["exact"] > 0
     assert counts["psi"] == 0
-    reduced.value((0, 900))
+    # axis values against psi of the right point, built here
+    q = DivisionPolynomials(reduced.gf_curve, reduce_mod_p(E1, Q1, 1000003))
+    assert reduced.value((0, 900)) == q.psi(900)
     assert reduced.route_counts == counts + Counter(psi=1)
     # E2 mod 7 has bad reduction: psi_2(P) = 7, so psi gives 0 at even axis
     # values, with no division
     bad = ReducedNet(EllipticNet(E2, (Q2, P2)), 7)
-    bad.value((0, 12))
+    assert bad.value((0, 12)) == 0
     assert bad.route_counts == Counter(psi=1)
+    assert bad.value((0, 13)) == DivisionPolynomials(bad.gf_curve, reduce_mod_p(E2, P2, 7)).psi(13)
 
 
 @pytest.mark.parametrize("curve, points, p, limit", [
@@ -917,10 +928,11 @@ def test_reduced_net_route_counts(net1_pq):
     (E1, (P1, Q1), 29, 200),  # Q = (15, 58) reduces to a 2-torsion point
 ], ids=["E2-mod-7", "E1-mod-29"])
 def test_axis_where_psi_2_vanishes_takes_psi(curve, points, p, limit):
-    net = EllipticNet(curve, points)
-    reduced, oracle = ReducedNet(net, p), ReducedNet(net, p)
+    reduced = ReducedNet(EllipticNet(curve, points), p)
+    # psi mod p of the second point, built here, and psi over Q reduced
+    oracle = DivisionPolynomials(reduce_curve(curve, p), reduce_mod_p(curve, points[1], p))
     for n in range(limit + 1):
-        assert reduced.value((0, n)) == oracle.exact_value((0, n)), n
-    assert_psi_is_exact_psi_reduced(reduced._divpolys[1], curve, points[1], p)
+        assert reduced.value((0, n)) == oracle.psi(n), n
+    assert_psi_is_exact_psi_reduced(oracle, curve, points[1], p)
     assert reduced.route_counts["ladder"] == 0
     assert reduced.route_counts["exact"] <= len(box_indices(2, LADDER_BASE_NORM))

@@ -5,6 +5,7 @@ import pytest
 
 from ellnet import (
     INFINITY,
+    symmetry,
     EllipticNet,
     ReducedNet,
     WeierstrassCurve,
@@ -156,6 +157,65 @@ def test_zero_lattice_refuses_non_unique(e2):
     net = ReducedNet(EllipticNet(e2, (P2,)), 7)
     with pytest.raises(NotSubgroupError):
         zero_lattice(net)
+
+
+def _refuse_scan(*args, **kwargs):
+    raise AssertionError("the psi scan ran at good reduction")
+
+
+@pytest.mark.parametrize("p", [13, 61, 89, 1009])
+def test_good_reduction_takes_no_scan(monkeypatch, net1_pq, p):
+    monkeypatch.setattr(symmetry, "rank_of_apparition", _refuse_scan)
+    sd = build_symmetry_data(ReducedNet(net1_pq, p))
+    if p in PAPER_LATTICES:
+        assert sd.lattice.basis == PAPER_LATTICES[p]
+    assert periodicity_check(sd, samples=10)
+
+
+def _counting_scan(monkeypatch):
+    calls = []
+    scan = symmetry.rank_of_apparition
+
+    def counted(net, axis, bound=None):
+        calls.append(axis)
+        return scan(net, axis, bound)
+
+    monkeypatch.setattr(symmetry, "rank_of_apparition", counted)
+    return calls
+
+
+def test_bad_reduction_keeps_the_scan(monkeypatch, capsys, e2, reduced1_pq):
+    # 11 divides the discriminant of E1 and 7 that of E2
+    calls = _counting_scan(monkeypatch)
+    assert zero_lattice(reduced1_pq[11]).basis == PAPER_LATTICES[11]
+    assert calls == [0, 1]
+    with pytest.raises(NotSubgroupError, match="rank of apparition"):
+        zero_lattice(ReducedNet(EllipticNet(e2, (P2,)), 7))
+    assert calls == [0, 1, 0]
+    from ellnet.cli import main
+
+    argv = ["symmetry", "--curve", "0,1,7,28,0", "--points", "(1,3);(0,0)", "--prime", "7"]
+    assert main(argv) == 2
+    assert "rank of apparition" in capsys.readouterr().err
+    assert calls == [0, 1, 0, 0, 1]
+
+
+def _axis_period(lattice, axis):
+    """Least n > 0 with n e_axis in the lattice."""
+    return next(n for n in itertools.count(1)
+                if lattice.contains(tuple(n if i == axis else 0 for i in range(lattice.rank))))
+
+
+@pytest.mark.parametrize("p", [1009, 10007])
+@pytest.mark.parametrize("points", [(P1, Q1), (Q1, P1)], ids=["pq", "qp"])
+def test_walk_lattice_matches_scan_at_larger_primes(e1, points, p):
+    net = ReducedNet(EllipticNet(e1, points), p)
+    sd = build_symmetry_data(net)
+    rhos = [entry.rho for entry in apparition_profile(net)]
+    assert [_axis_period(sd.lattice, axis) for axis in range(2)] == rhos
+    for row in sd.lattice.basis:
+        assert net.value(row) == 0, row
+    assert periodicity_check(sd)
 
 
 def test_delta_basics(reduced1_pq):
