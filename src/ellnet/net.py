@@ -16,8 +16,10 @@ differ only in their callbacks, the box, psi and the combine step:
 * an exact net over Q on the points strategy: the points route, psi over
   Q, and the identity on exact values.  So rank 1 takes psi above the box
   and ranks 2 to 6 the ladder.
-* ``ReducedNet``: ``exact_value`` (exact over Q, then reduced), psi of the
-  reduced point, and ``x % p`` on int residues.
+* ``ReducedNet``: at ranks 1 and 2 the box seeded from reduced residues
+  (``_SEED_ROWS``, with no group law over Q), at ranks 3 to 6
+  ``exact_value`` (exact over Q, then reduced); psi of the reduced point,
+  and ``x % p`` on int residues.
 
 The box of an exact net, and every value of a net on the recurrence
 strategy or over F_p, comes from ``EllipticNet._run``: an explicit stack of
@@ -54,12 +56,12 @@ no such index raises, since an index whose ladder box raises is evaluated
 on the points route instead.  An index the points route refuses with
 ``DependentPointsError`` may get Psi_v(P) from the division-free ladder or
 psi, at any rank.  Over a prime field a zero divisor on either route raises
-``DegenerateNetError``; ``ReducedNet`` meets none, since neither the ladder
-nor psi divides by a zero.
+``DegenerateNetError``; ``ReducedNet`` meets none, since its seeded box,
+the ladder and psi never divide by a zero.
 
 ``route_counts`` on a net counts its memoized values by route (base, psi,
 ladder, points, recurrence), and on a ``ReducedNet`` its residues by
-source (exact, psi, ladder).
+source (seed, exact, psi, ladder).
 """
 from __future__ import annotations
 
@@ -72,8 +74,8 @@ from functools import cache, reduce
 from operator import add, mul, sub
 from typing import Callable, Sequence
 
-from .curve import (INFINITY, CurvePoint, IntegralModel, WeierstrassCurve, decompose,
-                    reduce_curve, reduce_mod_p)
+from .curve import (INFINITY, CurvePoint, IntegralModel, WeierstrassCurve, _reduce_triple,
+                    decompose, reduce_curve)
 from .divpoly import DivisionPolynomials
 from .errors import (
     DegenerateNetError,
@@ -292,10 +294,16 @@ class EllipticNet:
         points = tuple(points)
         if not points:
             raise PreconditionError("at least one base point is required")
+        law = IntegralModel(curve) if curve.is_integral else None
+        cached = []
         for pt in points:
             if pt.is_infinity:
                 raise PreconditionError("base points must be affine")
-            curve.require_on_curve(pt)
+            if law is None:
+                curve.require_on_curve(pt)
+                cached.append(pt)
+            else:  # decompose, inside triple, checks that pt is on the curve
+                cached.append(law.triple(pt))
         for i in range(len(points)):
             for j in range(i + 1, len(points)):
                 if points[i].x == points[j].x:
@@ -309,11 +317,8 @@ class EllipticNet:
         self._zero = points[0].x - points[0].x
         self._one = points[0].x ** 0
         self._values: dict[Index, object] = {}
-        law = self._law = IntegralModel(curve) if curve.is_integral else None
-        if law is None:
-            cached, neg, origin = points, curve.neg, INFINITY
-        else:
-            cached, neg, origin = [law.triple(pt) for pt in points], law.neg, None
+        self._law = law
+        neg, origin = (curve.neg, INFINITY) if law is None else (law.neg, None)
         # (P_i, -P_i) in the cache's form
         self._steps = tuple((pt, neg(pt)) for pt in cached)
         self._points_cache: dict[Index, object] = {(0,) * self.rank: origin}
@@ -591,21 +596,85 @@ class EllipticNet:
         return self._law.denominator(pt)
 
 
+def _net_terms(p: Index, q: Index, r: Index, s: Index) -> tuple[tuple[Index, ...], ...]:
+    """The indices of the three terms of the net recurrence T0 + T1 + T2 = 0,
+
+        T0 = W(p+q+s) W(p-q) W(r+s) W(r),  T1 = W(q+r+s) W(q-r) W(p+s) W(p),
+        T2 = W(r+p+s) W(r-p) W(q+s) W(q)."""
+    def term(a: Index, b: Index, c: Index) -> tuple[Index, ...]:
+        return (tuple(x + y + z for x, y, z in zip(a, b, s)), tuple(map(sub, a, b)),
+                tuple(map(add, c, s)), c)
+    return term(p, q, r), term(q, r, p), term(r, p, q)
+
+
+# The rank-2 box |u| <= 3 from its eleven seeds W(0), W(e1) = W(e2) =
+# W(e1+e2) = 1, psi_2 and psi_3 on each axis, W(2,1), W(1,2) and W(2,2).
+# A row (target, (p, q, r, s), k) names the term T_k of ``_net_terms`` whose
+# first index is +-target and whose other three are units, where W = +-1;
+# the other two terms hold seeds and earlier targets only.
+_SEED_ROWS = (
+    ((1, -1), ((-2, -1), (-1, -1), (-1, 0), (2, 2)), 2),
+    ((1, -2), ((-2, 0), (-1, -1), (-1, 0), (2, 2)), 2),
+    ((2, -1), ((-1, -1), (-1, 0), (0, -1), (0, 2)), 0),
+    ((2, -2), ((-2, 0), (-2, 1), (-1, -1), (2, 1)), 0),
+    ((1, -3), ((-2, 1), (-1, -1), (-1, 1), (2, 1)), 2),
+    ((1, 3), ((-2, -2), (-1, -2), (-1, -1), (2, 1)), 0),
+    ((2, -3), ((-2, 1), (-2, 2), (-1, 0), (2, 0)), 0),
+    ((2, 3), ((-2, -2), (-2, -1), (-1, 0), (2, 0)), 0),
+    ((3, -3), ((-3, 0), (-2, 1), (-1, -1), (2, 2)), 0),
+    ((3, -2), ((-2, 0), (-2, 1), (-1, 0), (1, 1)), 0),
+    ((3, -1), ((-2, -1), (-2, 0), (-1, -1), (1, 2)), 0),
+    ((3, 1), ((-2, -2), (-2, -1), (-1, -1), (1, 2)), 0),
+    ((3, 2), ((-2, -2), (-2, -1), (-1, 0), (1, 1)), 0),
+    ((3, 3), ((-3, -2), (-2, -2), (-1, -1), (2, 1)), 0),
+)
+
+
+def _seed_step(p: Index, q: Index, r: Index, s: Index, k: int) -> tuple[int, tuple]:
+    """(sign, factors) with W(target) = sign * (prod W(factors[:4]) +
+    prod W(factors[4:])): T_k = W(+-target) * (+-1) is minus the other two
+    terms.  The factors are (normalized index, sign) pairs."""
+    terms = _net_terms(p, q, r, s)
+    (head, *units), rest = terms[k], terms[:k] + terms[k + 1:]
+    sign = -_normalize(head)[1] * reduce(mul, (_normalize(u)[1] for u in units))
+    return sign, tuple(_normalize(t) for t in itertools.chain(*rest))
+
+
+_SEED_STEPS = tuple((target, *_seed_step(*quad, k)) for target, quad, k in _SEED_ROWS)
+
+
+def _box_from_seeds(seeds: dict[Index, object], combine: Callable[[object], object]) -> dict:
+    """The rank-2 box from its eleven seeds by the rows of ``_SEED_ROWS``,
+    with ``combine`` applied to each new value.  A row multiplies its
+    target only by units, so no step divides."""
+    box = dict(seeds)
+    for target, sign, factors in _SEED_STEPS:
+        w = [box[t] if s > 0 else -box[t] for t, s in factors]
+        box[target] = combine(sign * (w[0] * w[1] * w[2] * w[3] + w[4] * w[5] * w[6] * w[7]))
+    return box
+
+
 def reduce_base_points(net: EllipticNet, p: int) -> tuple[tuple[CurvePoint, ...], list[str]]:
     """The base points reduced mod p, and the standing hypotheses of
     reduction checked: a P_i that reduces to infinity raises
-    ``PreconditionError``, and each P_i +- P_j that does is named."""
-    curve, points = net.curve, net.points
+    ``PreconditionError``, and each P_i +- P_j that does is named.
+
+    Both are read off the net's cached (A, B, D) triples: a point reduces
+    to infinity when it is the identity or p divides D, and P_i +- P_j is
+    the cached point at e_i +- e_j, formed by ``IntegralModel.add``."""
+    if net._law is None:
+        raise ModelNotIntegralError("reduction requires an integral model")
     reduced = []
-    for i, pt in enumerate(points):
-        reduced.append(reduce_mod_p(curve, pt, p))
+    for i, (pt, _) in enumerate(net._steps):
+        reduced.append(_reduce_triple(*pt, p))
         if reduced[i].is_infinity:
             raise PreconditionError(f"P_{i} reduces to infinity mod {p}")
-    defects = [f"P_{i} {sign} P_{j} reduces to infinity mod {p}"
-               for i, j in itertools.combinations(range(len(points)), 2)
-               for sign, combo in (("+", curve.add(points[i], points[j])),
-                                   ("-", curve.sub(points[i], points[j])))
-               if reduce_mod_p(curve, combo, p).is_infinity]
+    defects = []
+    for i, j in itertools.combinations(range(net.rank), 2):
+        for sign, s in (("+", 1), ("-", -1)):
+            combo = net._cached_point(tuple((k == i) + s * (k == j) for k in range(net.rank)))
+            if combo is None or combo[2] % p == 0:
+                defects.append(f"P_{i} {sign} P_{j} reduces to infinity mod {p}")
     return tuple(reduced), defects
 
 
@@ -621,10 +690,18 @@ class ReducedNet:
 
     Valid whenever every P_i and every P_i +- P_j stays away from infinity
     mod p, which the constructor verifies; net values are then p-integral.
-    Each index v takes its residue from one source, by the rule of
-    ``_net_value`` that exact nets follow too:
+    Net values are integer polynomials in the x_i, y_i, the a_j and the
+    (x_i - x_j)^-1 (Stange), so reduction mod p is a ring map and the
+    reduced seeds fix the reduced net.  Each index v takes its residue from
+    one source, by the rule of ``_net_value`` that exact nets follow too:
 
-    * max-norm at most 3: ``exact_value``, exact over Q and reduced;
+    * max-norm at most 3, at ranks 1 and 2: the box seeded by the
+      constructor, with no group law over Q.  The seeds are W(0), the units, psi_2 and psi_3 of each
+      reduced P_i and, at rank 2, W(2,1) and W(1,2) exact over Q and
+      reduced, and W(2,2) = psi_2 of P_1 + P_2 reduced; the rows of
+      ``_SEED_ROWS`` give the rest, multiplying only by units, so no step
+      divides.  At ranks 3 to 6 ``exact_value``, exact over Q and
+      reduced: no division-free derivation of those boxes is known here;
     * one nonzero coordinate: psi_n of the reduced point P_i
       (``DivisionPolynomials``, Shipsey's doubling; 0 at an even n where
       psi_2 = 0 mod p);
@@ -633,13 +710,14 @@ class ReducedNet:
       never divides, so it meets no zero divisor, and it takes O(log |v|)
       levels.
 
-    Where a box value on the way raises (dependent points), and at every
-    index of a net of rank above LADDER_MAX_RANK, the index takes
+    Where an exact box value on the way raises (dependent points), and at
+    every index of a net of rank above LADDER_MAX_RANK, the index takes
     ``exact_value``.  So ``value`` agrees with ``exact_value`` wherever
-    that answers, and raises only where it raises.
+    that answers, and raises only where it raises; at ranks 1 and 2 it may
+    answer Psi_v(P) mod p where ``exact_value`` refuses dependent points.
 
-    ``route_counts`` counts the memoized residues by source: ``exact``,
-    ``psi`` and ``ladder`` (halving steps).
+    ``route_counts`` counts the memoized residues by source: ``seed``
+    (the seeded box), ``exact``, ``psi`` and ``ladder`` (halving steps).
     """
 
     def __init__(self, net: EllipticNet, p: int):
@@ -654,9 +732,9 @@ class ReducedNet:
         self.gf_points, defects = reduce_base_points(net, p)
         if defects:
             raise PreconditionError(defects[0])
-        self._residues: dict[Index, int] = {}
         self._divpolys = tuple(DivisionPolynomials(self.gf_curve, pt) for pt in self.gf_points)
-        self.route_counts: Counter = Counter()
+        self._residues: dict[Index, int] = self._seeded_box() if self.rank <= 2 else {}
+        self.route_counts: Counter = Counter(seed=len(self._residues))
 
     def value(self, v: Sequence[int]) -> PrimeFieldElement:
         key, sign = _normalize(self.net._key(v))
@@ -674,6 +752,21 @@ class ReducedNet:
         w = self.exact_value(u).residue
         self.route_counts["exact"] += 1
         return w
+
+    def _seeded_box(self) -> dict[Index, int]:
+        """The box |u| <= 3 at rank 1 or 2 from the reduced seeds."""
+        psi = [(d.psi(2).residue, d.psi(3).residue) for d in self._divpolys]
+        if self.rank == 1:
+            return {(0,): 0, (1,): 1, (2,): psi[0][0], (3,): psi[0][1]}
+        net, p = self.net, self.p
+        a, b, d = net._cached_point((1, 1))  # P_1 + P_2, affine mod p
+        seeds = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 1,
+                 (2, 0): psi[0][0], (3, 0): psi[0][1], (0, 2): psi[1][0], (0, 3): psi[1][1],
+                 # psi_2 = 2y + a1 x + a3 of P_1 + P_2 = (a / d^2, b / d^3)
+                 (2, 2): (2 * b + net._law.a1 * a * d + net._law.a3 * d ** 3) * pow(d, -3, p) % p}
+        for v in ((2, 1), (1, 2)):
+            seeds[v] = _reduce_fraction(initial_net_value(net.curve, net.points, v), p).residue
+        return _box_from_seeds(seeds, self._residue)
 
     def _psi(self, axis: int, n: int) -> int:
         return self._divpolys[axis].psi(n).residue
@@ -737,25 +830,11 @@ def recurrence_check(value_fn: Callable[[Index], object], rank: int,
     """
     rng = random.Random(seed)
     violations = []
-
-    def rand_index() -> Index:
-        return tuple(rng.randint(-box_radius, box_radius) for _ in range(rank))
-
-    def plus(*vs: Index) -> Index:
-        return tuple(sum(cs) for cs in zip(*vs))
-
-    def minus(a: Index, b: Index) -> Index:
-        return tuple(x - y for x, y in zip(a, b))
-
     for _ in range(trials):
-        p, q, r, s = rand_index(), rand_index(), rand_index(), rand_index()
-        total = (
-            value_fn(plus(p, q, s)) * value_fn(minus(p, q)) * value_fn(plus(r, s)) * value_fn(r)
-            + value_fn(plus(q, r, s)) * value_fn(minus(q, r)) * value_fn(plus(p, s)) * value_fn(p)
-            + value_fn(plus(r, p, s)) * value_fn(minus(r, p)) * value_fn(plus(q, s)) * value_fn(q)
-        )
-        if total != 0:
-            violations.append((p, q, r, s))
+        quad = tuple(tuple(rng.randint(-box_radius, box_radius) for _ in range(rank))
+                     for _ in range(4))
+        if sum(reduce(mul, map(value_fn, term)) for term in _net_terms(*quad)) != 0:
+            violations.append(quad)
     return violations
 
 

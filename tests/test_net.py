@@ -30,12 +30,14 @@ from ellnet.errors import (
     DependentPointsError,
     EllnetError,
     ModelNotIntegralError,
+    PointNotOnCurveError,
     PreconditionError,
     SingularCurveError,
 )
 from ellnet import IntegralModel
-from ellnet.net import (LADDER_BASE_NORM, _LADDER, _ladder_terms, _ladder_units, _normalize,
-                        _reduce_fraction, box_indices)
+from ellnet.net import (LADDER_BASE_NORM, _LADDER, _SEED_ROWS, _box_from_seeds, _ladder_terms,
+                        _ladder_units, _net_terms, _normalize, _reduce_fraction, box_indices,
+                        reduce_base_points)
 from conftest import (E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2, assert_psi_is_exact_psi_reduced,
                       points_route)
 
@@ -909,8 +911,9 @@ def test_reduced_net_route_counts(net1_pq):
     reduced = ReducedNet(net1_pq, 1000003)
     reduced.value((10 ** 20 + 3, 7 * 10 ** 19))
     counts = Counter(reduced.route_counts)
-    assert counts["ladder"] > 0 and counts["exact"] > 0
-    assert counts["psi"] == 0
+    # the rank-2 box is seeded with the net, none of it exact over Q
+    assert counts["ladder"] > 0 and counts["seed"] == 25
+    assert counts["psi"] == 0 and counts["exact"] == 0
     # axis values against psi of the right point, built here
     q = DivisionPolynomials(reduced.gf_curve, reduce_mod_p(E1, Q1, 1000003))
     assert reduced.value((0, 900)) == q.psi(900)
@@ -919,7 +922,7 @@ def test_reduced_net_route_counts(net1_pq):
     # values, with no division
     bad = ReducedNet(EllipticNet(E2, (Q2, P2)), 7)
     assert bad.value((0, 12)) == 0
-    assert bad.route_counts == Counter(psi=1)
+    assert bad.route_counts == Counter(seed=25, psi=1)
     assert bad.value((0, 13)) == DivisionPolynomials(bad.gf_curve, reduce_mod_p(E2, P2, 7)).psi(13)
 
 
@@ -934,5 +937,171 @@ def test_axis_where_psi_2_vanishes_takes_psi(curve, points, p, limit):
     for n in range(limit + 1):
         assert reduced.value((0, n)) == oracle.psi(n), n
     assert_psi_is_exact_psi_reduced(oracle, curve, points[1], p)
-    assert reduced.route_counts["ladder"] == 0
-    assert reduced.route_counts["exact"] <= len(box_indices(2, LADDER_BASE_NORM))
+    assert reduced.route_counts == Counter(seed=25, psi=limit + 1 - 4)
+
+
+# --- the seeded rank-2 box of ReducedNet ----------------------------------------
+
+UNITS = {(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)}
+SEEDS = {(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (3, 0), (0, 2), (0, 3), (2, 1), (1, 2), (2, 2)}
+# the rank-2 configurations of the seeded box checks
+SEEDED_CONFIGS = {
+    "E1-pq": (E1, (P1, Q1)), "E1-qp": (E1, (Q1, P1)),
+    "E2-pq": (E2, (P2, Q2)), "E2-qp": (E2, (Q2, P2)),
+    "5077a": (CURVE_5077A, (rational_point(0, 2), rational_point(1, 0))),
+}
+
+
+def test_seed_rows_are_well_founded():
+    known = set(SEEDS)
+    for target, quad, k in _SEED_ROWS:
+        terms = _net_terms(*quad)
+        head, *units = terms[k]
+        assert head in (target, tuple(-c for c in target)), target
+        assert set(units) <= UNITS, target
+        rest = [t for j, term in enumerate(terms) if j != k for t in term]
+        assert {_normalize(t)[0] for t in rest} <= known, target
+        assert all(max(map(abs, t)) <= 3 for term in terms for t in term), target
+        known.add(target)
+    # the seeds and the rows cover the normalized box, each index once
+    assert len(known) == len(SEEDS) + len(_SEED_ROWS)
+    assert known == {_normalize(v)[0] for v in box_indices(2, 3)}
+
+
+@pytest.mark.parametrize("config", sorted(SEEDED_CONFIGS))
+def test_seed_rows_rebuild_the_box_over_q(config):
+    curve, points = SEEDED_CONFIGS[config]
+    psi = [DivisionPolynomials(curve, pt) for pt in points]
+    seeds = {(0, 0): Fraction(0), (1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(1),
+             (2, 0): psi[0].psi(2), (3, 0): psi[0].psi(3),
+             (0, 2): psi[1].psi(2), (0, 3): psi[1].psi(3),
+             (2, 1): initial_net_value(curve, points, (2, 1)),
+             (1, 2): initial_net_value(curve, points, (1, 2)),
+             (2, 2): DivisionPolynomials(curve, curve.add(*points)).psi(2)}
+    box = _box_from_seeds(seeds, lambda x: x)
+    by_points = EllipticNet(curve, points)
+    for v in box_indices(2, 3):
+        key, sign = _normalize(v)
+        assert sign * box[key] == points_route(by_points, v), v
+
+
+def _primes(bound):
+    return [n for n in range(2, bound) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+
+
+def test_seeded_box_matches_exact_value_mod_p():
+    # exact_value is read from a net of its own, so that the seeded box
+    # and its oracle share no memo
+    box = box_indices(2, 3)
+    constructed = []
+    for config, (curve, points) in sorted(SEEDED_CONFIGS.items()):
+        oracle = EllipticNet(curve, points)
+        for p in _primes(400) + [1009, 1000003]:
+            try:
+                reduced = ReducedNet(EllipticNet(curve, points), p)
+            except PreconditionError:
+                continue
+            exact = ReducedNet(oracle, p)
+            for v in box:
+                assert reduced.value(v) == exact.exact_value(v), (config, p, v)
+            assert reduced.route_counts == Counter(seed=25), (config, p)
+            constructed.append((config, p))
+    assert len(constructed) * len(box) == 19404
+    for p in (2, 3, 7, 11):
+        assert any(q == p for _, q in constructed), p
+
+
+@pytest.mark.parametrize("curve, points, p", [
+    (E1, (P1, Q1), 61), (E1, (P1, Q1), 1000003),
+    (E2, (Q2, P2), 7),  # bad reduction
+    (E1, (P1, Q1), 29),  # Q reduces to a point of order 2
+], ids=["E1-61", "E1-1000003", "E2-7", "E1-29"])
+def test_rank_two_reduced_values_take_no_group_law_over_q(monkeypatch, curve, points, p):
+    indices = box_indices(2, 3) + [(4, -5), (7, 3), (-9, 13), (10 ** 20 + 3, 7 * 10 ** 19)]
+    expected = {v: ReducedNet(EllipticNet(curve, points), p).exact_value(v)
+                for v in indices if max(map(abs, v)) < 100}
+    reduced = ReducedNet(EllipticNet(curve, points), p)
+    field_add = WeierstrassCurve.add
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact work after construction")
+
+    def add_over_fp_only(self, *args):
+        if self.gf_modulus is None:
+            refuse()
+        return field_add(self, *args)
+
+    monkeypatch.setattr(ReducedNet, "exact_value", refuse)
+    monkeypatch.setattr(EllipticNet, "value", refuse)
+    monkeypatch.setattr(WeierstrassCurve, "add", add_over_fp_only)
+    for v in indices:
+        w = reduced.value(v)
+        assert w == expected.get(v, w), v
+    assert reduced.route_counts["exact"] == 0
+
+
+def _reduce_base_points_by_fraction_law(curve, points, p):
+    """reduce_base_points from curve.add, curve.sub and reduce_mod_p alone."""
+    reduced = []
+    for i, pt in enumerate(points):
+        reduced.append(reduce_mod_p(curve, pt, p))
+        if reduced[i].is_infinity:
+            raise PreconditionError(f"P_{i} reduces to infinity mod {p}")
+    defects = [f"P_{i} {sign} P_{j} reduces to infinity mod {p}"
+               for i, j in itertools.combinations(range(len(points)), 2)
+               for sign, combo in (("+", curve.add(points[i], points[j])),
+                                   ("-", curve.sub(points[i], points[j])))
+               if reduce_mod_p(curve, combo, p).is_infinity]
+    return tuple(reduced), defects
+
+
+def _outcome_with_message(fn, *args):
+    try:
+        return fn(*args)
+    except EllnetError as exc:
+        return type(exc), str(exc)
+
+
+def test_reduce_base_points_matches_fraction_law():
+    configs = [(E1, (P1, Q1)), (E1, (Q1, P1)), (E2, (P2, Q2)), (E2, (Q2, P2)),
+               (CURVE_5077A, (rational_point(0, 2), rational_point(1, 0))),
+               (CURVE_5077A, POINTS_5077A)]
+    # the Ayad fixtures of test_theorems: net1 = E1 (Q, P), net2 = E2 (Q, P)
+    cases = [(curve, points, p) for curve, points in configs for p in _primes(100)]
+    cases += [(E1, (Q1, P1), p) for p in (3, 5, 11, 13)]
+    cases += [(E2, (Q2, P2), p) for p in (5, 7, 11)]
+    defects = 0
+    for curve, points, p in cases:
+        got = _outcome_with_message(reduce_base_points, EllipticNet(curve, points), p)
+        assert got == _outcome_with_message(_reduce_base_points_by_fraction_law,
+                                            curve, points, p), (points, p)
+        defects += isinstance(got[1], list) and len(got[1])
+    assert defects > 0
+
+
+def test_constructor_checks_each_base_point_once(monkeypatch):
+    calls = []
+    on_curve = WeierstrassCurve.require_on_curve
+
+    def counted(self, point):
+        calls.append(point)
+        return on_curve(self, point)
+
+    monkeypatch.setattr(WeierstrassCurve, "require_on_curve", counted)
+    rational = WeierstrassCurve(0, 0, 0, 0, Fraction(1, 4))
+    finite = reduce_curve(E1, 7)
+    for curve, points in ((E1, (P1, Q1)), (CURVE_5077A, POINTS_5077A),
+                          (rational, (rational_point(0, Fraction(1, 2)),)),
+                          (finite, (reduce_mod_p(E1, P1, 7), reduce_mod_p(E1, Q1, 7)))):
+        calls.clear()
+        EllipticNet(curve, points)
+        assert calls == list(points)
+    # one fault each: the error that names it
+    monkeypatch.undo()
+    off_curve = rational_point(3, 5)
+    assert _outcome(lambda pts: EllipticNet(E1, pts), (P1, off_curve)) is PointNotOnCurveError
+    assert _outcome(lambda pts: EllipticNet(E1, pts), (off_curve,)) is PointNotOnCurveError
+    assert _outcome(lambda pts: EllipticNet(E1, pts), (P1, INFINITY)) is PreconditionError
+    assert _outcome(lambda pts: EllipticNet(E1, pts), (P1, E1.neg(P1))) is DegeneratePairError
+    assert _outcome(lambda pts: EllipticNet(rational, pts),
+                    (rational_point(0, 1),)) is PointNotOnCurveError
