@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +14,9 @@ from ellnet import EllipticNet, ReducedNet
 from ellnet.cli import main, parse_curve, parse_index, parse_point, parse_points
 from ellnet.lattice import lattice_from_generators
 from ellnet.net import _reduce_fraction
-from ellnet.render import factor_string, normalized, plain_string
+from ellnet.fieldarith import is_prime
+from ellnet.render import (DECIMAL_SPLIT_BITS, SEPARATOR, decimal_string, factor_string,
+                           normalized, plain_string)
 
 from conftest import assert_lattice_is_kernel, points_route
 
@@ -337,6 +340,47 @@ def test_net_table_prints_answers_of_any_size(unlimited_int_digits, argv):
         got = [Fraction(int(e["value"]["num"]), int(e["value"]["den"]))
                for e in json.loads(proc.stdout)]
     assert got == expected
+
+
+def _decimal_cases():
+    rng = random.Random(7)
+    for digits in (10**3, 10**4, 3 * 10**4, 10**5):
+        yield f"{digits}-digits", rng.randrange(10 ** (digits - 1), 10**digits)
+    for bits in (DECIMAL_SPLIT_BITS, DECIMAL_SPLIT_BITS + 1):
+        yield f"{bits}-bits-low", 1 << (bits - 1)
+        yield f"{bits}-bits-high", (1 << bits) - 1
+    yield "power-of-ten", 10**20000
+    yield "negative", -rng.randrange(1 << 60000)
+
+
+DECIMAL_CASES = dict(_decimal_cases())
+
+
+@pytest.mark.parametrize("n", DECIMAL_CASES.values(), ids=DECIMAL_CASES.keys())
+def test_decimal_string_matches_str(unlimited_int_digits, n):
+    assert decimal_string(n) == str(n)
+    assert plain_string(Fraction(2 * n + 1, 2)) == f"{2 * n + 1}/2"
+
+
+def test_net_table_1x14_factored(capsys):
+    # W(0,13) has prime factors of 14 and 24 digits: past rho, found by ECM
+    code, out, err = run_cli(capsys, ["net-table", *E1_ARGS, "--grid", "1x14",
+                                      "--format", "factored"])
+    assert code == 0, err
+    net = EllipticNet(parse_curve(E1_ARGS[1]), parse_points(E1_ARGS[3]))
+    lines = out.splitlines()
+    assert len(lines) == 14
+    for r, line in zip(range(13, -1, -1), lines):
+        value = Fraction(-1 if line.startswith("-") else 1)
+        for part in line.lstrip("-").split(SEPARATOR):
+            if part == "0":
+                value = Fraction(0)
+                break
+            base, _, exp = part.partition("^")
+            if base != "1":
+                assert is_prime(int(base)), base
+            value *= Fraction(int(base)) ** int(exp or 1)
+        assert value == net.value((0, r)), r
 
 
 def test_main_restores_the_int_digit_limit(capsys):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 import ellnet
 from ellnet import INFINITE_VALUATION, PrimeFieldElement, Valuation, factorize, is_prime, val_p
 from ellnet.errors import NonPrimeModulusError
-from ellnet.fieldarith import _factor_into
+from ellnet.fieldarith import factor_route_counts
 
 
 def test_val_p_examples():
@@ -104,8 +105,51 @@ def test_is_prime_past_the_twelve_base_bound():
     assert factorize(n).factors == ((399165290221, 1), (798330580441, 1))
 
 
+def _brent_rho(n: int, rng: random.Random) -> int:
+    """Unbudgeted Brent-cycle Pollard rho, as factorize ran it before ECM: a
+    nontrivial factor of composite odd n."""
+    while True:
+        y = rng.randrange(1, n)
+        c = rng.randrange(1, n)
+        m = 128
+        g = r = q = 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _rho_factor_into(n: int, out: dict[int, int], rng: random.Random) -> None:
+    if n == 1:
+        return
+    if is_prime(n):
+        out[n] = out.get(n, 0) + 1
+        return
+    d = _brent_rho(n, rng)
+    _rho_factor_into(d, out, rng)
+    _rho_factor_into(n // d, out, rng)
+
+
 def _trial_division_factorize(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The odd-divisor loop that factorize replaced, kept as its oracle."""
+    """The odd-divisor loop that factorize replaced, then unbudgeted rho:
+    the oracle, sharing no splitting code with factorize."""
     sign = 1 if n > 0 else -1
     n = abs(n)
     powers: dict[int, int] = {}
@@ -120,7 +164,7 @@ def _trial_division_factorize(n: int) -> tuple[int, tuple[tuple[int, int], ...]]
             powers[d] = powers.get(d, 0) + 1
         d += 2
     if n > 1:
-        _factor_into(n, powers, random.Random(0x5EED))
+        _rho_factor_into(n, powers, random.Random(0x5EED))
     return sign, tuple(sorted(powers.items()))
 
 
@@ -161,6 +205,53 @@ def test_factorize_matches_trial_division_on_table_entries(net1, net2):
                     _assert_matches_trial_division(value.denominator)
 
 
+@pytest.mark.parametrize("m, k", [(10**12 + 39, 2), (10**12 + 39, 3), (10**15 + 37, 2)],
+                         ids=["p12^2", "p12^3", "p15^2"])
+def test_factorize_splits_perfect_powers_at_once(m, k):
+    assert is_prime(m)
+    n = m**k * 7
+    factor_route_counts.clear()
+    start = time.perf_counter()
+    f = factorize(n)
+    assert time.perf_counter() - start < 0.1
+    # the construction is the oracle: the rho oracle takes 1-15 s on these
+    assert f.factors == ((7, 1), (m, k))
+    assert factor_route_counts["power"] == 1
+    assert factor_route_counts["rho"] == factor_route_counts["ecm"] == 0
+
+
+def _random_prime(rng: random.Random, digits: int) -> int:
+    while True:
+        p = rng.randrange(10 ** (digits - 1), 10**digits)
+        if is_prime(p):
+            return p
+
+
+def test_factorize_splits_semiprimes_past_rho_by_ecm():
+    # smaller factors of 12-15 digits: far past rho's budget
+    rng = random.Random(131)
+    semiprimes = []
+    for _ in range(10):
+        semiprimes.append(sorted((_random_prime(rng, rng.randint(12, 15)),
+                                  _random_prime(rng, rng.randint(18, 22)))))
+    factor_route_counts.clear()
+    for p, q in semiprimes:
+        assert factorize(p * q).factors == ((p, 1), (q, 1))
+    assert factor_route_counts["ecm"] == len(semiprimes)
+    assert factor_route_counts["rho"] == 0
+    n = math.prod(min(semiprimes))
+    assert factorize(n) == factorize(n)
+
+
+def test_factorize_w_1_13(net1):
+    # W(1,13) on E1: prime factors of 14 and 21 digits; 7.1 s on rho alone
+    n = net1.value((1, 13)).numerator
+    f = factorize(n)
+    assert f.value() == n
+    assert all(is_prime(p) for p, _ in f.factors)
+    assert sorted(len(str(p)) for p, _ in f.factors)[-2:] == [14, 21]
+
+
 def test_plain_table_leaves_the_prime_table_unbuilt():
     src = str(Path(ellnet.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -169,12 +260,13 @@ def test_plain_table_leaves_the_prime_table_unbuilt():
         "import ellnet, ellnet.cli, ellnet.fieldarith as fa\n"
         "assert ellnet.cli.main(['net-table', '--curve', '0,0,0,0,-11', '--points',"
         " '(15,58);(3,4)', '--grid', '5x5']) == 0\n"
-        "print(fa._trial_primes.cache_info().currsize)\n"
+        "print([f.cache_info().currsize for f in"
+        " (fa._trial_primes, fa._stage1_multiplier, fa._stage2_plan)])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0]"
 
 
 def test_prime_field_arithmetic():
