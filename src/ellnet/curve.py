@@ -21,7 +21,7 @@ from .errors import (
     SingularCurveError,
     SingularReductionError,
 )
-from .fieldarith import PrimeFieldElement, Valuation, val_p
+from .fieldarith import PrimeFieldElement, Valuation, _element, val_p
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,16 @@ def gf_point(x: int, y: int, p: int) -> CurvePoint:
     return CurvePoint(PrimeFieldElement(x, p), PrimeFieldElement(y, p))
 
 
+def _b_invariants(a1, a2, a3, a4, a6) -> tuple:
+    """(b2, b4, b6, b8, discriminant) of the coefficients, in their own ring."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, disc
+
+
 class WeierstrassCurve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q or F_p."""
 
@@ -60,27 +70,23 @@ class WeierstrassCurve:
         moduli = {c.p for c in coeffs if isinstance(c, PrimeFieldElement)}
         if len(moduli) > 1:
             raise ValueError("curve coefficients from different prime fields")
+        # the invariants are integer polynomials in the coefficients, so
+        # residues mod p and an integral model take them in int arithmetic
         if moduli:
             p = moduli.pop()
-            coeffs = [
-                c if isinstance(c, PrimeFieldElement) else PrimeFieldElement(int(c), p)
-                for c in coeffs
-            ]
+            ints = [c.residue if isinstance(c, PrimeFieldElement) else int(c) for c in coeffs]
+            coeffs = [_element(c, p) for c in ints]
+            binv = [_element(b, p) for b in _b_invariants(*ints)]
         else:
             coeffs = [Fraction(c) for c in coeffs]
+            if all(c.denominator == 1 for c in coeffs):
+                binv = map(Fraction, _b_invariants(*(c.numerator for c in coeffs)))
+            else:
+                binv = _b_invariants(*coeffs)
         self.a1, self.a2, self.a3, self.a4, self.a6 = coeffs
-        self._binv = self._compute_b_invariants()
+        self._binv = tuple(binv)
         if not allow_singular and self.discriminant == 0:
             raise ValueError("curve is singular; pass allow_singular=True for reduced models")
-
-    def _compute_b_invariants(self):
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        return b2, b4, b6, b8, disc
 
     def b_invariants(self):
         """(b2, b4, b6, b8, discriminant)."""
@@ -109,9 +115,19 @@ class WeierstrassCurve:
         )
 
     def contains(self, point: CurvePoint) -> bool:
+        """Whether the point is on the curve.  A rational point x = n / m,
+        y = r / s of an integral model is checked as f(x, y) m^3 s^2 = 0,
+        in integers."""
         if point.is_infinity:
             return True
-        return self.f(point.x, point.y) == 0
+        x, y = point.x, point.y
+        if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)) and self.is_integral:
+            n, m, r, s = x.numerator, x.denominator, y.numerator, y.denominator
+            a1, a2, a3, a4, a6 = (c.numerator for c in (self.a1, self.a2, self.a3, self.a4, self.a6))
+            m2 = m * m
+            return (r * (r * m + a1 * n * s + a3 * m * s) * m2
+                    == (n * (n * n + a2 * n * m + a4 * m2) + a6 * m2 * m) * s * s)
+        return self.f(x, y) == 0
 
     def require_on_curve(self, point: CurvePoint) -> None:
         if not self.contains(point):
@@ -202,14 +218,14 @@ def decompose(curve: WeierstrassCurve, point: CurvePoint) -> PointDecomposition:
     if not curve.is_integral:
         raise ModelNotIntegralError("decomposition requires integral coefficients")
     curve.require_on_curve(point)
-    x, y = Fraction(point.x), Fraction(point.y)
+    x, y = point.x, point.y
     d = math.isqrt(x.denominator)
     if d * d != x.denominator:
         raise ModelNotIntegralError("denominator of x is not a perfect square")
-    b = y * d**3
-    if b.denominator != 1:
+    b, rem = divmod(y.numerator * d**3, y.denominator)
+    if rem:
         raise ModelNotIntegralError("denominator of y is not the cube of D")
-    a, b = x.numerator, b.numerator
+    a = x.numerator
     if math.gcd(a, d) != 1 or math.gcd(b, d) != 1:
         raise ModelNotIntegralError("coprimality of (A, B) with D fails")
     return PointDecomposition(a, b, d)
@@ -357,10 +373,17 @@ def reduce_mod_p(curve: WeierstrassCurve, point: CurvePoint, p: int) -> CurvePoi
 
 def _reduce_triple(a: int, b: int, d: int, p: int) -> CurvePoint:
     """(A / D^2, B / D^3) mod p, infinity when p divides D."""
+    residues = _triple_residues(a, b, d, p)
+    return INFINITY if residues is None else gf_point(*residues, p)
+
+
+def _triple_residues(a: int, b: int, d: int, p: int) -> tuple[int, int] | None:
+    """(A / D^2, B / D^3) mod p as int residues, None when p divides D."""
     if d % p == 0:
-        return INFINITY
-    inv_d2 = pow(d * d % p, -1, p)
-    return gf_point(a * inv_d2 % p, b * inv_d2 * pow(d, -1, p) % p, p)
+        return None
+    inv_d = pow(d, -1, p)
+    inv_d2 = inv_d * inv_d % p
+    return a * inv_d2 % p, b * inv_d2 * inv_d % p
 
 
 def is_singular_reduction(curve: WeierstrassCurve, point: CurvePoint, p: int) -> bool:

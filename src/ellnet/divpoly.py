@@ -7,16 +7,20 @@ polynomial recursion,
     psi_{2k} psi_2 = psi_k (psi_{k+2} psi_{k-1}^2 - psi_{k-2} psi_{k+1}^2),
 
 with memoized evaluation of the short windows of indices a doubling chain
-needs, so sparse large indices stay cheap.
+needs, so sparse large indices stay cheap.  One loop serves both fields:
+over Q on ``Fraction`` values, over F_p on int residues kept reduced with
+``x % p``, returned as ``PrimeFieldElement`` only by ``psi`` and ``phi``.
 The even step divides by psi_2, which divides every even psi_n as a
-polynomial; so where psi_2(P) = 0 (P of order 2 over Q, or psi_2(P) = 0
-mod p) every even value is 0.
+polynomial: it multiplies by 1 / psi_2, taken once per point.  Where
+psi_2(P) = 0 (P of order 2 over Q, or psi_2(P) = 0 mod p) every even value
+is 0.
 """
 
 from __future__ import annotations
 
 from .curve import CurvePoint, WeierstrassCurve
 from .errors import PreconditionError
+from .fieldarith import PrimeFieldElement, _element
 
 # psi_4 carries the 10*b8*x^2 term of the standard references; with it the
 # fixture values match the published net tables (the E2 point (1, 3) is
@@ -24,28 +28,62 @@ from .errors import PreconditionError
 
 
 class DivisionPolynomials:
-    """Memoized psi_n(P) and phi_n(P) for one curve point."""
+    """Memoized psi_n(P) and phi_n(P) for one curve point.
+
+    Over Q the memo holds ``Fraction`` values.  Over F_p it holds int
+    residues, reduced with ``% p``, and ``psi`` and ``phi`` return them as
+    ``PrimeFieldElement``; ``from_residues`` builds that memo straight from
+    the residues of a point and of the curve's invariants."""
 
     def __init__(self, curve: WeierstrassCurve, point: CurvePoint):
         if point.is_infinity:
             raise PreconditionError("division polynomials need an affine point")
         curve.require_on_curve(point)
-        self.curve = curve
-        self.point = point
-        x, y = point.x, point.y
-        b2, b4, b6, b8, _ = curve.b_invariants()
-        one = x**0
-        psi2 = 2 * y + curve.a1 * x + curve.a3
+        self.curve, self.point = curve, point
+        seeds = (curve.a1, curve.a3, *curve.b_invariants()[:4], point.x, point.y)
+        p = curve.gf_modulus
+        self._start(p, *(seeds if p is None else
+                         (c.residue if isinstance(c, PrimeFieldElement) else c for c in seeds)))
+
+    @classmethod
+    def from_residues(cls, p: int, a1: int, a3: int, b2: int, b4: int, b6: int, b8: int,
+                      x: int, y: int) -> "DivisionPolynomials":
+        """psi and phi at the point (x, y) mod a prime p, from int residues of
+        a1, a3 and the b-invariants; the caller has checked that the point
+        is on the curve.  Its ``curve`` and ``point`` are None."""
+        dp = object.__new__(cls)
+        dp.curve = dp.point = None
+        dp._start(p, a1, a3, b2, b4, b6, b8, x, y)
+        return dp
+
+    def _start(self, p, a1, a3, b2, b4, b6, b8, x, y) -> None:
+        psi2 = 2 * y + a1 * x + a3
         psi3 = 3 * x**4 + b2 * x**3 + 3 * b4 * x * x + 3 * b6 * x + b8
         psi4 = psi2 * (
             2 * x**6 + b2 * x**5 + 5 * b4 * x**4 + 10 * b6 * x**3
             + 10 * b8 * x * x + (b2 * b8 - b4 * b6) * x + (b4 * b8 - b6 * b6)
         )
-        self._memo = {0: x - x, 1: one, 2: psi2, 3: psi3, 4: psi4}
+        memo = {0: x - x, 1: x**0, 2: psi2, 3: psi3, 4: psi4}
+        if p is not None:
+            memo = {n: w % p for n, w in memo.items()}
+        self.p, self._x, self._memo = p, x, memo
+        # the even step multiplies by 1 / psi_2, taken once; 0 where psi_2 = 0
+        if memo[2] == 0:
+            self._inv2 = 0
+        else:
+            self._inv2 = memo[1] / memo[2] if p is None else pow(memo[2], -1, p)
+
+    def _field(self, w):
+        return w if self.p is None else _element(w, self.p)
 
     def psi(self, n: int):
         """psi_n(P); odd in n.  It never raises: the odd step does not divide,
-        and where psi_2(P) = 0 every even value is 0.
+        and where psi_2(P) = 0 every even value is 0."""
+        return self._field(self._value(n))
+
+    def _value(self, n: int):
+        """psi_n(P) as the memo holds it: a ``Fraction`` over Q, an int
+        residue mod p.
 
         No recursion, so no index size meets the recursion limit.  The
         doubling steps for the indices in [lo, hi] need exactly those in
@@ -54,11 +92,14 @@ class DivisionPolynomials:
         (KeyError) puts the next window down in front of it and starts over.
         So a value whose inputs are known takes one pass, and a chain of L
         new halvings L + 1 passes, each failed one stopping in its lowest window."""
+        p = self.p
         if n < 0:
-            return -self.psi(-n)
+            w = -self._value(-n)
+            return w if p is None else w % p
         memo = self._memo
         if n in memo:
             return memo[n]
+        inv2 = self._inv2
         todo, lo, hi = [n], n, n
         while n not in memo:
             try:
@@ -67,12 +108,13 @@ class DivisionPolynomials:
                         continue
                     k = m // 2
                     if m % 2:
-                        memo[m] = memo[k + 2] * memo[k] ** 3 - memo[k - 1] * memo[k + 1] ** 3
-                    elif memo[2] == 0:
-                        memo[m] = memo[0]
+                        w = memo[k + 2] * memo[k] ** 3 - memo[k - 1] * memo[k + 1] ** 3
+                    elif inv2 == 0:
+                        w = memo[0]
                     else:
-                        memo[m] = memo[k] * (memo[k + 2] * memo[k - 1] ** 2
-                                             - memo[k - 2] * memo[k + 1] ** 2) / memo[2]
+                        w = memo[k] * (memo[k + 2] * memo[k - 1] ** 2
+                                       - memo[k - 2] * memo[k + 1] ** 2) * inv2
+                    memo[m] = w if p is None else w % p
             except KeyError:
                 lo, hi = max(lo // 2 - 2 + lo % 2, 0), hi // 2 + 2
                 todo[:0] = range(lo, hi + 1)
@@ -80,4 +122,4 @@ class DivisionPolynomials:
 
     def phi(self, n: int):
         """phi_n(P) = x(P) psi_n^2 - psi_{n+1} psi_{n-1}; even in n."""
-        return self.point.x * self.psi(n) ** 2 - self.psi(n + 1) * self.psi(n - 1)
+        return self._field(self._x * self._value(n) ** 2 - self._value(n + 1) * self._value(n - 1))

@@ -19,7 +19,10 @@ differ only in their callbacks, the box, psi and the combine step:
 * ``ReducedNet``: at ranks 1 and 2 the box seeded from reduced residues
   (``_SEED_ROWS``, with no group law over Q), at ranks 3 to 6
   ``exact_value`` (exact over Q, then reduced); psi of the reduced point,
-  and ``x % p`` on int residues.
+  and ``x % p`` on int residues.  The constructor builds the seeds in int
+  arithmetic from the net's cached (A, B, D) triples, with no ``Fraction``
+  or ``PrimeFieldElement`` value; only where x_1 = x_2 mod p (both points
+  at the singular point) are W(2,1) and W(1,2) taken exact over Q.
 
 The box of an exact net, and every value of a net on the recurrence
 strategy or over F_p, comes from ``EllipticNet._run``: an explicit stack of
@@ -55,7 +58,9 @@ contract is: every index the points route answers gets the same value, and
 no such index raises, since an index whose ladder box raises is evaluated
 on the points route instead.  An index the points route refuses with
 ``DependentPointsError`` may get Psi_v(P) from the division-free ladder or
-psi, at any rank.  Over a prime field a zero divisor on either route raises
+psi, at any rank.  ``ReducedNet`` bounds that detour: above max-norm
+EXACT_FALLBACK_MAX_NORM it raises ``DependentPointsError`` instead.  Over
+a prime field a zero divisor on either route raises
 ``DegenerateNetError``; ``ReducedNet`` meets none, since its seeded box,
 the ladder and psi never divide by a zero.
 
@@ -70,12 +75,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from operator import add, mul, sub
 from typing import Callable, Sequence
 
-from .curve import (INFINITY, CurvePoint, IntegralModel, WeierstrassCurve, _reduce_triple,
-                    decompose, reduce_curve)
+from .curve import (INFINITY, CurvePoint, IntegralModel, WeierstrassCurve, _triple_residues,
+                    decompose, gf_point, reduce_curve)
 from .divpoly import DivisionPolynomials
 from .errors import (
     DegenerateNetError,
@@ -84,10 +89,11 @@ from .errors import (
     EllnetError,
     ModelNotIntegralError,
     NonIntegralReductionError,
+    PointNotOnCurveError,
     PreconditionError,
     SingularCurveError,
 )
-from .fieldarith import PrimeFieldElement
+from .fieldarith import PrimeFieldElement, _check_prime_modulus, _element
 
 Index = tuple[int, ...]
 
@@ -156,6 +162,9 @@ def _recurrence_terms(m: int, n: int):
 
 LADDER_BASE_NORM = 3
 LADDER_MAX_RANK = 6
+# the largest max-norm at which ``ReducedNet`` sends an index whose ladder
+# meets a raising box value to the points route over Q
+EXACT_FALLBACK_MAX_NORM = 28
 
 
 @cache
@@ -220,7 +229,7 @@ def _max_norm(v: Index) -> int:
 
 def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
                psi: Callable[[int, int], object], combine: Callable[[object], object],
-               counts: Counter):
+               counts: Counter, fallback: Callable[[Index], object] | None = None):
     """Memoize W(key) for a normalized index by the source rule of the
     module docstring.
 
@@ -234,8 +243,9 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
     keeps exact values.  The step multiplies and subtracts but never
     divides, so it meets no zero divisor, and the key is reached in
     O(log |key|) levels of a bounded number of values each.  Where a box
-    value on the way raises (dependent points), the key takes ``box(key)``,
-    and a key of rank above LADDER_MAX_RANK takes it at once.
+    value on the way raises (dependent points), the key takes
+    ``fallback(key)`` (by default ``box(key)``), and a key of rank above
+    LADDER_MAX_RANK takes ``box(key)`` at once.
     """
     if len(key) > LADDER_MAX_RANK:
         memo[key] = box(key)
@@ -252,7 +262,7 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
             except EllnetError:
                 if u == key:
                     raise
-                memo[key] = box(key)
+                memo[key] = (fallback or box)(key)
                 return
             continue
         if u.count(0) == len(u) - 1:
@@ -654,10 +664,11 @@ def _box_from_seeds(seeds: dict[Index, object], combine: Callable[[object], obje
     return box
 
 
-def reduce_base_points(net: EllipticNet, p: int) -> tuple[tuple[CurvePoint, ...], list[str]]:
-    """The base points reduced mod p, and the standing hypotheses of
-    reduction checked: a P_i that reduces to infinity raises
-    ``PreconditionError``, and each P_i +- P_j that does is named.
+def reduce_base_points(net: EllipticNet, p: int) -> tuple[tuple[tuple[int, int], ...], list[str]]:
+    """The base points reduced mod p, each as its int residues (x, y), and
+    the standing hypotheses of reduction checked: a P_i that reduces to
+    infinity raises ``PreconditionError``, and each P_i +- P_j that does is
+    named.
 
     Both are read off the net's cached (A, B, D) triples: a point reduces
     to infinity when it is the identity or p divides D, and P_i +- P_j is
@@ -666,8 +677,8 @@ def reduce_base_points(net: EllipticNet, p: int) -> tuple[tuple[CurvePoint, ...]
         raise ModelNotIntegralError("reduction requires an integral model")
     reduced = []
     for i, (pt, _) in enumerate(net._steps):
-        reduced.append(_reduce_triple(*pt, p))
-        if reduced[i].is_infinity:
+        reduced.append(_triple_residues(*pt, p))
+        if reduced[i] is None:
             raise PreconditionError(f"P_{i} reduces to infinity mod {p}")
     defects = []
     for i, j in itertools.combinations(range(net.rank), 2):
@@ -692,32 +703,45 @@ class ReducedNet:
     mod p, which the constructor verifies; net values are then p-integral.
     Net values are integer polynomials in the x_i, y_i, the a_j and the
     (x_i - x_j)^-1 (Stange), so reduction mod p is a ring map and the
-    reduced seeds fix the reduced net.  Each index v takes its residue from
-    one source, by the rule of ``_net_value`` that exact nets follow too:
+    reduced seeds fix the reduced net.  The constructor works on int
+    residues throughout: the reduced points come from the net's cached
+    (A, B, D) triples and are checked on the curve mod p, and ``gf_curve``
+    and ``gf_points``, in ``PrimeFieldElement`` form, are built on first
+    access.  Each index v takes its residue from one source, by the rule of
+    ``_net_value`` that exact nets follow too:
 
     * max-norm at most 3, at ranks 1 and 2: the box seeded by the
-      constructor, with no group law over Q.  The seeds are W(0), the units, psi_2 and psi_3 of each
-      reduced P_i and, at rank 2, W(2,1) and W(1,2) exact over Q and
-      reduced, and W(2,2) = psi_2 of P_1 + P_2 reduced; the rows of
-      ``_SEED_ROWS`` give the rest, multiplying only by units, so no step
-      divides.  At ranks 3 to 6 ``exact_value``, exact over Q and
-      reduced: no division-free derivation of those boxes is known here;
+      constructor, with no group law over Q.  The seeds are W(0), the
+      units, psi_2 and psi_3 of each reduced P_i and, at rank 2,
+      W(2,1) = x_1 - x(P_1 + P_2) and W(1,2) from the reduced coordinates
+      and the slope (y_2 - y_1) / (x_2 - x_1) mod p, and W(2,2) = psi_2 of
+      P_1 + P_2 reduced; the rows of ``_SEED_ROWS`` give the rest,
+      multiplying only by units, so no step divides.  Where
+      x_1 = x_2 mod p and no P_1 +- P_2 reduces to infinity (both points
+      reduce to the singular point), W(2,1) and W(1,2) are taken exact
+      over Q and reduced.  At ranks 3 to 6 ``exact_value``, exact over Q
+      and reduced: no division-free derivation of those boxes is known here;
     * one nonzero coordinate: psi_n of the reduced point P_i
-      (``DivisionPolynomials``, Shipsey's doubling; 0 at an even n where
-      psi_2 = 0 mod p);
+      (``DivisionPolynomials`` on int residues, Shipsey's doubling; 0 at
+      an even n where psi_2 = 0 mod p);
     * any other index: the halving ladder over int residues, down to that
       box and psi on the axes, at every rank up to LADDER_MAX_RANK.  It
       never divides, so it meets no zero divisor, and it takes O(log |v|)
       levels.
 
-    Where an exact box value on the way raises (dependent points), and at
-    every index of a net of rank above LADDER_MAX_RANK, the index takes
-    ``exact_value``.  So ``value`` agrees with ``exact_value`` wherever
-    that answers, and raises only where it raises; at ranks 1 and 2 it may
-    answer Psi_v(P) mod p where ``exact_value`` refuses dependent points.
+    Where an exact box value on the way raises (dependent points), the
+    index takes ``exact_value`` up to max-norm EXACT_FALLBACK_MAX_NORM and
+    raises ``DependentPointsError`` above it, since the points route over Q
+    is linear in |v| with values of size quadratic in |v|.  Every index of
+    a net of rank above LADDER_MAX_RANK takes ``exact_value``.  So
+    ``value`` agrees with ``exact_value`` wherever it answers, and raises
+    where that raises or past the bound; at ranks 1 and 2 it may answer
+    Psi_v(P) mod p where ``exact_value`` refuses dependent points.
 
     ``route_counts`` counts the memoized residues by source: ``seed``
-    (the seeded box), ``exact``, ``psi`` and ``ladder`` (halving steps).
+    (the seeded box), ``exact`` (exact over Q and reduced, the two seeds
+    of the x_1 = x_2 case included), ``psi`` and ``ladder`` (halving
+    steps).
     """
 
     def __init__(self, net: EllipticNet, p: int):
@@ -725,24 +749,41 @@ class ReducedNet:
             raise PreconditionError("ReducedNet wraps an exact rational net")
         if not net.curve.is_integral:
             raise PreconditionError("reduction requires an integral model")
+        _check_prime_modulus(p)
         self.net = net
         self.p = p
         self.rank = net.rank
-        self.gf_curve = reduce_curve(net.curve, p)
-        self.gf_points, defects = reduce_base_points(net, p)
+        self._points, defects = reduce_base_points(net, p)
         if defects:
             raise PreconditionError(defects[0])
-        self._divpolys = tuple(DivisionPolynomials(self.gf_curve, pt) for pt in self.gf_points)
+        law = net._law
+        for x, y in self._points:
+            if (y * (y + law.a1 * x + law.a3) - x * (x * (x + law.a2) + law.a4) - law.a6) % p:
+                raise PointNotOnCurveError(f"{gf_point(x, y, p)} is not on the curve")
+        b2, b4, b6, b8, _ = (b.numerator for b in net.curve.b_invariants())
+        self._divpolys = tuple(DivisionPolynomials.from_residues(p, law.a1, law.a3, b2, b4, b6, b8, x, y)
+                               for x, y in self._points)
+        self.route_counts: Counter = Counter()
         self._residues: dict[Index, int] = self._seeded_box() if self.rank <= 2 else {}
-        self.route_counts: Counter = Counter(seed=len(self._residues))
+        self.route_counts["seed"] += len(self._residues) - self.route_counts["exact"]
+
+    @cached_property
+    def gf_curve(self) -> WeierstrassCurve:
+        """The curve reduced mod p (possibly singular)."""
+        return reduce_curve(self.net.curve, self.p)
+
+    @cached_property
+    def gf_points(self) -> tuple[CurvePoint, ...]:
+        """The base points reduced mod p."""
+        return tuple(gf_point(x, y, self.p) for x, y in self._points)
 
     def value(self, v: Sequence[int]) -> PrimeFieldElement:
         key, sign = _normalize(self.net._key(v))
         if key not in self._residues:
             _net_value(key, self._residues, self._exact_residue, self._psi, self._residue,
-                       self.route_counts)
+                       self.route_counts, self._exact_fallback)
         w = self._residues[key]
-        return PrimeFieldElement(w if sign > 0 else -w, self.p)
+        return _element(w if sign > 0 else -w, self.p)
 
     def exact_value(self, v: Sequence[int]) -> PrimeFieldElement:
         """Force the exact-over-Q-then-reduce path."""
@@ -753,23 +794,39 @@ class ReducedNet:
         self.route_counts["exact"] += 1
         return w
 
+    def _exact_fallback(self, key: Index) -> int:
+        if _max_norm(key) > EXACT_FALLBACK_MAX_NORM:
+            raise DependentPointsError(
+                "a box value on the ladder raises (dependent points), and the exact fallback "
+                f"takes indices of max-norm at most {EXACT_FALLBACK_MAX_NORM}")
+        return self._exact_residue(key)
+
     def _seeded_box(self) -> dict[Index, int]:
         """The box |u| <= 3 at rank 1 or 2 from the reduced seeds."""
-        psi = [(d.psi(2).residue, d.psi(3).residue) for d in self._divpolys]
+        psi = [(d._value(2), d._value(3)) for d in self._divpolys]
         if self.rank == 1:
             return {(0,): 0, (1,): 1, (2,): psi[0][0], (3,): psi[0][1]}
-        net, p = self.net, self.p
+        net, p, law = self.net, self.p, self.net._law
         a, b, d = net._cached_point((1, 1))  # P_1 + P_2, affine mod p
         seeds = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 1,
                  (2, 0): psi[0][0], (3, 0): psi[0][1], (0, 2): psi[1][0], (0, 3): psi[1][1],
                  # psi_2 = 2y + a1 x + a3 of P_1 + P_2 = (a / d^2, b / d^3)
-                 (2, 2): (2 * b + net._law.a1 * a * d + net._law.a3 * d ** 3) * pow(d, -3, p) % p}
-        for v in ((2, 1), (1, 2)):
-            seeds[v] = _reduce_fraction(initial_net_value(net.curve, net.points, v), p).residue
+                 (2, 2): (2 * b + law.a1 * a * d + law.a3 * d ** 3) * pow(d, -3, p) % p}
+        (x1, y1), (x2, y2) = self._points
+        if (x2 - x1) % p:
+            # W(2 e_i + e_j) = 2 x_i + x_j - s^2 - a1 s + a2 = x_i - x(P_1 + P_2)
+            s = (y2 - y1) * pow(x2 - x1, -1, p) % p
+            rest = law.a2 - s * s - law.a1 * s
+            seeds[(2, 1)] = (2 * x1 + x2 + rest) % p
+            seeds[(1, 2)] = (x1 + 2 * x2 + rest) % p
+        else:  # both points reduce to the singular point: no slope mod p
+            for v in ((2, 1), (1, 2)):
+                seeds[v] = _reduce_fraction(initial_net_value(net.curve, net.points, v), p).residue
+                self.route_counts["exact"] += 1
         return _box_from_seeds(seeds, self._residue)
 
     def _psi(self, axis: int, n: int) -> int:
-        return self._divpolys[axis].psi(n).residue
+        return self._divpolys[axis]._value(n)
 
     def _residue(self, x: int) -> int:
         return x % self.p

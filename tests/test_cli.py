@@ -13,7 +13,7 @@ import ellnet
 from ellnet import EllipticNet, ReducedNet
 from ellnet.cli import main, parse_curve, parse_index, parse_point, parse_points
 from ellnet.lattice import lattice_from_generators
-from ellnet.net import _reduce_fraction
+from ellnet.net import EXACT_FALLBACK_MAX_NORM, _reduce_fraction
 from ellnet.fieldarith import is_prime
 from ellnet.render import (DECIMAL_SPLIT_BITS, SEPARATOR, decimal_string, factor_string,
                            normalized, plain_string)
@@ -181,6 +181,18 @@ def test_precondition_exit_code(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "symmetry"])
+@pytest.mark.parametrize("prime", [91, 1, 0, -7])
+def test_non_prime_modulus_is_refused_first(capsys, command, prime):
+    # refused before any reduction: mod 1 every point would reduce to
+    # infinity, and mod 0 the reduction would divide by zero
+    argv = [command, *PQ_ARGS, f"--prime={prime}"]
+    if command == "eval":
+        argv += ["--method", "direct", "--index=5,4"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {prime} is not prime\n")
+
+
 def test_table_error_prints_no_partial_table(capsys):
     # P = (2, 3) has order 6, so D_{6P} does not exist: the last entry of
     # the grid raises after six entries have answered
@@ -227,6 +239,13 @@ LONG_TABLE_JSON = [*LONG_TABLE, "--format", "json"]
 RANK_ONE_ARGS = ["--curve", "0,1,7,28,0", "--points", "(0,0)"]
 RANK_ONE_EVAL = ["eval", *RANK_ONE_ARGS, "--prime", "7", "--method", "direct", "--index=500"]
 RANK_ONE_HUGE_EVAL = RANK_ONE_EVAL[:-1] + ["--index=20000"]
+# Cremona 234446a: a small relation among the four points makes box values
+# raise, and this 30-digit index meets one on its ladder; the exact
+# fallback over Q refuses it at once (it ran without bound before)
+DEPENDENT_HUGE_EVAL = ["eval", "--curve", "1,-1,0,-79,289", "--points", "(0,17);(1,14);(3,7);(4,3)",
+                       "--prime", "101", "--method", "direct",
+                       "--index=-265783037852160943273754885714,466805709061477868516227043218,"
+                       "923920153035226986328788032806,154573337950570872618040279639"]
 
 
 def run_subprocess(argv):
@@ -240,13 +259,13 @@ def run_subprocess(argv):
 @pytest.mark.parametrize("argv", CLI_MATRIX + [DEEP_EVAL, HUGE_EVAL, LONG_TABLE, LONG_TABLE_JSON,
                                               SHORT_INDEX_EVAL, LONG_INDEX_EVAL, RANK_ONE_EVAL,
                                               RANK_ONE_HUGE_EVAL, AXIS_HUGE_EVAL,
-                                              NEAR_AXIS_HUGE_EVAL],
+                                              NEAR_AXIS_HUGE_EVAL, DEPENDENT_HUGE_EVAL],
                          ids=[argv[0] for argv in CLI_MATRIX]
                          + ["eval-direct-deep", "eval-direct-huge", "net-table-1x120",
                             "net-table-1x120-json", "eval-direct-short-index",
                             "eval-direct-long-index", "eval-direct-rank-one",
                             "eval-direct-rank-one-huge", "eval-direct-axis-huge",
-                            "eval-direct-near-axis-huge"])
+                            "eval-direct-near-axis-huge", "eval-direct-dependent-huge"])
 def test_cli_matrix_never_tracebacks(argv):
     start = time.monotonic()
     proc = run_subprocess(argv)
@@ -280,6 +299,11 @@ def test_cli_matrix_never_tracebacks(argv):
         assert proc.stdout.strip() == str(reduced.value((20000,)).residue) == "0"
         for n in (999, 1000):
             assert reduced.value((n,)) == reduced.exact_value((n,)), n
+    if argv is DEPENDENT_HUGE_EVAL:
+        # interpreter start included; the unbounded fallback ran past 3 s
+        assert proc.returncode == 2 and elapsed < 3, (proc.stderr, elapsed)
+        assert proc.stderr.startswith("error: a box value on the ladder raises (dependent points)")
+        assert f"max-norm at most {EXACT_FALLBACK_MAX_NORM}" in proc.stderr
 
 
 # Indices where the points route over F_p meets zero divisors: E2 mod 7 has

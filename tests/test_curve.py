@@ -6,7 +6,9 @@ import pytest
 
 from ellnet import (
     INFINITY,
+    EllipticNet,
     IntegralModel,
+    PrimeFieldElement,
     WeierstrassCurve,
     decompose,
     gf_point,
@@ -24,6 +26,7 @@ from ellnet.errors import (
     SingularCurveError,
     SingularReductionError,
 )
+from ellnet.curve import _b_invariants
 from conftest import P1, P2, Q1, Q2
 
 
@@ -52,6 +55,49 @@ def test_singular_curve_needs_flag():
     with pytest.raises(ValueError):
         WeierstrassCurve(0, 0, 0, 0, 0)
     WeierstrassCurve(0, 0, 0, 0, 0, allow_singular=True)
+    # a cusp and a node, integral, not integral and over F_7: one error
+    for coeffs in ((0, 0, 0, 0, 0), (0, 0, 0, -3, 2), (0, 0, 0, Fraction(-3, 4), Fraction(1, 4)),
+                   tuple(PrimeFieldElement(c, 7) for c in (0, 1, 0, 0, 0))):
+        with pytest.raises(ValueError) as exc:
+            WeierstrassCurve(*coeffs)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "curve is singular; pass allow_singular=True for reduced models"
+
+
+def test_invariants_match_field_arithmetic():
+    # int invariants against the formulas evaluated in Fraction and in
+    # PrimeFieldElement arithmetic; the types stay those of the field
+    rng = random.Random(14)
+    for _ in range(100):
+        coeffs = [rng.randint(-50, 50) for _ in range(5)]
+        curve = WeierstrassCurve(*coeffs, allow_singular=True)
+        expected = _b_invariants(*map(Fraction, coeffs))
+        assert curve.b_invariants() == expected
+        assert all(type(b) is Fraction for b in curve.b_invariants())
+        p = rng.choice((2, 3, 7, 101, 1000003))
+        reduced = reduce_curve(curve, p)
+        field = _b_invariants(*(PrimeFieldElement(c, p) for c in coeffs))
+        assert [b.residue for b in reduced.b_invariants()] == [b.residue for b in field]
+        assert all(type(b) is PrimeFieldElement and b.p == p for b in reduced.b_invariants())
+    rational = WeierstrassCurve(Fraction(1, 2), 0, Fraction(-1, 3), 1, 5)
+    assert rational.b_invariants() == _b_invariants(*map(Fraction, (Fraction(1, 2), 0,
+                                                                   Fraction(-1, 3), 1, 5)))
+
+
+def test_contains_matches_the_defining_polynomial(e1, e2):
+    # the integer identity of an integral model against f(x, y) == 0 in
+    # Fraction arithmetic, on points of the curves and perturbations of them
+    rng = random.Random(15)
+    for curve, gen in ((e1, P1), (e2, Q2), (WeierstrassCurve(1, -1, 0, -79, 289),
+                                           rational_point(0, 17))):
+        for n in range(1, 7):
+            pt = curve.mul(n, gen)
+            for dx, dy in [(0, 0)] + [(Fraction(rng.randint(-3, 3), rng.randint(1, 9)),
+                                       Fraction(rng.randint(-3, 3), rng.randint(1, 9)))
+                                      for _ in range(5)]:
+                moved = rational_point(pt.x + dx, pt.y + dy)
+                assert curve.contains(moved) == (curve.f(moved.x, moved.y) == 0), (n, dx, dy)
+            assert curve.contains(pt)
 
 
 def test_group_law_examples(e1):
@@ -87,6 +133,19 @@ def test_decompose_round_trip(e1):
         pt = e1.mul(n, P1)
         dec = decompose(e1, pt)
         assert e1.contains(rational_point(Fraction(dec.a, dec.d**2), Fraction(dec.b, dec.d**3)))
+
+
+def test_off_curve_is_named_before_integrality(e1):
+    # x = 1/2: its denominator is no square, so the (A, B, D) shape fails
+    # too; the point is off the curve, and that is the error
+    for off in (rational_point(Fraction(1, 2), 3), rational_point(Fraction(1, 2), Fraction(1, 3)),
+                rational_point(Fraction(1, 4), Fraction(1, 5))):
+        with pytest.raises(PointNotOnCurveError, match="is not on the curve"):
+            decompose(e1, off)
+        with pytest.raises(PointNotOnCurveError):
+            EllipticNet(e1, (P1, off))
+        with pytest.raises(PointNotOnCurveError):
+            IntegralModel(e1).triple(off)
 
 
 def test_decompose_requires_integral_model():

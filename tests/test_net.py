@@ -13,6 +13,7 @@ from ellnet import (
     EllipticNet,
     build_symmetry_data,
     eval_by_symmetry,
+    gf_point,
     QuadraticFormData,
     ReducedNet,
     WeierstrassCurve,
@@ -34,8 +35,8 @@ from ellnet.errors import (
     PreconditionError,
     SingularCurveError,
 )
-from ellnet import IntegralModel
-from ellnet.net import (LADDER_BASE_NORM, _LADDER, _SEED_ROWS, _box_from_seeds, _ladder_terms,
+from ellnet import IntegralModel, PrimeFieldElement
+from ellnet.net import (EXACT_FALLBACK_MAX_NORM, LADDER_BASE_NORM, _LADDER, _SEED_ROWS, _box_from_seeds, _ladder_terms,
                         _ladder_units, _net_terms, _normalize, _reduce_fraction, box_indices,
                         reduce_base_points)
 from conftest import (E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2, assert_psi_is_exact_psi_reduced,
@@ -537,6 +538,25 @@ def test_rank_four_ladder(default_recursion_limit):
     assert huge.route_counts["ladder"] > 0
 
 
+# (4, 3) in place of (5, -2): a small relation among the four points
+# makes some box values raise
+DEPENDENT_234446A = POINTS_234446A[:3] + (rational_point(4, 3),)
+
+
+def test_exact_fallback_is_bounded_by_max_norm():
+    # both ladders meet a raising box value; the points route over Q
+    # answers both indices, but only the first is within the bound
+    within, past = (-9, 21, 28, 24), (-24, 25, 9, 29)
+    assert max(map(abs, within)) == EXACT_FALLBACK_MAX_NORM < max(map(abs, past))
+    by_points = EllipticNet(CURVE_234446A, DEPENDENT_234446A)
+    reduced = ReducedNet(EllipticNet(CURVE_234446A, DEPENDENT_234446A), 101)
+    assert reduced.value(within) == _reduce_fraction(points_route(by_points, within), 101) == 100
+    assert reduced.route_counts["exact"] > 0
+    _reduce_fraction(points_route(by_points, past), 101)
+    with pytest.raises(DependentPointsError, match="max-norm at most 28"):
+        reduced.value(past)
+
+
 @pytest.mark.parametrize("curve, points, radius", [
     (CURVE_5077A, POINTS_5077A, 6),
     (CURVE_234446A, POINTS_234446A, 4),
@@ -924,6 +944,13 @@ def test_reduced_net_route_counts(net1_pq):
     assert bad.value((0, 12)) == 0
     assert bad.route_counts == Counter(seed=25, psi=1)
     assert bad.value((0, 13)) == DivisionPolynomials(bad.gf_curve, reduce_mod_p(E2, P2, 7)).psi(13)
+    # both points at the node of E2 mod 7: W(2,1) and W(1,2) exact over Q
+    node = ReducedNet(EllipticNet(E2, NODE_POINTS), 7)
+    assert node.route_counts == Counter(seed=23, exact=2)
+    assert node.value((2, 1)) == 6 and node.route_counts["exact"] == 2
+    good = ReducedNet(EllipticNet(E1, (P1, Q1)), 1009)
+    good.value((150, -100))
+    assert good.route_counts["exact"] == 0
 
 
 @pytest.mark.parametrize("curve, points, p, limit", [
@@ -944,11 +971,17 @@ def test_axis_where_psi_2_vanishes_takes_psi(curve, points, p, limit):
 
 UNITS = {(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)}
 SEEDS = {(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (3, 0), (0, 2), (0, 3), (2, 1), (1, 2), (2, 2)}
+# both points reduce to the node of E2 mod 7, and neither P_1 + P_2 nor
+# P_1 - P_2 reduces to infinity: x_1 = x_2 mod 7, so there is no slope mod 7
+NODE_POINTS = (rational_point(Fraction(153230, 121801), Fraction(-452496548, 42508549)), P2)
 # the rank-2 configurations of the seeded box checks
 SEEDED_CONFIGS = {
     "E1-pq": (E1, (P1, Q1)), "E1-qp": (E1, (Q1, P1)),
     "E2-pq": (E2, (P2, Q2)), "E2-qp": (E2, (Q2, P2)),
     "5077a": (CURVE_5077A, (rational_point(0, 2), rational_point(1, 0))),
+    # a1 != 0: the slope enters W(2,1) and W(1,2) with its sign
+    "234446a": (WeierstrassCurve(1, -1, 0, -79, 289), (rational_point(0, 17), rational_point(1, 14))),
+    "E2-node": (E2, NODE_POINTS),
 }
 
 
@@ -990,25 +1023,55 @@ def _primes(bound):
 
 
 def test_seeded_box_matches_exact_value_mod_p():
-    # exact_value is read from a net of its own, so that the seeded box
-    # and its oracle share no memo
+    # every box residue against exact_value, the points route over Q on a
+    # net of its own, so that the seeded box and its oracle share no memo;
+    # a refusal against the one the Fraction reduction of the points names
     box = box_indices(2, 3)
     constructed = []
     for config, (curve, points) in sorted(SEEDED_CONFIGS.items()):
         oracle = EllipticNet(curve, points)
-        for p in _primes(400) + [1009, 1000003]:
+        for p in _primes(400) + [1009, 10007, 1000003]:
             try:
                 reduced = ReducedNet(EllipticNet(curve, points), p)
-            except PreconditionError:
+            except PreconditionError as exc:
+                try:
+                    _, defects = _reduce_base_points_by_fraction_law(curve, points, p)
+                except PreconditionError as ref:
+                    defects = [str(ref)]
+                assert str(exc) == defects[0], (config, p)
                 continue
+            (r1, r2), defects = _reduce_base_points_by_fraction_law(curve, points, p)
+            assert not defects, (config, p)
             exact = ReducedNet(oracle, p)
             for v in box:
                 assert reduced.value(v) == exact.exact_value(v), (config, p, v)
-            assert reduced.route_counts == Counter(seed=25), (config, p)
-            constructed.append((config, p))
-    assert len(constructed) * len(box) == 19404
-    for p in (2, 3, 7, 11):
-        assert any(q == p for _, q in constructed), p
+            same_x = r1.x == r2.x
+            counts = Counter(seed=23, exact=2) if same_x else Counter(seed=25)
+            assert reduced.route_counts == counts, (config, p)
+            constructed.append((config, p, same_x))
+    assert len(constructed) * len(box) == 27342
+    for p in (2, 3, 7, 11, 10007):
+        assert any(q == p for _, q, _ in constructed), p
+    assert [(config, p) for config, p, same_x in constructed if same_x] == [("E2-node", 7)]
+
+
+def test_reduced_net_is_built_on_int_residues(monkeypatch):
+    net = EllipticNet(E1, (P1, Q1))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("field arithmetic while building a ReducedNet")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__pow__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    monkeypatch.setattr(PrimeFieldElement, "__init__", refuse)
+    reduced = ReducedNet(net, 1009)
+    assert "gf_curve" not in vars(reduced) and "gf_points" not in vars(reduced)
+    monkeypatch.undo()
+    # built on first access, as the reduction of the curve and points
+    assert reduced.gf_points == tuple(reduce_mod_p(E1, pt, 1009) for pt in (P1, Q1))
+    assert reduced.gf_curve.b_invariants() == reduce_curve(E1, 1009).b_invariants()
+    assert reduced.gf_curve is reduced.gf_curve
 
 
 @pytest.mark.parametrize("curve, points, p", [
@@ -1073,6 +1136,8 @@ def test_reduce_base_points_matches_fraction_law():
     defects = 0
     for curve, points, p in cases:
         got = _outcome_with_message(reduce_base_points, EllipticNet(curve, points), p)
+        if isinstance(got[1], list):  # the residues as points of the reduced curve
+            got = tuple(gf_point(x, y, p) for x, y in got[0]), got[1]
         assert got == _outcome_with_message(_reduce_base_points_by_fraction_law,
                                             curve, points, p), (points, p)
         defects += isinstance(got[1], list) and len(got[1])
