@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import render, symmetry, theorems
 from .curve import CurvePoint, INFINITY, WeierstrassCurve, rational_point
 from .errors import EllnetError
+from .fieldarith import _check_prime_modulus
 from .net import EllipticNet, ReducedNet, recurrence_check
 
 USAGE_ERROR = 2
@@ -122,8 +123,10 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     net = _build_net(args)
-    if args.check != "recurrence" and args.prime is None:
-        raise ValueError(f"--prime is required for the {args.check} check")
+    if args.check != "recurrence":
+        if args.prime is None:
+            raise ValueError(f"--prime is required for the {args.check} check")
+        _check_prime_modulus(args.prime)
     failures = 0
 
     def report(name: str, ok: bool, detail: str = "") -> None:

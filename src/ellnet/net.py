@@ -1,17 +1,21 @@
 """Elliptic nets of rank r: net polynomial values, denominators, rescaling.
 
 One rule, ``_net_value``, gives each value its source, over Q and over
-F_p alike, in one loop that takes each index once: the box |u| <= 3 from
+F_p alike, in one function that stores each index once: the box |u| <= 3 from
 the net's box callback, an axis index from the division polynomial
 (``DivisionPolynomials.psi``, Shipsey's doubling, which never raises), and
-every other index from one halving ladder.  A recurrence instance
-(``_ladder_terms``) writes W(u) as a difference of two products of four
-values near u / 2, with no division, so O(log |u|) levels of a bounded
-number of values each reach the box and the axes.  One parity rule
-(``_ladder_units``) picks the instance at every rank from 2 to
-LADDER_MAX_RANK.  Where a box value raises, and on a net of rank above
-LADDER_MAX_RANK, the box callback answers the index itself.  The nets
-differ only in their callbacks, the box, psi and the combine step:
+every other index from one halving ladder.  A recurrence instance writes
+W(u) as a difference of two products of four values near u / 2, with no
+division, so O(log |u|) levels of a bounded number of values each reach
+the box and the axes.  One parity rule (``_ladder_units``) picks the
+instance at every rank from 2 to LADDER_MAX_RANK.  The ladder runs on a
+level-block schedule: at level j every index is (u >> j) + o for a small
+offset o, the children of o depend only on ((u >> j) & 1) + o, and one
+cached table (``_children``) gives them; a top-down pass over the offsets
+of each level and a bottom-up fill replace any recursion.  Where a box
+value raises, and on a net of rank above LADDER_MAX_RANK, the box callback
+answers the index itself.  The nets differ only in their callbacks, the
+box, psi and the combine step:
 
 * an exact net over Q on the points strategy: the points route, psi over
   Q, and the identity on exact values.  So rank 1 takes psi above the box
@@ -76,7 +80,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Sequence
 
 from .curve import (INFINITY, CurvePoint, IntegralModel, WeierstrassCurve, _triple_residues,
@@ -188,12 +192,12 @@ def _ladder_units(parity: Index) -> tuple[Index, Index, Index]:
     return tuple(tuple(int(i in group) for i in range(len(parity))) for group in groups)
 
 
-# the rank-2 table that the unrolled step of _ladder_terms reads
-_LADDER = {parity: _ladder_units(parity) for parity in itertools.product((0, 1), repeat=2)}
-
-
-def _ladder_terms(u: Index) -> tuple[tuple[Index, ...], tuple[Index, ...]]:
-    """The halving step (first, second) with W(u) = prod W(first) - prod W(second).
+@cache
+def _children(r: Index) -> tuple[tuple[Index, ...], Callable[[dict], tuple]]:
+    """The eight child offsets t of the halving step at an index 2m + r,
+    relative to m, and a getter of their values from a dict keyed by
+    offset: W(2m + r) = prod W(m + t) over the first four minus prod
+    W(m + t) over the last four.
 
     The net recurrence at p = v + a, q = v + b, r = c, s = d, with g = a - b,
     c and h = c + d units from ``_ladder_units``, where W = 1, reads
@@ -201,26 +205,19 @@ def _ladder_terms(u: Index) -> tuple[tuple[Index, ...], tuple[Index, ...]]:
         W(u) = W(A+h) W(A-c) W(B+d) W(B) - W(B+h) W(B-c) W(A+d) W(A)
 
     for u = 2v + a + b + d, A = (u + g - d) / 2 and B = A - g.  The parity
-    of u fixes (g, c, h) so that u + g - d is even; for max-norm above
-    LADDER_BASE_NORM every index on the right is then smaller in max-norm.
-    It is a halving step in the spirit of Shipsey's EDS doubling and
-    Stange's double-and-add on elliptic nets ("The Tate pairing via
-    elliptic nets").  Rank 2 is unrolled, about four times faster than the
-    tuple arithmetic that serves the higher ranks.
+    of u fixes (g, c, h) so that u + g - d is even, so for u = 2m + r the
+    offsets A - m and B - m depend on r alone; for max-norm above LADDER_BASE_NORM every index on
+    the right is then smaller in max-norm.  It is a halving step in the
+    spirit of Shipsey's EDS doubling and Stange's double-and-add on
+    elliptic nets ("The Tate pairing via elliptic nets").
     """
-    if len(u) == 2:
-        (g1, g2), (c1, c2), (h1, h2) = _LADDER[u[0] & 1, u[1] & 1]
-        d1, d2 = h1 - c1, h2 - c2
-        a1, a2 = (u[0] + g1 - d1) // 2, (u[1] + g2 - d2) // 2
-        b1, b2 = a1 - g1, a2 - g2
-        return (((a1 + h1, a2 + h2), (a1 - c1, a2 - c2), (b1 + d1, b2 + d2), (b1, b2)),
-                ((b1 + h1, b2 + h2), (b1 - c1, b2 - c2), (a1 + d1, a2 + d2), (a1, a2)))
-    g, c, h = _ladder_units(tuple(x & 1 for x in u))
+    g, c, h = _ladder_units(tuple(x & 1 for x in r))
     d = tuple(map(sub, h, c))
-    a = tuple((x + y - z) // 2 for x, y, z in zip(u, g, d))
+    a = tuple((x + y - z) // 2 for x, y, z in zip(r, g, d))
     b = tuple(map(sub, a, g))
-    return ((tuple(map(add, a, h)), tuple(map(sub, a, c)), tuple(map(add, b, d)), b),
-            (tuple(map(add, b, h)), tuple(map(sub, b, c)), tuple(map(add, a, d)), a))
+    step = (tuple(map(add, a, h)), tuple(map(sub, a, c)), tuple(map(add, b, d)), b,
+            tuple(map(add, b, h)), tuple(map(sub, b, c)), tuple(map(add, a, d)), a)
+    return step, itemgetter(*step)
 
 
 def _max_norm(v: Index) -> int:
@@ -231,53 +228,88 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
                psi: Callable[[int, int], object], combine: Callable[[object], object],
                counts: Counter, fallback: Callable[[Index], object] | None = None):
     """Memoize W(key) for a normalized index by the source rule of the
-    module docstring.
+    module docstring, on the level-block schedule of the halving ladder.
 
-    The indices the key needs are taken once each, top-down: the box
-    (max-norm at most LADDER_BASE_NORM) from ``box(u)``, an axis index from
-    ``psi(axis, n)``, counted in ``counts["psi"]``, and every other index
-    split by ``_ladder_terms``.  The split indices are then filled into
-    ``memo`` (keyed by normalized index) in increasing max-norm with
-    ``combine(prod W(first) - prod W(second))``, counted in
-    ``counts["ladder"]``: ``x % p`` keeps residues reduced, the identity
-    keeps exact values.  The step multiplies and subtracts but never
-    divides, so it meets no zero divisor, and the key is reached in
-    O(log |key|) levels of a bounded number of values each.  Where a box
-    value on the way raises (dependent points), the key takes
-    ``fallback(key)`` (by default ``box(key)``), and a key of rank above
-    LADDER_MAX_RANK takes ``box(key)`` at once.
+    At level j every index the key needs is (key >> j) + o for a small
+    offset o (per-coordinate floor halving), and the children of offset o
+    at level j + 1 are ``_children(((key >> j) & 1) + o)``.  A top-down
+    pass takes the offsets of each level once: an index whose normalized
+    form is in ``memo``, in the box (max-norm at most LADDER_BASE_NORM,
+    from ``box(u)``) or on an axis (from ``psi(axis, n)``, counted in
+    ``counts["psi"]``) is a known value, stored in ``memo``; every other
+    index is an inner node, and its children make up the next level.  A
+    bottom-up pass then fills the inner nodes deepest level first with
+    ``combine(+-(prod W(first) - prod W(second)))``, stored in ``memo``
+    under the normalized index and counted in ``counts["ladder"]``:
+    ``x % p`` keeps residues reduced, the identity keeps exact values.  An
+    index that an earlier fill stored (its mirror on the same level, or the
+    same index on a deeper one) is read from ``memo``, so each index is
+    counted once.  The step multiplies and subtracts but never divides, so
+    it meets no zero divisor, and the key is reached in O(log |key|) levels
+    of a bounded number of offsets each.  Where a box value on the way
+    raises (dependent points), the key takes ``fallback(key)`` (by default
+    ``box(key)``), and a key of rank above LADDER_MAX_RANK takes
+    ``box(key)`` at once.
     """
-    if len(key) > LADDER_MAX_RANK:
+    rank = len(key)
+    if rank > LADDER_MAX_RANK:
         memo[key] = box(key)
         return
-    steps: dict[Index, list[tuple[Index, int]]] = {}
-    stack = [key]
-    while stack:
-        u = stack.pop()
-        if u in memo or u in steps:
-            continue
-        if _max_norm(u) <= LADDER_BASE_NORM:
-            try:
-                memo[u] = box(u)
-            except EllnetError:
-                if u == key:
-                    raise
-                memo[key] = (fallback or box)(key)
-                return
-            continue
-        if u.count(0) == len(u) - 1:
-            n = sum(u)
-            memo[u] = psi(u.index(n), n)
-            counts["psi"] += 1
-            continue
-        steps[u] = [_normalize(t) for t in itertools.chain(*_ladder_terms(u))]
-        stack.extend(t for t, _ in steps[u])
-    if not steps:
-        return
-    for u in sorted(steps, key=_max_norm):
-        w = [memo[t] if s > 0 else -memo[t] for t, s in steps[u]]
-        memo[u] = combine(w[0] * w[1] * w[2] * w[3] - w[4] * w[5] * w[6] * w[7])
-    counts["ladder"] += len(steps)
+    levels, base, offsets = [], key, {(0,) * rank}
+    while offsets:
+        if rank == 2:
+            b0, b1 = base
+            c0, c1 = b0 & 1, b1 & 1
+        else:
+            bits = tuple(x & 1 for x in base)
+        known, inner, below = {}, [], set()
+        for o in offsets:
+            if rank == 2:  # unrolled: the index, its normalized form and the box test
+                o0, o1 = o
+                x0, x1 = b0 + o0, b1 + o1
+                u, s = ((x0, x1), 1) if x0 > 0 or not x0 and x1 >= 0 else ((-x0, -x1), -1)
+                r = (c0 + o0, c1 + o1)
+                in_box = max(abs(x0), abs(x1)) <= LADDER_BASE_NORM
+            else:
+                u, s = _normalize(tuple(map(add, base, o)))
+                r = tuple(map(add, bits, o))
+                in_box = _max_norm(u) <= LADDER_BASE_NORM
+            if u in memo:
+                w = memo[u]
+            elif in_box:
+                try:
+                    w = memo[u] = box(u)
+                except EllnetError:
+                    if u == key:
+                        raise
+                    memo[key] = (fallback or box)(key)
+                    return
+            elif u.count(0) == rank - 1:
+                n = sum(u)
+                w = memo[u] = psi(u.index(n), n)
+                counts["psi"] += 1
+            else:
+                step, values_of = _children(r)
+                inner.append((o, u, s, values_of))
+                below.update(step)
+                continue
+            known[o] = w if s > 0 else -w
+        levels.append((known, inner))
+        base = (b0 >> 1, b1 >> 1) if rank == 2 else tuple(x >> 1 for x in base)
+        offsets = below
+    filled, new = None, 0
+    for known, inner in reversed(levels):
+        for o, u, s, values_of in inner:
+            w = memo.get(u)  # set already by u's mirror on this level or u on a deeper one
+            if w is None:
+                t0, t1, t2, t3, t4, t5, t6, t7 = values_of(filled)
+                first, second = t0 * t1 * t2 * t3, t4 * t5 * t6 * t7
+                w = memo[u] = combine(first - second if s > 0 else second - first)
+                new += 1
+            known[o] = w if s > 0 else -w
+        filled = known
+    if new:
+        counts["ladder"] += new
 
 
 def _exact(x):
@@ -314,12 +346,9 @@ class EllipticNet:
                 cached.append(pt)
             else:  # decompose, inside triple, checks that pt is on the curve
                 cached.append(law.triple(pt))
-        for i in range(len(points)):
-            for j in range(i + 1, len(points)):
-                if points[i].x == points[j].x:
-                    raise DegeneratePairError(
-                        f"points {i} and {j} share an x-coordinate"
-                    )
+        for i, j in itertools.combinations(range(len(points)), 2):
+            if points[i].x == points[j].x:
+                raise DegeneratePairError(f"points {i} and {j} share an x-coordinate")
         self.curve = curve
         self.points = points
         self.rank = len(points)

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 from .curve import is_singular_reduction
 from .errors import NotEllipticSequenceError, PreconditionError, SingularReductionError
-from .fieldarith import PrimeFieldElement, Valuation, val_p
+from .fieldarith import PrimeFieldElement, val_p
 from .net import EllipticNet, QuadraticFormData, box_indices, reduce_base_points
 from .lattice import Vector
 
@@ -65,10 +65,6 @@ class AyadReport:
         }
 
 
-def _positive(v: Valuation) -> bool:
-    return v > 0
-
-
 def ayad_equivalence_report(net: EllipticNet, p: int, box_radius: int = 3,
                             n_max: int = 12) -> AyadReport:
     """Evaluate properties (a)-(e) with bounded searches over an exact net.
@@ -87,41 +83,23 @@ def ayad_equivalence_report(net: EllipticNet, p: int, box_radius: int = 3,
     props: dict[str, bool] = {}
     wit: dict[str, object] = {}
 
-    props["a"] = False
-    for i in range(rank):
-        if _positive(vp(_axis(rank, i, 2))) and _positive(vp(_axis(rank, i, 3))):
-            props["a"], wit["a"] = True, i
-            break
-    props["b"] = False
-    for i in range(rank):
-        if all(_positive(vp(_axis(rank, i, n))) for n in range(2, n_max + 1)):
-            props["b"], wit["b"] = True, i
-            break
-    props["c"] = False
-    for v in box_indices(rank, box_radius):
-        if not _positive(vp(v)):
-            continue
-        for i in range(rank):
-            if _positive(vp(_plus(v, _axis(rank, i)))):
-                props["c"], wit["c"] = True, (v, i)
-                break
-        if props["c"]:
-            break
-    props["d"] = False
-    x1 = net.points[0].x
-    for v in box_indices(rank, box_radius):
-        if not _positive(vp(v)):
-            continue
-        phi = net.value(v) ** 2 * x1 - net.value(_plus(v, _axis(rank, 0))) * net.value(
-            tuple(a - b for a, b in zip(v, _axis(rank, 0))))
-        if _positive(val_p(phi, p)):
-            props["d"], wit["d"] = True, v
-            break
-    props["e"] = False
-    for i, pt in enumerate(net.points):
-        if is_singular_reduction(curve, pt, p):
-            props["e"], wit["e"] = True, i
-            break
+    def search(name: str, candidates, holds: Callable) -> None:
+        """Property ``name`` holds when some candidate passes; the first is its witness."""
+        found = next((c for c in candidates if holds(c)), None)
+        props[name] = found is not None
+        if props[name]:
+            wit[name] = found
+
+    axes = range(rank)
+    search("a", axes, lambda i: vp(_axis(rank, i, 2)) > 0 and vp(_axis(rank, i, 3)) > 0)
+    search("b", axes, lambda i: all(vp(_axis(rank, i, n)) > 0 for n in range(2, n_max + 1)))
+    divisible = lambda: (v for v in box_indices(rank, box_radius) if vp(v) > 0)
+    search("c", ((v, i) for v in divisible() for i in axes),
+           lambda vi: vp(_plus(vi[0], _axis(rank, vi[1]))) > 0)
+    x1, e1 = net.points[0].x, _axis(rank, 0)
+    search("d", divisible(), lambda v: val_p(net.value(v) ** 2 * x1 - net.value(_plus(v, e1))
+                                        * net.value(tuple(a - b for a, b in zip(v, e1))), p) > 0)
+    search("e", axes, lambda i: is_singular_reduction(curve, net.points[i], p))
     return AyadReport(p, box_radius, n_max, props, wit, warnings)
 
 

@@ -193,6 +193,15 @@ def test_non_prime_modulus_is_refused_first(capsys, command, prime):
     assert (code, out, err) == (2, "", f"error: {prime} is not prime\n")
 
 
+@pytest.mark.parametrize("check", ["ayad", "valuation", "epsilon"])
+@pytest.mark.parametrize("prime", [0, 1, 4, 91, -7])
+def test_verify_refuses_a_non_prime_modulus(capsys, check, prime):
+    # checked before any report: mod 0 the reduction would divide by zero,
+    # and mod 1 every point would reduce to infinity
+    code, out, err = run_cli(capsys, ["verify", check, *E2_ARGS, f"--prime={prime}"])
+    assert (code, out, err) == (2, "", f"error: {prime} is not prime\n")
+
+
 def test_table_error_prints_no_partial_table(capsys):
     # P = (2, 3) has order 6, so D_{6P} does not exist: the last entry of
     # the grid raises after six entries have answered
@@ -247,6 +256,11 @@ DEPENDENT_HUGE_EVAL = ["eval", "--curve", "1,-1,0,-79,289", "--points", "(0,17);
                        "--index=-265783037852160943273754885714,466805709061477868516227043218,"
                        "923920153035226986328788032806,154573337950570872618040279639"]
 
+# a modulus that is not prime, one per verify check that reduces mod p
+NON_PRIME_VERIFY = [["verify", "ayad", *E2_ARGS, "--prime=0"],
+                    ["verify", "valuation", *E2_ARGS, "--prime=1"],
+                    ["verify", "epsilon", *E2_ARGS, "--prime=-7"]]
+
 
 def run_subprocess(argv):
     src = str(Path(ellnet.__file__).resolve().parent.parent)
@@ -259,13 +273,16 @@ def run_subprocess(argv):
 @pytest.mark.parametrize("argv", CLI_MATRIX + [DEEP_EVAL, HUGE_EVAL, LONG_TABLE, LONG_TABLE_JSON,
                                               SHORT_INDEX_EVAL, LONG_INDEX_EVAL, RANK_ONE_EVAL,
                                               RANK_ONE_HUGE_EVAL, AXIS_HUGE_EVAL,
-                                              NEAR_AXIS_HUGE_EVAL, DEPENDENT_HUGE_EVAL],
+                                              NEAR_AXIS_HUGE_EVAL, DEPENDENT_HUGE_EVAL,
+                                              *NON_PRIME_VERIFY],
                          ids=[argv[0] for argv in CLI_MATRIX]
                          + ["eval-direct-deep", "eval-direct-huge", "net-table-1x120",
                             "net-table-1x120-json", "eval-direct-short-index",
                             "eval-direct-long-index", "eval-direct-rank-one",
                             "eval-direct-rank-one-huge", "eval-direct-axis-huge",
-                            "eval-direct-near-axis-huge", "eval-direct-dependent-huge"])
+                            "eval-direct-near-axis-huge", "eval-direct-dependent-huge",
+                            "verify-ayad-prime-0", "verify-valuation-prime-1",
+                            "verify-epsilon-prime-minus-7"])
 def test_cli_matrix_never_tracebacks(argv):
     start = time.monotonic()
     proc = run_subprocess(argv)
@@ -299,6 +316,9 @@ def test_cli_matrix_never_tracebacks(argv):
         assert proc.stdout.strip() == str(reduced.value((20000,)).residue) == "0"
         for n in (999, 1000):
             assert reduced.value((n,)) == reduced.exact_value((n,)), n
+    if argv in NON_PRIME_VERIFY:
+        prime = argv[-1].split("=")[1]
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {prime} is not prime\n")
     if argv is DEPENDENT_HUGE_EVAL:
         # interpreter start included; the unbounded fallback ran past 3 s
         assert proc.returncode == 2 and elapsed < 3, (proc.stderr, elapsed)

@@ -36,7 +36,7 @@ from ellnet.errors import (
     SingularCurveError,
 )
 from ellnet import IntegralModel, PrimeFieldElement
-from ellnet.net import (EXACT_FALLBACK_MAX_NORM, LADDER_BASE_NORM, _LADDER, _SEED_ROWS, _box_from_seeds, _ladder_terms,
+from ellnet.net import (EXACT_FALLBACK_MAX_NORM, LADDER_BASE_NORM, _SEED_ROWS, _box_from_seeds, _children,
                         _ladder_units, _net_terms, _normalize, _reduce_fraction, box_indices,
                         reduce_base_points)
 from conftest import (E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2, assert_psi_is_exact_psi_reduced,
@@ -354,18 +354,51 @@ LADDER_PRIMES = (5, 7, 11, 13, 19, 29, 61, 89, 1009, 1000003)
 UNITS = {(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)}
 
 
+# The window of the level-block schedule: at level j every index of the
+# ladder is (u >> j) + o with o in this box, per rank.
+LADDER_WINDOW = {rank: [range(-2, 4), range(-1, 3)] + [range(0, 2)] * (rank - 2)
+                 for rank in range(2, 7)}
+
+
+def in_ladder_window(offset):
+    return all(c in span for c, span in zip(offset, LADDER_WINDOW[len(offset)]))
+
+
+def ladder_children(u):
+    """The eight indices of the halving step at u, read off the compiled
+    table with u on a level of its own: base u >> 1, offset u & 1."""
+    base = tuple(c >> 1 for c in u)
+    step, _ = _children(tuple(c & 1 for c in u))
+    return [tuple(b + t for b, t in zip(base, offset)) for offset in step]
+
+
+def assert_table_keeps_the_window(rank):
+    """Every offset o of the window, on a level base of either parity in
+    each coordinate (so r = o + bits), has its eight children inside the
+    window again, and the table commutes with r -> r + 2 e_i, so a child
+    index depends on the parent index alone."""
+    for r in itertools.product(*(range(span.start, span.stop + 1) for span in LADDER_WINDOW[rank])):
+        step, values_of = _children(r)
+        assert all(map(in_ladder_window, step)), (r, step)
+        assert values_of({t: t for t in step}) == step, r
+        for i in range(rank):
+            shifted = r[:i] + (r[i] + 2,) + r[i + 1:]
+            moved = tuple(t[:i] + (t[i] + 1,) + t[i + 1:] for t in step)
+            assert _children(shifted)[0] == moved, (r, i)
+
+
 def test_ladder_schedule_invariants():
+    assert_table_keeps_the_window(2)
     for m in range(-200, 201):
         for n in range(-200, 201):
             u = (m, n)
             if max(abs(m), abs(n)) <= LADDER_BASE_NORM:
                 continue
-            g, c, h = _LADDER[m & 1, n & 1]
+            g, c, h = _ladder_units((m & 1, n & 1))
             assert {g, c, h} <= UNITS
             d = (h[0] - c[0], h[1] - c[1])
             assert ((g[0] - d[0] - m) % 2, (g[1] - d[1] - n) % 2) == (0, 0), u
-            first, second = _ladder_terms(u)
-            for child in first + second:
+            for child in ladder_children(u):
                 assert max(map(abs, child)) < max(abs(m), abs(n)), (u, child)
 
 
@@ -386,6 +419,13 @@ def test_ladder_matches_exact_on_box(default_recursion_limit, net1_pq, net2, p):
             assert reduced.value(v) == _reduce_fraction(w, p), (p, v)
 
 
+# route_counts of the huge-index cases below, recorded on the schedule that
+# the level blocks replaced (a top-down dict of steps): the same indices
+# take the same routes
+HUGE_INDEX_COUNTS = {7: (14, 166391), 11: (11, 166704), 19: (19, 166705), 61: (23, 166581),
+                     89: (22, 166537)}
+
+
 @pytest.mark.parametrize("p", [7, 11, 19, 61, 89])
 def test_ladder_matches_symmetry_at_huge_indices(default_recursion_limit, net1_pq, p):
     # the oracle's symmetry data comes from exact values on the recurrence route
@@ -395,6 +435,8 @@ def test_ladder_matches_symmetry_at_huge_indices(default_recursion_limit, net1_p
     for _ in range(100):
         v = tuple(rng.choice((-1, 1)) * rng.randrange(10 ** 29, 10 ** 30) for _ in range(2))
         assert reduced.value(v) == eval_by_symmetry(sd, v), (p, v)
+    psi, ladder = HUGE_INDEX_COUNTS[p]
+    assert reduced.route_counts == Counter(seed=25, psi=psi, ladder=ladder)
 
 
 def test_ladder_group_law_at_huge_indices(default_recursion_limit, net1_pq):
@@ -411,6 +453,16 @@ def test_ladder_index_of_300_digits_finishes(default_recursion_limit, net1_pq):
     reduced = ReducedNet(net1_pq, 1000003)
     v = (10 ** 300 + 7, -3 * 10 ** 299 + 1)
     assert assert_group_law_identity(reduced, reduced.value, v) != 0
+
+
+def test_ladder_index_of_2000_digits_finishes(default_recursion_limit):
+    # about 6,600 levels of the schedule, far past the recursion limit
+    reduced = ReducedNet(EllipticNet(E1, (P1, Q1)), 1000003)
+    rng = random.Random(2000)
+    v = (rng.randrange(10 ** 1999, 10 ** 2000), -rng.randrange(10 ** 1999, 10 ** 2000))
+    start = time.perf_counter()
+    assert assert_group_law_identity(reduced, reduced.value, v) != 0
+    assert time.perf_counter() - start < 10
 
 
 # The rank-2 table of the halving ladder, spelled out.
@@ -430,13 +482,11 @@ def assert_ladder_step(u):
     for unit in units:
         assert set(unit) <= {0, 1} and sum(unit) in (1, 2), (u, units)
     assert tuple(sum(col) & 1 for col in zip(*units)) == parity, (u, units)
-    first, second = _ladder_terms(u)
-    for child in first + second:
+    for child in ladder_children(u):
         assert max(map(abs, child)) < max(map(abs, u)), (u, child)
 
 
 def test_ladder_rule_reproduces_the_rank_two_table():
-    assert _LADDER == RANK_TWO_LADDER
     for parity, units in RANK_TWO_LADDER.items():
         assert _ladder_units(parity) == units
     # a rank-1 net has no unit e_1 + e_2: its values take psi or the box
@@ -446,6 +496,7 @@ def test_ladder_rule_reproduces_the_rank_two_table():
 
 
 def test_ladder_rule_rank_three():
+    assert_table_keeps_the_window(3)
     for u in itertools.product(range(-12, 13), repeat=3):
         if max(map(abs, u)) > LADDER_BASE_NORM:
             assert_ladder_step(u)
@@ -453,6 +504,7 @@ def test_ladder_rule_rank_three():
 
 @pytest.mark.parametrize("rank", [4, 5, 6])
 def test_ladder_rule_ranks_four_to_six(rank):
+    assert_table_keeps_the_window(rank)
     # every parity class at max-norm 4 and 5: each coordinate of size 4 or 5,
     # whichever has its parity, under every sign pattern
     for parity in itertools.product((0, 1), repeat=rank):
@@ -801,6 +853,8 @@ def test_exact_ladder_matches_points_and_recurrence(default_recursion_limit,
     counts = net.route_counts
     assert counts["ladder"] > 0 and counts["psi"] == 2 * (29 - LADDER_BASE_NORM)
     assert counts["base"] + counts["points"] <= len(box)
+    # as on the schedule that the level blocks replaced
+    assert counts == Counter(base=8, points=14, psi=52, ladder=847)
     assert rec.route_counts.keys() <= {"base", "recurrence"}
     assert by_points.route_counts.keys() <= {"base", "points"}
 
