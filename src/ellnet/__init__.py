@@ -36,7 +36,6 @@ from .net import (
     ReducedNet,
     initial_net_value,
     recurrence_check,
-    scaled_value,
 )
 from .symmetry import (
     ApparitionResult,

@@ -34,9 +34,10 @@ def parse_point(text: str) -> CurvePoint:
     text = text.strip()
     if text == "inf":
         return INFINITY
-    if not (text.startswith("(") and text.endswith(")")):
+    parts = text[1:-1].split(",")
+    if not (text.startswith("(") and text.endswith(")")) or len(parts) != 2:
         raise ValueError(f'point {text!r} is not "(x,y)" or "inf"')
-    x, y = (Fraction(s.strip()) for s in text[1:-1].split(","))
+    x, y = (Fraction(s.strip()) for s in parts)
     return rational_point(x, y)
 
 
@@ -45,8 +46,11 @@ def parse_points(text: str) -> tuple[CurvePoint, ...]:
 
 
 def parse_grid(text: str) -> tuple[int, int]:
-    cols, rows = text.lower().split("x")
-    return int(cols), int(rows)
+    try:
+        cols, rows = (int(s) for s in text.lower().split("x"))
+    except ValueError:
+        raise ValueError(f'grid {text!r} is not "COLSxROWS"') from None
+    return cols, rows
 
 
 def parse_index(text: str) -> tuple[int, ...]:
@@ -112,7 +116,10 @@ def cmd_symmetry(args) -> int:
 
 def cmd_eval(args) -> int:
     v = parse_index(args.index)
-    net = ReducedNet(_build_net(args), args.prime)
+    points = _oriented_points(args)
+    if len(v) != len(points):
+        raise ValueError(f"index length {len(v)} does not match the {len(points)} base points")
+    net = ReducedNet(EllipticNet(parse_curve(args.curve), points), args.prime)
     if args.method == "direct":
         print(net.value(v).residue)
     else:
@@ -122,6 +129,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value, least in (("--radius", args.radius, 1), ("--n-max", args.n_max, 3),
+                               ("--trials", args.trials, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, not {value}")
     net = _build_net(args)
     if args.check != "recurrence":
         if args.prime is None:

@@ -22,11 +22,12 @@ box, psi and the combine step:
   and ranks 2 to 6 the ladder.
 * ``ReducedNet``: at ranks 1 and 2 the box seeded from reduced residues
   (``_SEED_ROWS``, with no group law over Q), at ranks 3 to 6
-  ``exact_value`` (exact over Q, then reduced); psi of the reduced point,
-  and ``x % p`` on int residues.  The constructor builds the seeds in int
-  arithmetic from the net's cached (A, B, D) triples, with no ``Fraction``
-  or ``PrimeFieldElement`` value; only where x_1 = x_2 mod p (both points
-  at the singular point) are W(2,1) and W(1,2) taken exact over Q.
+  ``_exact_residue`` (exact over Q, then reduced); psi of the reduced
+  point, and ``x % p`` on int residues.  The constructor builds the seeds
+  in int arithmetic from the net's cached (A, B, D) triples, with no
+  ``Fraction`` or ``PrimeFieldElement`` value; only where x_1 = x_2 mod p
+  (both points at the singular point) are W(2,1) and W(1,2) taken from
+  ``_exact_residue``, the one way a ``ReducedNet`` reaches Q.
 
 The box of an exact net, and every value of a net on the recurrence
 strategy or over F_p, comes from ``EllipticNet._run``: an explicit stack of
@@ -62,11 +63,12 @@ contract is: every index the points route answers gets the same value, and
 no such index raises, since an index whose ladder box raises is evaluated
 on the points route instead.  An index the points route refuses with
 ``DependentPointsError`` may get Psi_v(P) from the division-free ladder or
-psi, at any rank.  ``ReducedNet`` bounds that detour: above max-norm
-EXACT_FALLBACK_MAX_NORM it raises ``DependentPointsError`` instead.  Over
-a prime field a zero divisor on either route raises
-``DegenerateNetError``; ``ReducedNet`` meets none, since its seeded box,
-the ladder and psi never divide by a zero.
+psi, at any rank.  ``ReducedNet`` bounds every value it takes over Q at
+max-norm EXACT_FALLBACK_MAX_NORM: above it the detour raises
+``DependentPointsError``, and a net of rank above LADDER_MAX_RANK raises
+``PreconditionError``.  Over a prime field a zero divisor on either route
+raises ``DegenerateNetError``; ``ReducedNet`` meets none, since its seeded
+box, the ladder and psi never divide by a zero.
 
 ``route_counts`` on a net counts its memoized values by route (base, psi,
 ladder, points, recurrence), and on a ``ReducedNet`` its residues by
@@ -166,8 +168,8 @@ def _recurrence_terms(m: int, n: int):
 
 LADDER_BASE_NORM = 3
 LADDER_MAX_RANK = 6
-# the largest max-norm at which ``ReducedNet`` sends an index whose ladder
-# meets a raising box value to the points route over Q
+# the largest max-norm of an index that ``ReducedNet`` takes exact over Q
+# (the points route is linear in |v|, with values of size quadratic in |v|)
 EXACT_FALLBACK_MAX_NORM = 28
 
 
@@ -226,7 +228,7 @@ def _max_norm(v: Index) -> int:
 
 def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
                psi: Callable[[int, int], object], combine: Callable[[object], object],
-               counts: Counter, fallback: Callable[[Index], object] | None = None):
+               counts: Counter):
     """Memoize W(key) for a normalized index by the source rule of the
     module docstring, on the level-block schedule of the halving ladder.
 
@@ -247,9 +249,8 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
     counted once.  The step multiplies and subtracts but never divides, so
     it meets no zero divisor, and the key is reached in O(log |key|) levels
     of a bounded number of offsets each.  Where a box value on the way
-    raises (dependent points), the key takes ``fallback(key)`` (by default
-    ``box(key)``), and a key of rank above LADDER_MAX_RANK takes
-    ``box(key)`` at once.
+    raises (dependent points), the key takes ``box(key)``, and so does a
+    key of rank above LADDER_MAX_RANK, at once.
     """
     rank = len(key)
     if rank > LADDER_MAX_RANK:
@@ -282,7 +283,7 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
                 except EllnetError:
                     if u == key:
                         raise
-                    memo[key] = (fallback or box)(key)
+                    memo[key] = box(key)
                     return
             elif u.count(0) == rank - 1:
                 n = sum(u)
@@ -748,8 +749,8 @@ class ReducedNet:
       multiplying only by units, so no step divides.  Where
       x_1 = x_2 mod p and no P_1 +- P_2 reduces to infinity (both points
       reduce to the singular point), W(2,1) and W(1,2) are taken exact
-      over Q and reduced.  At ranks 3 to 6 ``exact_value``, exact over Q
-      and reduced: no division-free derivation of those boxes is known here;
+      over Q and reduced.  At ranks 3 to 6 the box is exact over Q and
+      reduced: no division-free derivation of those boxes is known here;
     * one nonzero coordinate: psi_n of the reduced point P_i
       (``DivisionPolynomials`` on int residues, Shipsey's doubling; 0 at
       an even n where psi_2 = 0 mod p);
@@ -759,13 +760,16 @@ class ReducedNet:
       levels.
 
     Where an exact box value on the way raises (dependent points), the
-    index takes ``exact_value`` up to max-norm EXACT_FALLBACK_MAX_NORM and
-    raises ``DependentPointsError`` above it, since the points route over Q
-    is linear in |v| with values of size quadratic in |v|.  Every index of
-    a net of rank above LADDER_MAX_RANK takes ``exact_value``.  So
-    ``value`` agrees with ``exact_value`` wherever it answers, and raises
-    where that raises or past the bound; at ranks 1 and 2 it may answer
-    Psi_v(P) mod p where ``exact_value`` refuses dependent points.
+    index itself is taken exact over Q, and so is every index of a net of
+    rank above LADDER_MAX_RANK.  Every value exact over Q comes from
+    ``_exact_residue``, ``exact_value`` bounded at max-norm
+    EXACT_FALLBACK_MAX_NORM, since the points route over Q is linear in
+    |v| with values of size quadratic in |v|: above the bound the detour
+    raises ``DependentPointsError`` and a net of rank above LADDER_MAX_RANK
+    ``PreconditionError``.  So ``value`` agrees with ``exact_value``
+    wherever it answers, and raises where that raises or past the bound;
+    at ranks 1 and 2 it may answer Psi_v(P) mod p where ``exact_value``
+    refuses dependent points.
 
     ``route_counts`` counts the memoized residues by source: ``seed``
     (the seeded box), ``exact`` (exact over Q and reduced, the two seeds
@@ -810,7 +814,7 @@ class ReducedNet:
         key, sign = _normalize(self.net._key(v))
         if key not in self._residues:
             _net_value(key, self._residues, self._exact_residue, self._psi, self._residue,
-                       self.route_counts, self._exact_fallback)
+                       self.route_counts)
         w = self._residues[key]
         return _element(w if sign > 0 else -w, self.p)
 
@@ -819,16 +823,19 @@ class ReducedNet:
         return _reduce_fraction(self.net.value(v), self.p)
 
     def _exact_residue(self, u: Index) -> int:
-        w = self.exact_value(u).residue
-        self.route_counts["exact"] += 1
-        return w
-
-    def _exact_fallback(self, key: Index) -> int:
-        if _max_norm(key) > EXACT_FALLBACK_MAX_NORM:
+        """W(u) exact over Q and reduced, counted under ``exact``: the one
+        way this net reaches Q, bounded at max-norm EXACT_FALLBACK_MAX_NORM."""
+        if _max_norm(u) > EXACT_FALLBACK_MAX_NORM:
+            if self.rank > LADDER_MAX_RANK:
+                raise PreconditionError(
+                    f"a net of rank {self.rank} > {LADDER_MAX_RANK} takes every value exact "
+                    f"over Q, at indices of max-norm at most {EXACT_FALLBACK_MAX_NORM}")
             raise DependentPointsError(
                 "a box value on the ladder raises (dependent points), and the exact fallback "
                 f"takes indices of max-norm at most {EXACT_FALLBACK_MAX_NORM}")
-        return self._exact_residue(key)
+        w = self.exact_value(u).residue
+        self.route_counts["exact"] += 1
+        return w
 
     def _seeded_box(self) -> dict[Index, int]:
         """The box |u| <= 3 at rank 1 or 2 from the reduced seeds."""
@@ -850,8 +857,7 @@ class ReducedNet:
             seeds[(1, 2)] = (x1 + 2 * x2 + rest) % p
         else:  # both points reduce to the singular point: no slope mod p
             for v in ((2, 1), (1, 2)):
-                seeds[v] = _reduce_fraction(initial_net_value(net.curve, net.points, v), p).residue
-                self.route_counts["exact"] += 1
+                seeds[v] = self._exact_residue(v)
         return _box_from_seeds(seeds, self._residue)
 
     def _psi(self, axis: int, n: int) -> int:
@@ -899,13 +905,6 @@ class QuadraticFormData:
                 if e:
                     result *= self.matrix[i][j] ** e
         return result
-
-
-def scaled_value(net: EllipticNet | ReducedNet, qdata: QuadraticFormData, v: Sequence[int]):
-    """The rescaled net value F_v * W(v) (reduced mod p for a ReducedNet)."""
-    if isinstance(net, ReducedNet):
-        return _reduce_fraction(qdata.value(v) * net.net.value(v), net.p)
-    return qdata.value(v) * net.value(v)
 
 
 def recurrence_check(value_fn: Callable[[Index], object], rank: int,

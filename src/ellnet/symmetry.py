@@ -6,9 +6,10 @@ For a net W over F_p whose zero set Lambda is a full-rank subgroup with
     W(lambda + v) = xi(lambda) * chi(lambda, v) * W(v),
 
 with chi bilinear and xi a quadratic cocycle.  ``SymmetryData`` stores a
-canonical basis of Lambda, the xi and chi tables on that basis, and W on
-the canonical coset representatives; ``eval_by_symmetry`` then computes
-any W(v) from the closed product formula without touching the recursion.
+canonical basis of Lambda and the xi and chi tables on that basis, and
+reads W on the canonical coset representatives from the reduced net, which
+memoizes them; ``eval_by_symmetry`` then computes any W(v) from the closed
+product formula and the value of one representative.
 
 Lambda is the kernel of v -> v . P on the reduced curve group, found by a
 group walk (``zero_lattice``).  At good reduction the walk alone gives it;
@@ -187,14 +188,15 @@ def xi(net: ReducedNet, lattice: IntegerLattice, lam: Vector) -> PrimeFieldEleme
 
 @dataclass(frozen=True)
 class SymmetryData:
-    """Everything needed to evaluate W anywhere from finitely many scalars."""
+    """Everything needed to evaluate W anywhere from finitely many scalars:
+    the zero lattice, xi and chi on its basis, and the reduced net, which
+    gives W on the coset representatives when they are asked for."""
 
     p: int
     lattice: IntegerLattice
     xi_basis: tuple[PrimeFieldElement, ...]
     chi_basis: tuple[tuple[PrimeFieldElement, ...], ...]
     chi_axis: tuple[tuple[PrimeFieldElement, ...], ...]
-    rep_values: dict[Vector, PrimeFieldElement]
     net: ReducedNet
 
     @property
@@ -211,14 +213,15 @@ class SymmetryData:
                 "axis": [[c.residue for c in row] for row in self.chi_axis],
             },
             "reps": [
-                {"index": list(m), "value": w.residue}
-                for m, w in sorted(self.rep_values.items())
+                {"index": list(m), "value": self.net.value(m).residue}
+                for m in self.lattice.representatives()
             ],
         }
 
 
 def build_symmetry_data(net: ReducedNet) -> SymmetryData:
-    """Zero lattice, xi/chi tables on its basis, and W on the coset reps."""
+    """Zero lattice and xi/chi tables on its basis; W on the coset
+    representatives is left to the net."""
     lattice = zero_lattice(net)
     _require_large_quotient(lattice)
     rank = lattice.rank
@@ -232,14 +235,13 @@ def build_symmetry_data(net: ReducedNet) -> SymmetryData:
         tuple(chi(net, lattice, basis[i], _axis_index(rank, j, 1)) for j in range(rank))
         for i in range(rank)
     )
-    rep_values = {m: net.value(m) for m in lattice.representatives()}
-    return SymmetryData(net.p, lattice, xi_basis, chi_basis, chi_axis, rep_values, net)
+    return SymmetryData(net.p, lattice, xi_basis, chi_basis, chi_axis, net)
 
 
 def eval_by_symmetry(sd: SymmetryData, v) -> PrimeFieldElement:
     """W(v) through the closed formula for W(sum n_i lambda_i + m)."""
     coeffs, rep = sd.lattice.decompose(tuple(int(c) for c in v))
-    w = sd.rep_values[rep]
+    w = sd.net.value(rep)
     if w == 0:
         return w
     result = w

@@ -116,15 +116,6 @@ class ValuationReport:
     def ok(self) -> bool:
         return not self.mismatches
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "scaled": self.scaled,
-            "entries": [{"index": list(v), "denominator": a, "net": b}
-                        for v, a, b in self.entries],
-            "mismatches": [list(v) for v in self.mismatches],
-        }
-
 
 def _grid(rank: int, shape) -> list[Vector]:
     if isinstance(shape, int):

@@ -181,6 +181,23 @@ def test_precondition_exit_code(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["net-table", *E1_ARGS, "--grid", "3"], 'grid \'3\' is not "COLSxROWS"'),
+    (["net-table", *E1_ARGS, "--grid", "3x4x5"], 'grid \'3x4x5\' is not "COLSxROWS"'),
+    (["net-table", "--curve", "0,0,0,0,-11", "--points", "(3,4,5)", "--grid", "2x2"],
+     'point \'(3,4,5)\' is not "(x,y)" or "inf"'),
+    # refused before the symmetry data of p = 1000003 is built
+    (["eval", *PQ_ARGS, "--prime", "1000003", "--index", "5"],
+     "index length 1 does not match the 2 base points"),
+    (["verify", "recurrence", *E1_ARGS, "--trials=-5"], "--trials must be at least 1, not -5"),
+    (["verify", "ayad", *E2_ARGS, "--prime=7", "--radius=0"], "--radius must be at least 1, not 0"),
+    (["verify", "ayad", *E2_ARGS, "--prime=7", "--n-max=2"], "--n-max must be at least 3, not 2"),
+], ids=["grid-one-value", "grid-three-values", "point-three-coordinates", "eval-short-index",
+        "verify-trials", "verify-radius", "verify-n-max"])
+def test_input_errors_name_the_argument(capsys, argv, message):
+    assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["eval", "symmetry"])
 @pytest.mark.parametrize("prime", [91, 1, 0, -7])
 def test_non_prime_modulus_is_refused_first(capsys, command, prime):
@@ -256,6 +273,23 @@ DEPENDENT_HUGE_EVAL = ["eval", "--curve", "1,-1,0,-79,289", "--points", "(0,17);
                        "--index=-265783037852160943273754885714,466805709061477868516227043218,"
                        "923920153035226986328788032806,154573337950570872618040279639"]
 
+# seven points of 5077a, past the ladder's rank: every value is exact over
+# Q, which is linear in |v|, so an index past its bound is refused at once
+RANK_SEVEN_EVAL = ["eval", "--curve", "0,0,1,-7,6", "--points", "(1,0);(2,0);(0,2);(-3,0);(4,6);(8,21);(3,3)",
+                   "--prime", "101", "--method", "direct", "--index=300,200,1,1,1,1,1"]
+# bounds of verify that leave nothing to check, by id, each with the flag it names
+AYAD_ARGS = ["verify", "ayad", *E2_ARGS, "--prime=7"]
+RECURRENCE_ARGS = ["verify", "recurrence", *E1_ARGS]
+DEGENERATE_VERIFY = {
+    "verify-ayad-radius-0": ([*AYAD_ARGS, "--radius=0"], "--radius"),
+    "verify-ayad-radius-minus-1": ([*AYAD_ARGS, "--radius=-1"], "--radius"),
+    "verify-ayad-n-max-2": ([*AYAD_ARGS, "--n-max=2"], "--n-max"),
+    "verify-recurrence-radius-minus-1": ([*RECURRENCE_ARGS, "--radius=-1"], "--radius"),
+    "verify-recurrence-trials-minus-5": ([*RECURRENCE_ARGS, "--trials=-5"], "--trials"),
+    "verify-valuation-radius-minus-1": (["verify", "valuation", *E1_ARGS, "--prime=3", "--radius=-1"],
+                                        "--radius"),
+}
+
 # a modulus that is not prime, one per verify check that reduces mod p
 NON_PRIME_VERIFY = [["verify", "ayad", *E2_ARGS, "--prime=0"],
                     ["verify", "valuation", *E2_ARGS, "--prime=1"],
@@ -274,7 +308,8 @@ def run_subprocess(argv):
                                               SHORT_INDEX_EVAL, LONG_INDEX_EVAL, RANK_ONE_EVAL,
                                               RANK_ONE_HUGE_EVAL, AXIS_HUGE_EVAL,
                                               NEAR_AXIS_HUGE_EVAL, DEPENDENT_HUGE_EVAL,
-                                              *NON_PRIME_VERIFY],
+                                              *NON_PRIME_VERIFY, RANK_SEVEN_EVAL,
+                                              *(argv for argv, _ in DEGENERATE_VERIFY.values())],
                          ids=[argv[0] for argv in CLI_MATRIX]
                          + ["eval-direct-deep", "eval-direct-huge", "net-table-1x120",
                             "net-table-1x120-json", "eval-direct-short-index",
@@ -282,7 +317,8 @@ def run_subprocess(argv):
                             "eval-direct-rank-one-huge", "eval-direct-axis-huge",
                             "eval-direct-near-axis-huge", "eval-direct-dependent-huge",
                             "verify-ayad-prime-0", "verify-valuation-prime-1",
-                            "verify-epsilon-prime-minus-7"])
+                            "verify-epsilon-prime-minus-7", "eval-direct-rank-seven",
+                            *DEGENERATE_VERIFY])
 def test_cli_matrix_never_tracebacks(argv):
     start = time.monotonic()
     proc = run_subprocess(argv)
@@ -324,6 +360,12 @@ def test_cli_matrix_never_tracebacks(argv):
         assert proc.returncode == 2 and elapsed < 3, (proc.stderr, elapsed)
         assert proc.stderr.startswith("error: a box value on the ladder raises (dependent points)")
         assert f"max-norm at most {EXACT_FALLBACK_MAX_NORM}" in proc.stderr
+    if argv is RANK_SEVEN_EVAL:
+        assert proc.returncode == 2 and elapsed < 1, (proc.stderr, elapsed)
+        assert proc.stderr.startswith("error: a net of rank 7 > 6"), proc.stderr
+    for flagged, flag in DEGENERATE_VERIFY.values():
+        if argv is flagged:
+            assert (proc.returncode, proc.stdout) == (2, "") and flag in proc.stderr, proc.stderr
 
 
 # Indices where the points route over F_p meets zero divisors: E2 mod 7 has

@@ -23,7 +23,6 @@ from ellnet import (
     recurrence_check,
     reduce_curve,
     reduce_mod_p,
-    scaled_value,
 )
 from ellnet.errors import (
     DegenerateNetError,
@@ -164,9 +163,9 @@ def test_quadratic_form_parallelogram_exponents(e1, net1):
 
 def test_scaled_net(e1, net1):
     q = QuadraticFormData.from_curve_points(e1, net1.points)
-    assert scaled_value(net1, q, (1, 0)) == 1
-    assert abs(scaled_value(net1, q, (1, 1))) == 2
-    assert abs(scaled_value(net1, q, (4, 9))) == CORNER
+    assert q.value((1, 0)) * net1.value((1, 0)) == 1
+    assert abs(q.value((1, 1)) * net1.value((1, 1))) == 2
+    assert abs(q.value((4, 9)) * net1.value((4, 9))) == CORNER
 
 
 def test_scaled_net_is_elliptic(e1, net1):
@@ -609,6 +608,30 @@ def test_exact_fallback_is_bounded_by_max_norm():
         reduced.value(past)
 
 
+# seven integral points of 5077a: past LADDER_MAX_RANK, and dependent,
+# since the curve has rank 3
+POINTS_5077A_RANK_SEVEN = tuple(rational_point(x, y) for x, y in
+                                ((1, 0), (2, 0), (0, 2), (-3, 0), (4, 6), (8, 21), (3, 3)))
+
+
+def test_reduced_net_above_the_ladder_rank_is_bounded():
+    # every value exact over Q, then reduced; a refusal is the points route's
+    by_points = EllipticNet(CURVE_5077A, POINTS_5077A_RANK_SEVEN)
+    reduced = ReducedNet(EllipticNet(CURVE_5077A, POINTS_5077A_RANK_SEVEN), 101)
+    rng = random.Random(7)
+    indices = [tuple(rng.randint(-3, 3) for _ in range(7)) for _ in range(40)]
+    indices += [(EXACT_FALLBACK_MAX_NORM, 1, 1, 1, 1, 1, 1), (3, 2, 1, 1, 1, 1, 1)]
+    answered = 0
+    for v in indices:
+        expected = _outcome(lambda u: _reduce_fraction(points_route(by_points, u), 101), v)
+        assert _outcome(reduced.value, v) == expected, v
+        answered += not isinstance(expected, type)
+    assert answered > 20
+    assert reduced.route_counts.keys() <= {"seed", "exact"} and reduced.route_counts["exact"] > 0
+    with pytest.raises(PreconditionError, match=f"rank 7 > 6 .* max-norm at most {EXACT_FALLBACK_MAX_NORM}"):
+        reduced.value((EXACT_FALLBACK_MAX_NORM + 1, 1, 1, 1, 1, 1, 1))
+
+
 @pytest.mark.parametrize("curve, points, radius", [
     (CURVE_5077A, POINTS_5077A, 6),
     (CURVE_234446A, POINTS_234446A, 4),
@@ -620,6 +643,71 @@ def test_exact_ladder_matches_points_route_at_ranks_three_and_four(curve, points
     # above the box the values are the ladder's and psi's
     assert net.route_counts["ladder"] > 0 and net.route_counts["psi"] > 0
     assert by_points.route_counts.keys() <= {"base", "points"}
+
+
+def _psi_2(curve, pt):
+    return 2 * pt.y + curve.a1 * pt.x + curve.a3
+
+
+def _divided_difference(nodes):
+    """y[x_0, ..., x_n] of the nodes (x, y, dy/dx); a repeated node is two
+    adjacent equal entries, whose difference is its slope dy/dx."""
+    if len(nodes) == 1:
+        return nodes[0][1]
+    (x0, _, slope), xn = nodes[0], nodes[-1][0]
+    if x0 == xn:
+        return slope
+    return (_divided_difference(nodes[1:]) - _divided_difference(nodes[:-1])) / (xn - x0)
+
+
+def _closed_form_box_values(curve, points):
+    """(index, W(index)) from divided differences of y over the x_i.  At
+    rank 3, W(e_i+e_j+e_k) = y[x_i, x_j, x_k] and
+    W(e_i+e_j+2e_k) = -psi_2(P_k) * y[x_i, x_j, x_k, x_k]; at rank 4,
+    W(e_1+e_2+e_3+e_4) = -y[x_1, x_2, x_3, x_4]."""
+    nodes = [(pt.x, pt.y, (3 * pt.x ** 2 + 2 * curve.a2 * pt.x + curve.a4 - curve.a1 * pt.y)
+              / _psi_2(curve, pt)) for pt in points]
+    if len(points) == 4:
+        yield (1, 1, 1, 1), -_divided_difference(nodes)
+        return
+    yield (1, 1, 1), _divided_difference(nodes)
+    for k in range(3):
+        i, j = (a for a in range(3) if a != k)
+        yield (tuple(1 + (a == k) for a in range(3)),
+               -_psi_2(curve, points[k]) * _divided_difference([nodes[i], nodes[j], nodes[k], nodes[k]]))
+
+
+# integral points with distinct x-coordinates
+CLOSED_FORM_POINTS = {
+    "5077a": (CURVE_5077A, ((-3, 0), (-2, 3), (-1, -4), (0, 2), (1, 0), (2, -1))),
+    "234446a": (CURVE_234446A, ((0, 17), (1, 14), (3, 7), (5, -2), (-4, 25), (4, -7))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_POINTS))
+def test_rank_three_and_four_box_values_have_closed_forms(name):
+    # an oracle that shares no route with the points route the box takes:
+    # every ordered tuple, over Q and mod each prime where the x's stay
+    # distinct; a tuple the exact net refuses (dependent points) is skipped
+    curve, coordinates = CLOSED_FORM_POINTS[name]
+    points = [rational_point(x, y) for x, y in coordinates]
+    checked = Counter()
+    for rank in (3, 4):
+        for tup in itertools.permutations(points, rank):
+            net = EllipticNet(curve, tup)
+            try:
+                expected = [(v, w, net.value(v)) for v, w in _closed_form_box_values(curve, tup)]
+            except DependentPointsError:
+                continue
+            for v, w, got in expected:
+                assert got == w, (tup, v)
+            checked[rank] += len(expected)
+            for p in (11, 101, 1009):
+                if len({pt.x % p for pt in tup}) == rank:
+                    reduced = ReducedNet(net, p)
+                    for v, w, _ in expected:
+                        assert reduced.value(v) == _reduce_fraction(w, p), (tup, p, v)
+    assert checked[3] > 400 and checked[4] > 300, checked
 
 
 def test_exact_rank_three_group_law_identity(default_recursion_limit):

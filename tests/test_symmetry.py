@@ -291,7 +291,7 @@ def test_build_symmetry_data_p7(symmetry_data):
     assert sd.chi_basis[0][1] == 3
     assert sd.chi_axis[0] == (3, 3)
     assert (sd.chi_axis[1][0], sd.chi_axis[1][1]) == (6, 2)
-    assert len(sd.rep_values) == 13
+    assert len(sd.to_dict()["reps"]) == 13
 
 
 def test_build_symmetry_data_p19(symmetry_data):
@@ -312,8 +312,8 @@ def test_eval_by_symmetry_examples(symmetry_data):
     assert eval_by_symmetry(symmetry_data[7], (101, 100)) == 1
     assert eval_by_symmetry(symmetry_data[61], (101, 100)) == 28
     sd = symmetry_data[7]
-    for rep, value in list(sd.rep_values.items())[:5]:
-        assert eval_by_symmetry(sd, rep) == value
+    for rep in list(sd.lattice.representatives())[:5]:
+        assert eval_by_symmetry(sd, rep) == sd.net.value(rep)
 
 
 def test_eval_by_symmetry_matches_direct(symmetry_data, reduced1_pq):
@@ -430,3 +430,15 @@ def test_symmetry_json_round_trip(symmetry_data):
     assert blob["lattice"] == [[1, 5], [0, 13]]
     assert blob["xi"] == [1, 4]
     assert all(0 <= e["value"] < 7 for e in blob["reps"])
+
+
+def test_symmetry_data_reads_representatives_on_demand(net1_pq):
+    # xi and chi take a few net values; the representatives are read from
+    # the net only when asked for, all of them by the export, in
+    # lexicographic order
+    reduced = ReducedNet(net1_pq, 10007)
+    sd = build_symmetry_data(reduced)
+    assert sum(reduced.route_counts.values()) * 10 < sd.lattice.index() == 1668
+    reps = sd.to_dict()["reps"]
+    assert [tuple(r["index"]) for r in reps] == sorted(sd.lattice.representatives())
+    assert sum(reduced.route_counts.values()) > sd.lattice.index()
