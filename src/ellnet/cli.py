@@ -24,10 +24,11 @@ VERIFY_FAILURE = 1
 
 
 def parse_curve(text: str) -> WeierstrassCurve:
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) != 5:
-        raise ValueError('curve must be "a1,a2,a3,a4,a6"')
-    return WeierstrassCurve(*(int(s) for s in parts))
+    try:
+        a1, a2, a3, a4, a6 = (int(s) for s in text.split(","))
+    except ValueError:
+        raise ValueError(f'curve {text!r} is not "a1,a2,a3,a4,a6"') from None
+    return WeierstrassCurve(a1, a2, a3, a4, a6)
 
 
 def parse_point(text: str) -> CurvePoint:
@@ -54,7 +55,10 @@ def parse_grid(text: str) -> tuple[int, int]:
 
 
 def parse_index(text: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in text.strip().lstrip("(").rstrip(")").split(","))
+    try:
+        return tuple(int(s) for s in text.strip().lstrip("(").rstrip(")").split(","))
+    except ValueError:
+        raise ValueError(f'index {text!r} is not "v1,v2,..."') from None
 
 
 def _oriented_points(args) -> tuple[CurvePoint, ...]:

@@ -1,10 +1,15 @@
 """Elliptic nets of rank r: net polynomial values, denominators, rescaling.
 
 One rule, ``_net_value``, gives each value its source, over Q and over
-F_p alike, in one function that stores each index once: the box |u| <= 3 from
-the net's box callback, an axis index from the division polynomial
-(``DivisionPolynomials.psi``, Shipsey's doubling, which never raises), and
-every other index from one halving ladder.  A recurrence instance writes
+F_p alike, in one function that stores each index once.  W(0) = 0 and an
+index with one nonzero coordinate take the division polynomial
+(``DivisionPolynomials.psi``, Shipsey's doubling, which never raises), at
+every n and every rank.  At rank 2 every other index of the box |u| <= 3
+comes from one seeded box (``_seeded_box``): eleven seeds, read off the
+coordinates of P_1, P_2 and P_1 + P_2 and psi on the axes, and fourteen
+recurrence rows that multiply their target only by units, so no step
+divides.  At ranks 3 to 6 the box comes from the net's box callback.
+Every other index takes one halving ladder.  A recurrence instance writes
 W(u) as a difference of two products of four values near u / 2, with no
 division, so O(log |u|) levels of a bounded number of values each reach
 the box and the axes.  One parity rule (``_ladder_units``) picks the
@@ -13,27 +18,26 @@ level-block schedule: at level j every index is (u >> j) + o for a small
 offset o, the children of o depend only on ((u >> j) & 1) + o, and one
 cached table (``_children``) gives them; a top-down pass over the offsets
 of each level and a bottom-up fill replace any recursion.  Where a box
-value raises, and on a net of rank above LADDER_MAX_RANK, the box callback
-answers the index itself.  The nets differ only in their callbacks, the
-box, psi and the combine step:
+value raises, and on a net of rank above LADDER_MAX_RANK off the axes, the
+box callback answers the index itself.  The nets differ only in their
+callbacks, the box, psi and the combine step:
 
-* an exact net over Q on the points strategy: the points route, psi over
-  Q, and the identity on exact values.  So rank 1 takes psi above the box
-  and ranks 2 to 6 the ladder.
-* ``ReducedNet``: at ranks 1 and 2 the box seeded from reduced residues
-  (``_SEED_ROWS``, with no group law over Q), at ranks 3 to 6
-  ``_exact_residue`` (exact over Q, then reduced); psi of the reduced
-  point, and ``x % p`` on int residues.  The constructor builds the seeds
-  in int arithmetic from the net's cached (A, B, D) triples, with no
-  ``Fraction`` or ``PrimeFieldElement`` value; only where x_1 = x_2 mod p
-  (both points at the singular point) are W(2,1) and W(1,2) taken from
-  ``_exact_residue``, the one way a ``ReducedNet`` reaches Q.
+* an exact net over Q on the points strategy: the seeded box built on the
+  first ``value`` call (P_1 + P_2 by the chord), the points route at ranks
+  3 to 6, psi over Q, and the identity on exact values.
+* ``ReducedNet``: the seeded box built by the constructor from int residues
+  (P_1 + P_2 read off the cached (A, B, D) triple mod p, with no group law
+  over Q), ``_exact_residue`` (exact over Q, then reduced) at ranks 3 to 6,
+  psi of the reduced point, and ``x % p`` on int residues.
 
-The box of an exact net, and every value of a net on the recurrence
-strategy or over F_p, comes from ``EllipticNet._run``: an explicit stack of
-steps, each a generator that asks for the values it needs on its route, so
-the depth of an evaluation is bounded by memory, not by the interpreter's
-recursion limit.  There are two routes.
+So ranks 1 and 2 answer Psi_v(P) at every index, from psi, the seeded box
+and the ladder alone, and an exact net and its ``ReducedNet`` agree there.
+
+The box of an exact net at ranks 3 to 6, and every value of a net on the
+recurrence strategy or over F_p, comes from ``EllipticNet._run``: an
+explicit stack of steps, each a generator that asks for the values it
+needs on its route, so the depth of an evaluation is bounded by memory,
+not by the interpreter's recursion limit.  There are two routes.
 
 * ``points``: the base values, then the addition identity
   ``W(v+u) = W(v)^2 W(u)^2 (X_u - X_v) / W(v-u)`` with ``u = +-e_i`` and the
@@ -45,10 +49,10 @@ recursion limit.  There are two routes.
   law of ``curve.IntegralModel``; the step reads x = A / D^2 from it, and
   ``denominator`` reads D_{v . P} off it.  Other nets cache ``CurvePoint``
   values from ``WeierstrassCurve.add``.  Over Q this route serves the box
-  of the rule, the index whose ladder meets a box value that raises, every
-  value of a net of rank above LADDER_MAX_RANK, and the group-law oracle
-  of the tests; over F_p it is a linear oracle, which no library caller
-  takes.
+  of ranks 3 to 6, the index whose ladder meets a box value that raises,
+  every off-axis value of a net of rank above LADDER_MAX_RANK, and the
+  group-law oracle of the tests; over F_p it is a linear oracle, which no
+  library caller takes.
 * ``recurrence``: pure recurrence instantiations grounded in the initial
   values, with no group-law input.  Rank 1 delegates to the division
   polynomial doubling identities; rank 2 uses a fixed well-founded schedule
@@ -62,16 +66,17 @@ divisor there raises ``DependentPointsError``.  For dependent points the
 contract is: every index the points route answers gets the same value, and
 no such index raises, since an index whose ladder box raises is evaluated
 on the points route instead.  An index the points route refuses with
-``DependentPointsError`` may get Psi_v(P) from the division-free ladder or
-psi, at any rank.  ``ReducedNet`` bounds every value it takes over Q at
-max-norm EXACT_FALLBACK_MAX_NORM: above it the detour raises
+``DependentPointsError`` may get Psi_v(P) from the division-free ladder,
+the seeded box or psi; at ranks 1 and 2 every index does.
+``ReducedNet`` bounds every value it takes over Q at max-norm
+EXACT_FALLBACK_MAX_NORM: above it the detour raises
 ``DependentPointsError``, and a net of rank above LADDER_MAX_RANK raises
 ``PreconditionError``.  Over a prime field a zero divisor on either route
 raises ``DegenerateNetError``; ``ReducedNet`` meets none, since its seeded
 box, the ladder and psi never divide by a zero.
 
-``route_counts`` on a net counts its memoized values by route (base, psi,
-ladder, points, recurrence), and on a ``ReducedNet`` its residues by
+``route_counts`` on a net counts its memoized values by route (base, seed,
+psi, ladder, points, recurrence), and on a ``ReducedNet`` its residues by
 source (seed, exact, psi, ladder).
 """
 from __future__ import annotations
@@ -236,9 +241,11 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
     offset o (per-coordinate floor halving), and the children of offset o
     at level j + 1 are ``_children(((key >> j) & 1) + o)``.  A top-down
     pass takes the offsets of each level once: an index whose normalized
-    form is in ``memo``, in the box (max-norm at most LADDER_BASE_NORM,
-    from ``box(u)``) or on an axis (from ``psi(axis, n)``, counted in
-    ``counts["psi"]``) is a known value, stored in ``memo``; every other
+    form is in ``memo`` (a rank-2 memo holds the whole seeded box from the
+    start, so ``box`` serves ranks 3 and up), on an axis or 0 (from
+    ``psi(axis, n)``, counted in ``counts["psi"]``), or in the box
+    (max-norm at most LADDER_BASE_NORM, from ``box(u)``) is a known value,
+    stored in ``memo``; every other
     index is an inner node, and its children make up the next level.  A
     bottom-up pass then fills the inner nodes deepest level first with
     ``combine(+-(prod W(first) - prod W(second)))``, stored in ``memo``
@@ -249,13 +256,10 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
     counted once.  The step multiplies and subtracts but never divides, so
     it meets no zero divisor, and the key is reached in O(log |key|) levels
     of a bounded number of offsets each.  Where a box value on the way
-    raises (dependent points), the key takes ``box(key)``, and so does a
-    key of rank above LADDER_MAX_RANK, at once.
+    raises (dependent points), the key takes ``box(key)``, and so does an
+    off-axis key of rank above LADDER_MAX_RANK, at once.
     """
     rank = len(key)
-    if rank > LADDER_MAX_RANK:
-        memo[key] = box(key)
-        return
     levels, base, offsets = [], key, {(0,) * rank}
     while offsets:
         if rank == 2:
@@ -265,19 +269,21 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
             bits = tuple(x & 1 for x in base)
         known, inner, below = {}, [], set()
         for o in offsets:
-            if rank == 2:  # unrolled: the index, its normalized form and the box test
+            if rank == 2:  # unrolled: the index and its normalized form
                 o0, o1 = o
                 x0, x1 = b0 + o0, b1 + o1
                 u, s = ((x0, x1), 1) if x0 > 0 or not x0 and x1 >= 0 else ((-x0, -x1), -1)
                 r = (c0 + o0, c1 + o1)
-                in_box = max(abs(x0), abs(x1)) <= LADDER_BASE_NORM
             else:
                 u, s = _normalize(tuple(map(add, base, o)))
                 r = tuple(map(add, bits, o))
-                in_box = _max_norm(u) <= LADDER_BASE_NORM
             if u in memo:
                 w = memo[u]
-            elif in_box:
+            elif u.count(0) >= rank - 1:  # an axis, or 0 = psi_0
+                n = sum(u)
+                w = memo[u] = psi(u.index(n), n)
+                counts["psi"] += 1
+            elif rank > 2 and (rank > LADDER_MAX_RANK or _max_norm(u) <= LADDER_BASE_NORM):
                 try:
                     w = memo[u] = box(u)
                 except EllnetError:
@@ -285,10 +291,6 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
                         raise
                     memo[key] = box(key)
                     return
-            elif u.count(0) == rank - 1:
-                n = sum(u)
-                w = memo[u] = psi(u.index(n), n)
-                counts["psi"] += 1
             else:
                 step, values_of = _children(r)
                 inner.append((o, u, s, values_of))
@@ -436,12 +438,26 @@ class EllipticNet:
         key, sign = _normalize(v)
         if key not in self._values:
             if self.strategy == POINTS and self.is_rational:
+                if self.rank == 2 and "seed" not in self.route_counts:
+                    self._seed_box()
                 _net_value(key, self._values, self._points_value, self._axis_psi, _exact,
                            self.route_counts)
             else:
                 self._run(self.strategy, key)
         result = self._values[key]
         return -result if sign < 0 else result
+
+    def _seed_box(self) -> None:
+        """Memoize the seeded rank-2 box, with P_1 + P_2 by the chord (the
+        constructor refused x_1 = x_2); an index memoized already keeps its
+        value, and the new ones are counted under ``seed``."""
+        c, (p1, p2) = self.curve, self.points
+        s = (p2.y - p1.y) / (p2.x - p1.x)
+        x3 = s * s + c.a1 * s - c.a2 - p1.x - p2.x
+        y3 = s * (p1.x - x3) - p1.y - c.a1 * x3 - c.a3
+        box = _seeded_box(p1.x, p2.x, x3, y3, c.a1, c.a3, self._axis_psi, _exact)
+        self.route_counts["seed"] = len(box.keys() - self._values.keys())
+        self._values = {**box, **self._values}
 
     def _points_value(self, u: Index):
         self._run(POINTS, u)
@@ -683,11 +699,19 @@ def _seed_step(p: Index, q: Index, r: Index, s: Index, k: int) -> tuple[int, tup
 _SEED_STEPS = tuple((target, *_seed_step(*quad, k)) for target, quad, k in _SEED_ROWS)
 
 
-def _box_from_seeds(seeds: dict[Index, object], combine: Callable[[object], object]) -> dict:
-    """The rank-2 box from its eleven seeds by the rows of ``_SEED_ROWS``,
-    with ``combine`` applied to each new value.  A row multiplies its
-    target only by units, so no step divides."""
-    box = dict(seeds)
+def _seeded_box(x1, x2, x3, y3, a1, a3, psi: Callable[[int, int], object],
+                combine: Callable[[object], object]) -> dict[Index, object]:
+    """The rank-2 box |u| <= 3 from its eleven seeds, in the field of the
+    arguments: W(0), the units W(e_1) = W(e_2) = W(e_1 + e_2) = 1 and psi_2,
+    psi_3 on each axis from ``psi(axis, n)``, and, with (x3, y3) = P_1 + P_2,
+    W(2,1) = x_1 - x3, W(1,2) = x_2 - x3 and W(2,2) = psi_2(P_1 + P_2).
+    The rows of ``_SEED_ROWS`` give the rest, with ``combine`` applied to
+    each new value; a row multiplies its target only by units, so no step
+    divides."""
+    box = {(0, 0): psi(0, 0), (1, 1): psi(0, 1), (2, 1): combine(x1 - x3),
+           (1, 2): combine(x2 - x3), (2, 2): combine(2 * y3 + a1 * x3 + a3)}
+    for n in (1, 2, 3):
+        box[n, 0], box[0, n] = psi(0, n), psi(1, n)
     for target, sign, factors in _SEED_STEPS:
         w = [box[t] if s > 0 else -box[t] for t, s in factors]
         box[target] = combine(sign * (w[0] * w[1] * w[2] * w[3] + w[4] * w[5] * w[6] * w[7]))
@@ -740,41 +764,39 @@ class ReducedNet:
     access.  Each index v takes its residue from one source, by the rule of
     ``_net_value`` that exact nets follow too:
 
-    * max-norm at most 3, at ranks 1 and 2: the box seeded by the
-      constructor, with no group law over Q.  The seeds are W(0), the
-      units, psi_2 and psi_3 of each reduced P_i and, at rank 2,
-      W(2,1) = x_1 - x(P_1 + P_2) and W(1,2) from the reduced coordinates
-      and the slope (y_2 - y_1) / (x_2 - x_1) mod p, and W(2,2) = psi_2 of
-      P_1 + P_2 reduced; the rows of ``_SEED_ROWS`` give the rest,
-      multiplying only by units, so no step divides.  Where
-      x_1 = x_2 mod p and no P_1 +- P_2 reduces to infinity (both points
-      reduce to the singular point), W(2,1) and W(1,2) are taken exact
-      over Q and reduced.  At ranks 3 to 6 the box is exact over Q and
-      reduced: no division-free derivation of those boxes is known here;
-    * one nonzero coordinate: psi_n of the reduced point P_i
+    * 0 and one nonzero coordinate: psi_n of the reduced point P_i
       (``DivisionPolynomials`` on int residues, Shipsey's doubling; 0 at
-      an even n where psi_2 = 0 mod p);
+      an even n where psi_2 = 0 mod p), at every rank;
+    * any other index of max-norm at most 3: at rank 2 the box seeded by
+      the constructor, with no group law over Q.  The seeds are read off
+      the reduced points and P_1 + P_2, which the net's cached (A, B, D)
+      triple gives mod p (affine by the checks above, also where
+      x_1 = x_2 mod p): W(2,1) = x_1 - x(P_1 + P_2),
+      W(1,2) = x_2 - x(P_1 + P_2) and W(2,2) = psi_2(P_1 + P_2), with the
+      units and psi on the axes; the rows of ``_SEED_ROWS`` give the rest,
+      multiplying only by units, so no step divides.  At ranks 3 to 6 the
+      box is exact over Q and reduced: no division-free derivation of
+      those boxes is known here;
     * any other index: the halving ladder over int residues, down to that
       box and psi on the axes, at every rank up to LADDER_MAX_RANK.  It
       never divides, so it meets no zero divisor, and it takes O(log |v|)
       levels.
 
-    Where an exact box value on the way raises (dependent points), the
-    index itself is taken exact over Q, and so is every index of a net of
-    rank above LADDER_MAX_RANK.  Every value exact over Q comes from
-    ``_exact_residue``, ``exact_value`` bounded at max-norm
-    EXACT_FALLBACK_MAX_NORM, since the points route over Q is linear in
-    |v| with values of size quadratic in |v|: above the bound the detour
-    raises ``DependentPointsError`` and a net of rank above LADDER_MAX_RANK
-    ``PreconditionError``.  So ``value`` agrees with ``exact_value``
-    wherever it answers, and raises where that raises or past the bound;
-    at ranks 1 and 2 it may answer Psi_v(P) mod p where ``exact_value``
-    refuses dependent points.
+    So at ranks 1 and 2 ``value`` answers Psi_v(P) mod p at every index,
+    and never reaches Q.  At ranks 3 to 6, where an exact box value on the
+    way raises (dependent points), the index itself is taken exact over Q,
+    and so is every off-axis index of a net of rank above LADDER_MAX_RANK.
+    Every value exact over Q comes from ``_exact_residue``, ``exact_value``
+    bounded at max-norm EXACT_FALLBACK_MAX_NORM, since the points route
+    over Q is linear in |v| with values of size quadratic in |v|: above the
+    bound the detour raises ``DependentPointsError`` and a net of rank
+    above LADDER_MAX_RANK ``PreconditionError``.  So ``value`` agrees with
+    ``exact_value`` wherever it answers, and raises where that raises or
+    past the bound.
 
     ``route_counts`` counts the memoized residues by source: ``seed``
-    (the seeded box), ``exact`` (exact over Q and reduced, the two seeds
-    of the x_1 = x_2 case included), ``psi`` and ``ladder`` (halving
-    steps).
+    (the seeded box), ``exact`` (exact over Q and reduced), ``psi`` and
+    ``ladder`` (halving steps).
     """
 
     def __init__(self, net: EllipticNet, p: int):
@@ -797,8 +819,12 @@ class ReducedNet:
         self._divpolys = tuple(DivisionPolynomials.from_residues(p, law.a1, law.a3, b2, b4, b6, b8, x, y)
                                for x, y in self._points)
         self.route_counts: Counter = Counter()
-        self._residues: dict[Index, int] = self._seeded_box() if self.rank <= 2 else {}
-        self.route_counts["seed"] += len(self._residues) - self.route_counts["exact"]
+        self._residues: dict[Index, int] = {}
+        if self.rank == 2:  # P_1 + P_2 is affine mod p, by the checks above
+            (x1, _), (x2, _) = self._points
+            x3, y3 = _triple_residues(*net._cached_point((1, 1)), p)
+            self._residues = _seeded_box(x1, x2, x3, y3, law.a1, law.a3, self._psi, self._residue)
+            self.route_counts["seed"] = len(self._residues)
 
     @cached_property
     def gf_curve(self) -> WeierstrassCurve:
@@ -824,41 +850,19 @@ class ReducedNet:
 
     def _exact_residue(self, u: Index) -> int:
         """W(u) exact over Q and reduced, counted under ``exact``: the one
-        way this net reaches Q, bounded at max-norm EXACT_FALLBACK_MAX_NORM."""
+        way this net reaches Q (ranks 3 and up), bounded at max-norm
+        EXACT_FALLBACK_MAX_NORM."""
         if _max_norm(u) > EXACT_FALLBACK_MAX_NORM:
             if self.rank > LADDER_MAX_RANK:
                 raise PreconditionError(
-                    f"a net of rank {self.rank} > {LADDER_MAX_RANK} takes every value exact "
-                    f"over Q, at indices of max-norm at most {EXACT_FALLBACK_MAX_NORM}")
+                    f"a net of rank {self.rank} > {LADDER_MAX_RANK} takes every off-axis value "
+                    f"exact over Q, at indices of max-norm at most {EXACT_FALLBACK_MAX_NORM}")
             raise DependentPointsError(
                 "a box value on the ladder raises (dependent points), and the exact fallback "
                 f"takes indices of max-norm at most {EXACT_FALLBACK_MAX_NORM}")
         w = self.exact_value(u).residue
         self.route_counts["exact"] += 1
         return w
-
-    def _seeded_box(self) -> dict[Index, int]:
-        """The box |u| <= 3 at rank 1 or 2 from the reduced seeds."""
-        psi = [(d._value(2), d._value(3)) for d in self._divpolys]
-        if self.rank == 1:
-            return {(0,): 0, (1,): 1, (2,): psi[0][0], (3,): psi[0][1]}
-        net, p, law = self.net, self.p, self.net._law
-        a, b, d = net._cached_point((1, 1))  # P_1 + P_2, affine mod p
-        seeds = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 1,
-                 (2, 0): psi[0][0], (3, 0): psi[0][1], (0, 2): psi[1][0], (0, 3): psi[1][1],
-                 # psi_2 = 2y + a1 x + a3 of P_1 + P_2 = (a / d^2, b / d^3)
-                 (2, 2): (2 * b + law.a1 * a * d + law.a3 * d ** 3) * pow(d, -3, p) % p}
-        (x1, y1), (x2, y2) = self._points
-        if (x2 - x1) % p:
-            # W(2 e_i + e_j) = 2 x_i + x_j - s^2 - a1 s + a2 = x_i - x(P_1 + P_2)
-            s = (y2 - y1) * pow(x2 - x1, -1, p) % p
-            rest = law.a2 - s * s - law.a1 * s
-            seeds[(2, 1)] = (2 * x1 + x2 + rest) % p
-            seeds[(1, 2)] = (x1 + 2 * x2 + rest) % p
-        else:  # both points reduce to the singular point: no slope mod p
-            for v in ((2, 1), (1, 2)):
-                seeds[v] = self._exact_residue(v)
-        return _box_from_seeds(seeds, self._residue)
 
     def _psi(self, axis: int, n: int) -> int:
         return self._divpolys[axis]._value(n)

@@ -42,8 +42,11 @@ def assert_psi_is_exact_psi_reduced(divpoly, curve, point, p, limit=300):
 
 
 def points_route(net, v):
-    """W(v) on the points route alone, with no ladder or psi: the oracle
-    that exact values are compared with."""
+    """W(v) on the points route alone, with no ladder, seeded box or psi:
+    the oracle that exact values are compared with.  It reads the memo that
+    ``value`` fills too, so the net must be one that never answered
+    ``value``."""
+    assert net.route_counts.keys() <= {"base", "points"}, net.route_counts
     key, sign = _normalize(tuple(v))
     if key not in net._values:
         net._run("points", key)

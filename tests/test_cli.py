@@ -192,8 +192,14 @@ def test_precondition_exit_code(capsys):
     (["verify", "recurrence", *E1_ARGS, "--trials=-5"], "--trials must be at least 1, not -5"),
     (["verify", "ayad", *E2_ARGS, "--prime=7", "--radius=0"], "--radius must be at least 1, not 0"),
     (["verify", "ayad", *E2_ARGS, "--prime=7", "--n-max=2"], "--n-max must be at least 3, not 2"),
+    (["eval", *PQ_ARGS, "--prime", "7", "--index=a,b"], 'index \'a,b\' is not "v1,v2,..."'),
+    (["eval", "--curve", "0,0,0,a,-11", "--points", "(3,4);(15,58)", "--prime", "7", "--index=1,2"],
+     'curve \'0,0,0,a,-11\' is not "a1,a2,a3,a4,a6"'),
+    (["net-table", "--curve", "0,0,0,-11", "--points", "(3,4);(15,58)", "--grid", "2x2"],
+     'curve \'0,0,0,-11\' is not "a1,a2,a3,a4,a6"'),
 ], ids=["grid-one-value", "grid-three-values", "point-three-coordinates", "eval-short-index",
-        "verify-trials", "verify-radius", "verify-n-max"])
+        "verify-trials", "verify-radius", "verify-n-max", "eval-index-not-int", "curve-not-int",
+        "curve-four-values"])
 def test_input_errors_name_the_argument(capsys, argv, message):
     assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
@@ -368,6 +374,14 @@ def test_cli_matrix_never_tracebacks(argv):
             assert (proc.returncode, proc.stdout) == (2, "") and flag in proc.stderr, proc.stderr
 
 
+def test_eval_direct_takes_psi_on_an_axis_of_rank_seven(capsys):
+    # psi_300 of the seventh point mod 101: an axis index takes psi at every
+    # rank, where the off-axis index of RANK_SEVEN_EVAL exits 2
+    start = time.monotonic()
+    assert run_cli(capsys, RANK_SEVEN_EVAL[:-1] + ["--index=0,0,0,0,0,0,300"]) == (0, "41\n", "")
+    assert time.monotonic() - start < 1
+
+
 # Indices where the points route over F_p meets zero divisors: E2 mod 7 has
 # bad reduction, and E1 mod 29 meets lattice zeros.
 @pytest.mark.parametrize("args, prime, index", [
@@ -378,8 +392,9 @@ def test_cli_matrix_never_tracebacks(argv):
 def test_eval_direct_matches_exact(capsys, args, prime, index):
     code, out, _ = run_cli(capsys, ["eval", *args, "--method", "direct", "--prime", str(prime),
                                     f"--index={index[0]},{index[1]}"])
-    net = ReducedNet(EllipticNet(parse_curve(args[1]), parse_points(args[3])), prime)
-    assert code == 0 and out.strip() == str(net.exact_value(index).residue)
+    by_points = EllipticNet(parse_curve(args[1]), parse_points(args[3]))
+    expected = _reduce_fraction(points_route(by_points, index), prime)
+    assert code == 0 and out.strip() == str(expected.residue)
 
 
 def test_eval_direct_on_bad_reduction_axis_is_bounded(capsys):

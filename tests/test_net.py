@@ -35,7 +35,7 @@ from ellnet.errors import (
     SingularCurveError,
 )
 from ellnet import IntegralModel, PrimeFieldElement
-from ellnet.net import (EXACT_FALLBACK_MAX_NORM, LADDER_BASE_NORM, _SEED_ROWS, _box_from_seeds, _children,
+from ellnet.net import (EXACT_FALLBACK_MAX_NORM, LADDER_BASE_NORM, _SEED_ROWS, _children, _seeded_box,
                         _ladder_units, _net_terms, _normalize, _reduce_fraction, box_indices,
                         reduce_base_points)
 from conftest import (E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2, assert_psi_is_exact_psi_reduced,
@@ -185,30 +185,34 @@ def test_recurrence_check(net1):
 
 def test_reduced_net_matches_direct_gf(e1, net1):
     # the raw F_p points route answers the exact value or refuses at a zero
-    # divisor; ReducedNet answers the exact value on the whole box
+    # divisor; ReducedNet answers the exact value on the whole box.  The
+    # exact value is the points route over Q of a net of its own, reduced
     reduced = ReducedNet(net1, 7)
     direct = EllipticNet(reduce_curve(e1, 7),
                          tuple(reduce_mod_p(e1, pt, 7) for pt in net1.points))
+    by_points = EllipticNet(e1, net1.points)
     answered = 0
     for v in box_indices(2, 8):
+        exact = _reduce_fraction(points_route(by_points, v), 7)
         try:
             got = direct.value(v)
         except DegenerateNetError:
             pass
         else:
             answered += 1
-            assert got == reduced.exact_value(v), v
-        assert reduced.value(v) == reduced.exact_value(v), v
+            assert got == exact, v
+        assert reduced.value(v) == exact, v
     assert answered > 0
 
 
 def test_reduced_net_fast_path_equals_exact(net1):
     # the direct-mod-p shortcut must be invisible: every value agrees with
-    # exact evaluation over Q followed by reduction
+    # exact evaluation over Q on the points route, followed by reduction
+    by_points = EllipticNet(net1.curve, net1.points)
     for p in (5, 7, 11, 13):
         reduced = ReducedNet(net1, p)
         for v in box_indices(2, 7):
-            assert reduced.value(v) == reduced.exact_value(v), (p, v)
+            assert reduced.value(v) == _reduce_fraction(points_route(by_points, v), p), (p, v)
 
 
 def test_gf_recurrence_strategy(e1, net1):
@@ -252,11 +256,12 @@ def test_gf_recurrence_rank_one_where_psi_2_vanishes(e1):
 
 
 def test_reduced_net_at_singular_reduction(net2):
-    # E2 mod 7: P reduces to the singular point; the direct path degrades to
-    # exact evaluation instead of leaking curve errors
+    # E2 mod 7: P reduces to the singular point; the reduced net answers the
+    # exact value, the points route over Q reduced, with no curve error
     reduced = ReducedNet(net2, 7)
+    by_points = EllipticNet(net2.curve, net2.points)
     for v in ((0, 6), (2, 5), (3, 3)):
-        assert reduced.value(v) == reduced.exact_value(v)
+        assert reduced.value(v) == _reduce_fraction(points_route(by_points, v), 7)
     assert reduced.value((0, 2)) == 0  # psi_2(P) = 7
 
 
@@ -268,12 +273,20 @@ def test_reduced_net_hypothesis_gate(e1, net1):
 
 
 def test_dependent_points_detected(e1):
-    dependent = EllipticNet(e1, (P1, e1.mul(2, P1)))
-    from ellnet.errors import DependentPointsError
-
-    with pytest.raises(DependentPointsError):
-        for v in box_indices(2, 4):
-            dependent.value(v)
+    # (P, 2P): the points route detects the relation and refuses some box
+    # indices; value answers Psi_v(P) at every one, equal to the points
+    # route and to the recurrence route wherever they answer
+    points = (P1, e1.mul(2, P1))
+    dependent = EllipticNet(e1, points)
+    rec = EllipticNet(e1, points, strategy="recurrence")
+    refused = 0
+    for v in box_indices(2, 4):
+        got = dependent.value(v)
+        expected = _points_outcome(e1, points, v)
+        refused += expected is DependentPointsError
+        assert got == expected or expected is DependentPointsError, v
+        assert _outcome(rec.value, v) in (got, DependentPointsError), v
+    assert refused > 0
 
 
 def test_rank_three_points_strategy():
@@ -615,7 +628,8 @@ POINTS_5077A_RANK_SEVEN = tuple(rational_point(x, y) for x, y in
 
 
 def test_reduced_net_above_the_ladder_rank_is_bounded():
-    # every value exact over Q, then reduced; a refusal is the points route's
+    # every off-axis value exact over Q, then reduced; a refusal is the
+    # points route's
     by_points = EllipticNet(CURVE_5077A, POINTS_5077A_RANK_SEVEN)
     reduced = ReducedNet(EllipticNet(CURVE_5077A, POINTS_5077A_RANK_SEVEN), 101)
     rng = random.Random(7)
@@ -627,9 +641,15 @@ def test_reduced_net_above_the_ladder_rank_is_bounded():
         assert _outcome(reduced.value, v) == expected, v
         answered += not isinstance(expected, type)
     assert answered > 20
-    assert reduced.route_counts.keys() <= {"seed", "exact"} and reduced.route_counts["exact"] > 0
+    assert reduced.route_counts.keys() == {"exact"}
     with pytest.raises(PreconditionError, match=f"rank 7 > 6 .* max-norm at most {EXACT_FALLBACK_MAX_NORM}"):
         reduced.value((EXACT_FALLBACK_MAX_NORM + 1, 1, 1, 1, 1, 1, 1))
+    # an axis index takes psi at every rank, also past the bound
+    axis = ReducedNet(EllipticNet(CURVE_5077A, POINTS_5077A_RANK_SEVEN), 101)
+    oracle = DivisionPolynomials(reduce_curve(CURVE_5077A, 101),
+                                 reduce_mod_p(CURVE_5077A, POINTS_5077A_RANK_SEVEN[6], 101))
+    assert axis.value((0,) * 6 + (300,)) == oracle.psi(300) == 41
+    assert axis.route_counts == Counter(psi=1)
 
 
 @pytest.mark.parametrize("curve, points, radius", [
@@ -753,15 +773,19 @@ DEPENDENT_REDUCED_CASES = {"(P,Q,P+Q)": (("P", "Q", "P+Q"), 4),
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 @pytest.mark.parametrize("case", sorted(DEPENDENT_REDUCED_CASES))
 def test_reduced_net_keeps_dependent_points(default_recursion_limit, case, p):
-    # value gives exact_value's residue wherever that answers, and raises only
-    # where it raises; each exact_value is taken on a fresh net, so that no
-    # other index's memo enters it
+    # value gives the residue of the points route over Q wherever that
+    # answers, and raises only where it raises; each oracle value is taken
+    # on a fresh net, so that no other index's memo enters it
     names, radius = DEPENDENT_REDUCED_CASES[case]
     named = {"P": P1, "Q": Q1, "P+Q": E1.add(P1, Q1), "2P": E1.mul(2, P1)}
     points = tuple(named[name] for name in names)
     reduced = ReducedNet(EllipticNet(E1, points), p)
+
+    def exact(u):
+        return _reduce_fraction(points_route(EllipticNet(E1, points), u), p)
+
     for v in box_indices(len(points), radius):
-        expected = _outcome(ReducedNet(EllipticNet(E1, points), p).exact_value, v)
+        expected = _outcome(exact, v)
         got = _outcome(reduced.value, v)
         if isinstance(got, type) or not isinstance(expected, type):
             assert got == expected, v
@@ -855,21 +879,26 @@ NODE_DENOMINATORS = {
 
 
 def test_point_cache_refuses_the_node():
+    # the points route refuses every index off NODE_VALUES; value answers
+    # Psi_v(P) at every index, equal to the points route where it answers
+    # and to the recurrence route, which answers the whole box
     node = WeierstrassCurve(0, 1, 0, 0, 0, allow_singular=True)
     points = (rational_point(0, 0), rational_point(3, 6))
+    rec = EllipticNet(node, points, strategy="recurrence")
     for v in box_indices(2, 3):
-        value = _outcome(EllipticNet(node, points).value, v)
-        assert value == NODE_VALUES.get(v, DependentPointsError), v
+        assert _points_outcome(node, points, v) == NODE_VALUES.get(v, DependentPointsError), v
+        value = EllipticNet(node, points).value(v)
+        assert value == NODE_VALUES.get(v, value) == rec.value(v), v
         den = _outcome(EllipticNet(node, points).denominator, v)
         assert den == NODE_DENOMINATORS.get(v, SingularCurveError), v
     for v in ((3, 0), (2, 2), (3, 1), (1, 3), (-2, 3)):
-        with pytest.raises(DependentPointsError):
-            EllipticNet(node, points).value(v)
+        assert _points_outcome(node, points, v) is DependentPointsError
         with pytest.raises(SingularCurveError):
             EllipticNet(node, points).denominator(v)
 
 
-# (curve, points, indices whose value raises, indices whose denominator raises)
+# (curve, points, indices that the points route refuses, indices whose
+# denominator raises)
 DEGENERATE_NETS = {
     "node-smooth": ((0, 1, 0, 0, 0), ((3, 6), (8, 24)), set(), set()),
     "dependent": (E1_COEFFS, ((3, 4), (Fraction(345, 64), Fraction(-6179, 512))),
@@ -891,26 +920,43 @@ def test_point_cache_keeps_degenerate_nets(case):
     points = tuple(rational_point(x, y) for x, y in coords)
     rec = EllipticNet(curve, points, strategy="recurrence")
     for v in box_indices(2, 3):
-        value = _outcome(EllipticNet(curve, points).value, v)
-        assert value == (DependentPointsError if v in bad_values else rec.value(v)), v
+        # value answers Psi_v(P) at every index: the points route's value
+        # where it answers, and the recurrence route's wherever that answers,
+        # which includes every index the points route answers
+        expected = _points_outcome(curve, points, v)
+        assert (expected is DependentPointsError) == (v in bad_values), v
+        value = EllipticNet(curve, points).value(v)
+        assert value == (value if v in bad_values else expected), v
+        answered = _outcome(rec.value, v)
+        assert answered == value or (v in bad_values and answered is DependentPointsError), v
         den = _outcome(EllipticNet(curve, points).denominator, v)
         assert den == _outcome(lambda u: _denominator_by_fraction_law(curve, points, u), v)
         assert (den is DependentPointsError) == (v in bad_denominators), v
 
 
+CURVE_TORSION = WeierstrassCurve(0, 0, 0, 0, 1)
+# points of y^2 = x^3 + 1 by their order
+TORSION_POINTS = {2: rational_point(-1, 0), 3: rational_point(0, 1), 6: rational_point(2, 3)}
+
+
 def test_point_cache_rank_one_torsion():
-    curve = WeierstrassCurve(0, 0, 0, 0, 1)
-    t6 = rational_point(2, 3)  # of order 6
-    psi = DivisionPolynomials(curve, t6)
-    for n in range(-13, 14):
-        value = _points_outcome(curve, (t6,), (n,))
-        assert value == (psi.psi(n) if abs(n) <= 6 else DependentPointsError), n
-        # value takes psi above the box, so the indices the points route
-        # refuses answer Psi_n(P) too
-        assert _outcome(EllipticNet(curve, (t6,)).value, (n,)) == psi.psi(n), n
-        den = _outcome(EllipticNet(curve, (t6,)).denominator, (n,))
-        assert den == (0 if n == 0 else DependentPointsError if n % 6 == 0 else 1), n
-        assert den == _outcome(lambda u: _denominator_by_fraction_law(curve, (t6,), u), (n,))
+    # the points route refuses the indices past the order; value takes psi
+    # at every index, so those answer Psi_n(P) too, and the reduced net mod 5
+    # their residues
+    curve = CURVE_TORSION
+    for order, point in TORSION_POINTS.items():
+        psi = DivisionPolynomials(curve, point)
+        net = EllipticNet(curve, (point,))
+        reduced = ReducedNet(EllipticNet(curve, (point,)), 5)
+        for n in range(-13, 14):
+            value = _points_outcome(curve, (point,), (n,))
+            assert value == (psi.psi(n) if abs(n) <= order else DependentPointsError), (order, n)
+            assert net.value((n,)) == psi.psi(n), (order, n)
+            assert reduced.value((n,)) == _reduce_fraction(psi.psi(n), 5), (order, n)
+            den = _outcome(EllipticNet(curve, (point,)).denominator, (n,))
+            assert den == (0 if n == 0 else DependentPointsError if n % order == 0 else 1), n
+            assert den == _outcome(lambda u: _denominator_by_fraction_law(curve, (point,), u), (n,))
+        assert net.route_counts == reduced.route_counts == Counter(psi=14)
 
 
 # --- the halving ladder over Q -------------------------------------------------
@@ -936,13 +982,13 @@ def test_exact_ladder_matches_points_and_recurrence(default_recursion_limit,
     for v in grid:
         assert net.value(v) == points_route(by_points, v) == rec.value(v), v
     # the grid above the box is the ladder's and the axes are psi's; the
-    # points route serves the box alone, and the oracles never take the ladder
-    box = {_normalize(u)[0] for u in box_indices(2, LADDER_BASE_NORM) if any(u)}
+    # seeded box serves the box, the points route nothing, and the oracles
+    # never take the ladder
+    box = {_normalize(u)[0] for u in box_indices(2, LADDER_BASE_NORM)}
     counts = net.route_counts
     assert counts["ladder"] > 0 and counts["psi"] == 2 * (29 - LADDER_BASE_NORM)
-    assert counts["base"] + counts["points"] <= len(box)
-    # as on the schedule that the level blocks replaced
-    assert counts == Counter(base=8, points=14, psi=52, ladder=847)
+    assert counts["seed"] == len(box)
+    assert counts == Counter(seed=25, psi=52, ladder=847)
     assert rec.route_counts.keys() <= {"base", "recurrence"}
     assert by_points.route_counts.keys() <= {"base", "points"}
 
@@ -1025,8 +1071,8 @@ def test_exact_axis_values_are_psi(default_recursion_limit):
         assert net.value((n, 0)) == dp.psi(n), n
     for n in [*range(-60, 61), 64, 97, 128, 199, -256, 311, 399, 400]:
         assert net.value((0, n)) == dq.psi(n), n
-    # the box |n| <= 3 stays on the points route
-    assert net.route_counts["points"] == 2
+    # the box |n| <= 3 is the seeded box's, and every axis value above it psi's
+    assert net.route_counts == Counter(seed=25, psi=397 + 57 + 8)
 
 
 def test_exact_ladder_large_values_finish(default_recursion_limit):
@@ -1042,17 +1088,21 @@ def test_exact_ladder_large_values_finish(default_recursion_limit):
 DEGENERATE_LADDER_CASES = dict(
     {name: (coeffs, coords) for name, (coeffs, coords, _, _) in DEGENERATE_NETS.items()},
     **{"(2P,P)": (E1_COEFFS, ("2P", (3, 4)))})
+def _degenerate_net(case):
+    coeffs, coords = DEGENERATE_LADDER_CASES[case]
+    curve = WeierstrassCurve(*coeffs, allow_singular=True)
+    return curve, tuple(curve.mul(2, P1) if c == "2P" else rational_point(*c) for c in coords)
+
+
 # indices on the radius-8 box that the points route refuses with
-# DependentPointsError and that now answer from the ladder or psi
-DEGENERATE_NEWLY_ANSWERED = {"node-smooth": 0, "dependent": 6, "torsion-rank-2": 42,
-                             "(2P,P)": 4}
+# DependentPointsError and that answer from the seeded box, the ladder or psi
+DEGENERATE_NEWLY_ANSWERED = {"node-smooth": 0, "dependent": 104, "torsion-rank-2": 232,
+                             "(2P,P)": 110}
 
 
 @pytest.mark.parametrize("case", sorted(DEGENERATE_LADDER_CASES))
 def test_ladder_keeps_degenerate_nets(default_recursion_limit, case):
-    coeffs, coords = DEGENERATE_LADDER_CASES[case]
-    curve = WeierstrassCurve(*coeffs, allow_singular=True)
-    points = tuple(curve.mul(2, P1) if c == "2P" else rational_point(*c) for c in coords)
+    curve, points = _degenerate_net(case)
     rec = EllipticNet(curve, points, strategy="recurrence")
     newly_answered = 0
     for v in box_indices(2, 8):
@@ -1086,10 +1136,11 @@ def test_reduced_net_route_counts(net1_pq):
     assert bad.value((0, 12)) == 0
     assert bad.route_counts == Counter(seed=25, psi=1)
     assert bad.value((0, 13)) == DivisionPolynomials(bad.gf_curve, reduce_mod_p(E2, P2, 7)).psi(13)
-    # both points at the node of E2 mod 7: W(2,1) and W(1,2) exact over Q
+    # both points at the node of E2 mod 7: P_1 + P_2 from its cached triple,
+    # so the whole box is seeded mod 7, none of it exact over Q
     node = ReducedNet(EllipticNet(E2, NODE_POINTS), 7)
-    assert node.route_counts == Counter(seed=23, exact=2)
-    assert node.value((2, 1)) == 6 and node.route_counts["exact"] == 2
+    assert node.route_counts == Counter(seed=25)
+    assert node.value((2, 1)) == 6 and node.route_counts["exact"] == 0
     good = ReducedNet(EllipticNet(E1, (P1, Q1)), 1009)
     good.value((150, -100))
     assert good.route_counts["exact"] == 0
@@ -1145,15 +1196,15 @@ def test_seed_rows_are_well_founded():
 
 @pytest.mark.parametrize("config", sorted(SEEDED_CONFIGS))
 def test_seed_rows_rebuild_the_box_over_q(config):
+    # the seeds from P_1 + P_2 by WeierstrassCurve.add; W(2,1) and W(1,2)
+    # against the slope formula of initial_net_value
     curve, points = SEEDED_CONFIGS[config]
     psi = [DivisionPolynomials(curve, pt) for pt in points]
-    seeds = {(0, 0): Fraction(0), (1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(1),
-             (2, 0): psi[0].psi(2), (3, 0): psi[0].psi(3),
-             (0, 2): psi[1].psi(2), (0, 3): psi[1].psi(3),
-             (2, 1): initial_net_value(curve, points, (2, 1)),
-             (1, 2): initial_net_value(curve, points, (1, 2)),
-             (2, 2): DivisionPolynomials(curve, curve.add(*points)).psi(2)}
-    box = _box_from_seeds(seeds, lambda x: x)
+    total = curve.add(*points)
+    box = _seeded_box(points[0].x, points[1].x, total.x, total.y, curve.a1, curve.a3,
+                      lambda axis, n: psi[axis].psi(n), lambda x: x)
+    for v in ((2, 1), (1, 2)):
+        assert box[v] == initial_net_value(curve, points, v), v
     by_points = EllipticNet(curve, points)
     for v in box_indices(2, 3):
         key, sign = _normalize(v)
@@ -1165,9 +1216,10 @@ def _primes(bound):
 
 
 def test_seeded_box_matches_exact_value_mod_p():
-    # every box residue against exact_value, the points route over Q on a
-    # net of its own, so that the seeded box and its oracle share no memo;
-    # a refusal against the one the Fraction reduction of the points names
+    # every box residue against the points route over Q on a net of its own,
+    # reduced, so that the seeded box and its oracle share no memo and no
+    # seed row; a refusal against the one the Fraction reduction of the
+    # points names
     box = box_indices(2, 3)
     constructed = []
     for config, (curve, points) in sorted(SEEDED_CONFIGS.items()):
@@ -1184,12 +1236,12 @@ def test_seeded_box_matches_exact_value_mod_p():
                 continue
             (r1, r2), defects = _reduce_base_points_by_fraction_law(curve, points, p)
             assert not defects, (config, p)
-            exact = ReducedNet(oracle, p)
             for v in box:
-                assert reduced.value(v) == exact.exact_value(v), (config, p, v)
+                expected = _reduce_fraction(points_route(oracle, v), p)
+                assert reduced.value(v) == expected, (config, p, v)
+            # x_1 = x_2 mod p too: P_1 + P_2 comes from its cached triple
             same_x = r1.x == r2.x
-            counts = Counter(seed=23, exact=2) if same_x else Counter(seed=25)
-            assert reduced.route_counts == counts, (config, p)
+            assert reduced.route_counts == Counter(seed=25), (config, p)
             constructed.append((config, p, same_x))
     assert len(constructed) * len(box) == 27342
     for p in (2, 3, 7, 11, 10007):
@@ -1223,7 +1275,8 @@ def test_reduced_net_is_built_on_int_residues(monkeypatch):
 ], ids=["E1-61", "E1-1000003", "E2-7", "E1-29"])
 def test_rank_two_reduced_values_take_no_group_law_over_q(monkeypatch, curve, points, p):
     indices = box_indices(2, 3) + [(4, -5), (7, 3), (-9, 13), (10 ** 20 + 3, 7 * 10 ** 19)]
-    expected = {v: ReducedNet(EllipticNet(curve, points), p).exact_value(v)
+    oracle = EllipticNet(curve, points)
+    expected = {v: _reduce_fraction(points_route(oracle, v), p)
                 for v in indices if max(map(abs, v)) < 100}
     reduced = ReducedNet(EllipticNet(curve, points), p)
     field_add = WeierstrassCurve.add
@@ -1243,6 +1296,71 @@ def test_rank_two_reduced_values_take_no_group_law_over_q(monkeypatch, curve, po
         w = reduced.value(v)
         assert w == expected.get(v, w), v
     assert reduced.route_counts["exact"] == 0
+
+
+# --- ranks 1 and 2 answer Psi_v(P) at every index ---------------------------------
+
+
+def test_ranks_one_and_two_stay_on_psi_the_seeded_box_and_the_ladder(
+        monkeypatch, default_recursion_limit):
+    node = WeierstrassCurve(0, 1, 0, 0, 0, allow_singular=True)
+    exact = [(E1, (P1, Q1)), (E1, (Q1, P1)), (E2, (P2, Q2)), (E2, (Q2, P2)),
+             (node, (rational_point(0, 0), rational_point(3, 6))),
+             *map(_degenerate_net, sorted(DEGENERATE_LADDER_CASES)),
+             *((CURVE_TORSION, (point,)) for point in TORSION_POINTS.values())]
+    # the node net has no ReducedNet: its base point is the singular point
+    reduced = [ReducedNet(EllipticNet(curve, points), 101) for curve, points in exact
+               if curve is not node] + [ReducedNet(EllipticNet(E2, NODE_POINTS), 7)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a value of rank 1 or 2 left psi, the seeded box and the ladder")
+
+    monkeypatch.setattr(EllipticNet, "_run", refuse)
+    monkeypatch.setattr(ReducedNet, "_exact_residue", refuse)
+    monkeypatch.setattr(ReducedNet, "exact_value", refuse)
+    for curve, points in exact:
+        net = EllipticNet(curve, points)
+        for v in box_indices(len(points), 8):
+            net.value(v)
+        assert net.route_counts.keys() <= {"seed", "psi", "ladder"}, points
+    huge = (10 ** 20 + 3, 7 * 10 ** 19)
+    for net in reduced:
+        for v in box_indices(net.rank, 8) + [huge[:net.rank]]:
+            net.value(v)
+        assert net.route_counts.keys() <= {"seed", "psi", "ladder"}, net.net.points
+
+
+RANK_TWO_CONFIGS = {**SEEDED_CONFIGS,
+                    **{case: _degenerate_net(case) for case in DEGENERATE_LADDER_CASES}}
+
+
+@pytest.mark.parametrize("config", sorted(RANK_TWO_CONFIGS))
+def test_rank_two_values_match_both_oracles(default_recursion_limit, config):
+    # exact values against the points route of a fresh net and the
+    # recurrence route wherever they answer, on the radius-8 box; reduced
+    # values against the points route reduced, at every prime below 400
+    # where the reduced net is built
+    curve, points = RANK_TWO_CONFIGS[config]
+    net, by_points = EllipticNet(curve, points), EllipticNet(curve, points)
+    rec = EllipticNet(curve, points, strategy="recurrence")
+    answered = {}
+    for v in box_indices(2, 8):
+        w = net.value(v)
+        expected = _outcome(lambda u: points_route(by_points, u), v)
+        assert expected in (w, DependentPointsError), v
+        assert _outcome(rec.value, v) in (w, DependentPointsError), v
+        if expected is not DependentPointsError:
+            answered[v] = w
+    built = 0
+    for p in _primes(400):
+        try:
+            reduced = ReducedNet(EllipticNet(curve, points), p)
+        except PreconditionError:
+            continue
+        built += 1
+        for v, w in answered.items():
+            assert reduced.value(v) == _reduce_fraction(w, p), (p, v)
+    assert built > 60 and len(answered) > 50
 
 
 def _reduce_base_points_by_fraction_law(curve, points, p):
