@@ -36,10 +36,10 @@ def parse_point(text: str) -> CurvePoint:
     if text == "inf":
         return INFINITY
     parts = text[1:-1].split(",")
-    if not (text.startswith("(") and text.endswith(")")) or len(parts) != 2:
-        raise ValueError(f'point {text!r} is not "(x,y)" or "inf"')
-    x, y = (Fraction(s.strip()) for s in parts)
-    return rational_point(x, y)
+    if text.startswith("(") and text.endswith(")") and len(parts) == 2:
+        with contextlib.suppress(ValueError, ZeroDivisionError):  # "a", "1/0"
+            return rational_point(*parts)
+    raise ValueError(f'point {text!r} is not "(x,y)" or "inf"')
 
 
 def parse_points(text: str) -> tuple[CurvePoint, ...]:
@@ -51,6 +51,8 @@ def parse_grid(text: str) -> tuple[int, int]:
         cols, rows = (int(s) for s in text.lower().split("x"))
     except ValueError:
         raise ValueError(f'grid {text!r} is not "COLSxROWS"') from None
+    if min(cols, rows) < 1:
+        raise ValueError(f"grid {text!r} needs at least one column and one row")
     return cols, rows
 
 

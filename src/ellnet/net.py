@@ -32,6 +32,9 @@ callbacks, the box, psi and the combine step:
 
 So ranks 1 and 2 answer Psi_v(P) at every index, from psi, the seeded box
 and the ladder alone, and an exact net and its ``ReducedNet`` agree there.
+On a nonsingular integral model ``denominator`` reads D_{v . P} off those
+values too, by x(v . P) = x(P_i) - W(v + e_i) W(v - e_i) / W(v)^2, with no
+group law.
 
 The box of an exact net at ranks 3 to 6, and every value of a net on the
 recurrence strategy or over F_p, comes from ``EllipticNet._run``: an
@@ -47,12 +50,13 @@ not by the interpreter's recursion limit.  There are two routes.
   caches v . P as the integer triple (A, B, D) with
   v . P = (A / D^2, B / D^3) in lowest terms, filled by the integer group
   law of ``curve.IntegralModel``; the step reads x = A / D^2 from it, and
-  ``denominator`` reads D_{v . P} off it.  Other nets cache ``CurvePoint``
-  values from ``WeierstrassCurve.add``.  Over Q this route serves the box
-  of ranks 3 to 6, the index whose ladder meets a box value that raises,
-  every off-axis value of a net of rank above LADDER_MAX_RANK, and the
-  group-law oracle of the tests; over F_p it is a linear oracle, which no
-  library caller takes.
+  ``_chain_denominator`` reads D_{v . P} off it.  Other nets cache
+  ``CurvePoint`` values from ``WeierstrassCurve.add``.  Over Q this route
+  serves the box of ranks 3 to 6, the index whose ladder meets a box value
+  that raises, every off-axis value of a net of rank above LADDER_MAX_RANK,
+  the denominators that ``denominator`` does not read off the net, the
+  group-law side of ``valuation_match_report`` and the group-law oracle of
+  the tests; over F_p it is a linear oracle, which no library caller takes.
 * ``recurrence``: pure recurrence instantiations grounded in the initial
   values, with no group-law input.  Rank 1 delegates to the division
   polynomial doubling identities; rank 2 uses a fixed well-founded schedule
@@ -82,6 +86,7 @@ source (seed, exact, psi, ladder).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -91,7 +96,7 @@ from operator import add, itemgetter, mul, sub
 from typing import Callable, Sequence
 
 from .curve import (INFINITY, CurvePoint, IntegralModel, WeierstrassCurve, _triple_residues,
-                    decompose, gf_point, reduce_curve)
+                    decompose, gf_point, rational_point, reduce_curve)
 from .divpoly import DivisionPolynomials
 from .errors import (
     DegenerateNetError,
@@ -337,6 +342,8 @@ class EllipticNet:
         if strategy not in (POINTS, RECURRENCE):
             raise ValueError(f"unknown strategy {strategy!r}")
         points = tuple(points)
+        if curve.gf_modulus is None:  # int coordinates would divide into floats
+            points = tuple(pt if pt.is_infinity else rational_point(pt.x, pt.y) for pt in points)
         if not points:
             raise PreconditionError("at least one base point is required")
         law = IntegralModel(curve) if curve.is_integral else None
@@ -638,10 +645,44 @@ class EllipticNet:
     # ------------------------------------------------------------------
 
     def denominator(self, v: Sequence[int]) -> int:
-        """D_{v . P}; zero for v = 0 by the table convention."""
+        """D_{v . P}; zero for v = 0 by the table convention.
+
+        At ranks 1 and 2 on a nonsingular integral model, where ``value``
+        answers Psi_v(P) at every index, D is read off the net: with an axis
+        i where v_i != 0 (W(e_i) = 1; Stange; at rank 1 the classical
+        x(nP) = x - psi_{n+1} psi_{n-1} / psi_n^2),
+
+            x(v . P) = x(P_i) - W(v + e_i) W(v - e_i) / W(v)^2,
+
+        formed in integers with one gcd, and D is the square root of its
+        reduced denominator.  W(v) = 0 exactly when v . P is the identity.
+        No group law runs.  Ranks above 2, singular and non-integral models
+        and the recurrence strategy take ``_chain_denominator``.
+        """
         v = self._key(v)
         if not any(v):
             return 0
+        if self._law is None or self._law.singular or self.rank > 2 or self.strategy != POINTS:
+            return self._chain_denominator(v)
+        w = self.value(v)
+        if w == 0:
+            raise DependentPointsError(f"{v} . P is the identity")
+        i = next(k for k, c in enumerate(v) if c)
+        up = self.value(v[:i] + (v[i] + 1,) + v[i + 1:])
+        down = self.value(v[:i] + (v[i] - 1,) + v[i + 1:])
+        x, ud, w2 = self.points[i].x, up.denominator * down.denominator, w.numerator ** 2
+        den = x.denominator * ud * w2
+        num = x.numerator * ud * w2 - x.denominator * up.numerator * down.numerator * w.denominator ** 2
+        d2 = den // math.gcd(num, den)
+        d = math.isqrt(d2)
+        if d * d != d2:
+            raise ModelNotIntegralError("denominator of x is not a perfect square")
+        return d
+
+    def _chain_denominator(self, v: Index) -> int:
+        """D_{v . P} for a nonzero index off the point cache's group-law
+        chain, the (A, B, D) triple of ``IntegralModel``; also the
+        group-law side of ``valuation_match_report``."""
         if not self.is_rational:
             raise PreconditionError("denominator net requires a rational curve")
         pt = self._cached_point(v)

@@ -133,7 +133,10 @@ def valuation_match_report(net: EllipticNet, p: int, grid,
 
     ``grid``: an int radius (max-norm box) or per-axis upper bounds.  With
     ``scaled=False`` the raw net value is compared instead, which is the
-    comparison that breaks at the finitely many exceptional primes.
+    comparison that breaks at the finitely many exceptional primes.  D
+    comes from the group-law chain (``EllipticNet._chain_denominator``),
+    not from ``denominator``, which reads it off the net at ranks 1 and 2:
+    so the check compares the net with the group law.
     """
     curve = net.curve
     if require_nonsingular:
@@ -147,7 +150,7 @@ def valuation_match_report(net: EllipticNet, p: int, grid,
     entries = []
     mismatches = []
     for v in _grid(net.rank, grid):
-        dval = val_p(net.denominator(v), p).unwrap()
+        dval = val_p(net._chain_denominator(v), p).unwrap()
         w = net.value(v)
         if scaled:
             w = w * qdata.value(v)

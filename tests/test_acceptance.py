@@ -299,3 +299,22 @@ def test_criterion_7_property_suites(e1, net1, net2, net1_pq, reduced1_pq, symme
     elapsed = time.monotonic() - start
     assert elapsed < 120
     report("7 (property suites, fixed seeds)", elapsed, 120)
+
+
+def test_criterion_8_denominator_grid_60x60(capsys, e1):
+    # the whole E1 table of D_{v.P} through main; a seeded sample and the
+    # corners against decompose of the Fraction group law
+    start = time.monotonic()
+    code, out = run_cli(capsys, ["denom-table", *E1_ARGS, "--grid", "60x60"])
+    elapsed = time.monotonic() - start
+    assert code == 0
+    rows = [line.split(" | ") for line in out.splitlines()]
+    assert [len(row) for row in rows] == [60] * 60
+    table = {(c, 59 - k): int(cell) for k, row in enumerate(rows) for c, cell in enumerate(row)}
+    sample = random.Random(60).sample(sorted(table), 10) + [(59, 59), (59, 0), (0, 59), (1, 1)]
+    for c, r in sample:
+        point = e1.add(e1.mul(c, Q1), e1.mul(r, P1))
+        assert table[c, r] == (decompose(e1, point).d if (c, r) != (0, 0) else 0), (c, r)
+    assert elapsed < 5
+    with capsys.disabled():
+        report("8 (denom-table 60x60 on E1, sampled against the Fraction group law)", elapsed, 5)

@@ -11,7 +11,7 @@ import pytest
 
 import ellnet
 from ellnet import EllipticNet, ReducedNet
-from ellnet.cli import main, parse_curve, parse_index, parse_point, parse_points
+from ellnet.cli import main, parse_curve, parse_grid, parse_index, parse_point, parse_points
 from ellnet.lattice import lattice_from_generators
 from ellnet.net import EXACT_FALLBACK_MAX_NORM, _reduce_fraction
 from ellnet.fieldarith import is_prime
@@ -59,6 +59,13 @@ def test_parsers():
         parse_curve("1,2,3")
     with pytest.raises(ValueError):
         parse_point("15,58")
+    for text in ("(a,4)", "(1/0,2)", "(3,)", "(,4)"):
+        with pytest.raises(ValueError, match=r'is not "\(x,y\)" or "inf"'):
+            parse_point(text)
+    assert parse_grid("60X1") == (60, 1)
+    for text in ("0x0", "-1x3", "3x0"):
+        with pytest.raises(ValueError, match="at least one column and one row"):
+            parse_grid(text)
 
 
 def test_denom_table_golden(capsys):
@@ -197,9 +204,18 @@ def test_precondition_exit_code(capsys):
      'curve \'0,0,0,a,-11\' is not "a1,a2,a3,a4,a6"'),
     (["net-table", "--curve", "0,0,0,-11", "--points", "(3,4);(15,58)", "--grid", "2x2"],
      'curve \'0,0,0,-11\' is not "a1,a2,a3,a4,a6"'),
+    (["denom-table", *E1_ARGS, "--grid", "0x0"],
+     "grid '0x0' needs at least one column and one row"),
+    (["denom-table", *E1_ARGS, "--grid=-1x3"],
+     "grid '-1x3' needs at least one column and one row"),
+    (["net-table", "--curve", "0,0,0,0,-11", "--points", "(a,4);(15,58)", "--grid", "2x2"],
+     'point \'(a,4)\' is not "(x,y)" or "inf"'),
+    (["net-table", "--curve", "0,0,0,0,-11", "--points", "(1/0,2);(15,58)", "--grid", "2x2"],
+     'point \'(1/0,2)\' is not "(x,y)" or "inf"'),
 ], ids=["grid-one-value", "grid-three-values", "point-three-coordinates", "eval-short-index",
         "verify-trials", "verify-radius", "verify-n-max", "eval-index-not-int", "curve-not-int",
-        "curve-four-values"])
+        "curve-four-values", "grid-empty", "grid-negative", "point-not-a-number",
+        "point-zero-denominator"])
 def test_input_errors_name_the_argument(capsys, argv, message):
     assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
@@ -283,6 +299,16 @@ DEPENDENT_HUGE_EVAL = ["eval", "--curve", "1,-1,0,-79,289", "--points", "(0,17);
 # Q, which is linear in |v|, so an index past its bound is refused at once
 RANK_SEVEN_EVAL = ["eval", "--curve", "0,0,1,-7,6", "--points", "(1,0);(2,0);(0,2);(-3,0);(4,6);(8,21);(3,3)",
                    "--prime", "101", "--method", "direct", "--index=300,200,1,1,1,1,1"]
+# inputs that once ran with exit 0 or passed on a message of Fraction, by id,
+# each with the text its error names
+SILENT_INPUTS = {
+    "denom-table-grid-0x0": (["denom-table", *E1_ARGS, "--grid", "0x0"], "grid '0x0'"),
+    "denom-table-grid-minus-1x3": (["denom-table", *E1_ARGS, "--grid=-1x3"], "grid '-1x3'"),
+    "net-table-point-not-a-number": (["net-table", "--curve", "0,0,0,0,-11", "--points",
+                                      "(a,4);(15,58)", "--grid", "2x2"], "point '(a,4)'"),
+    "net-table-point-zero-denominator": (["net-table", "--curve", "0,0,0,0,-11", "--points",
+                                          "(1/0,2);(15,58)", "--grid", "2x2"], "point '(1/0,2)'"),
+}
 # bounds of verify that leave nothing to check, by id, each with the flag it names
 AYAD_ARGS = ["verify", "ayad", *E2_ARGS, "--prime=7"]
 RECURRENCE_ARGS = ["verify", "recurrence", *E1_ARGS]
@@ -315,7 +341,8 @@ def run_subprocess(argv):
                                               RANK_ONE_HUGE_EVAL, AXIS_HUGE_EVAL,
                                               NEAR_AXIS_HUGE_EVAL, DEPENDENT_HUGE_EVAL,
                                               *NON_PRIME_VERIFY, RANK_SEVEN_EVAL,
-                                              *(argv for argv, _ in DEGENERATE_VERIFY.values())],
+                                              *(argv for argv, _ in DEGENERATE_VERIFY.values()),
+                                              *(argv for argv, _ in SILENT_INPUTS.values())],
                          ids=[argv[0] for argv in CLI_MATRIX]
                          + ["eval-direct-deep", "eval-direct-huge", "net-table-1x120",
                             "net-table-1x120-json", "eval-direct-short-index",
@@ -324,7 +351,7 @@ def run_subprocess(argv):
                             "eval-direct-near-axis-huge", "eval-direct-dependent-huge",
                             "verify-ayad-prime-0", "verify-valuation-prime-1",
                             "verify-epsilon-prime-minus-7", "eval-direct-rank-seven",
-                            *DEGENERATE_VERIFY])
+                            *DEGENERATE_VERIFY, *SILENT_INPUTS])
 def test_cli_matrix_never_tracebacks(argv):
     start = time.monotonic()
     proc = run_subprocess(argv)
@@ -369,7 +396,7 @@ def test_cli_matrix_never_tracebacks(argv):
     if argv is RANK_SEVEN_EVAL:
         assert proc.returncode == 2 and elapsed < 1, (proc.stderr, elapsed)
         assert proc.stderr.startswith("error: a net of rank 7 > 6"), proc.stderr
-    for flagged, flag in DEGENERATE_VERIFY.values():
+    for flagged, flag in (*DEGENERATE_VERIFY.values(), *SILENT_INPUTS.values()):
         if argv is flagged:
             assert (proc.returncode, proc.stdout) == (2, "") and flag in proc.stderr, proc.stderr
 

@@ -9,6 +9,7 @@ import pytest
 
 from ellnet import (
     INFINITY,
+    CurvePoint,
     DivisionPolynomials,
     EllipticNet,
     build_symmetry_data,
@@ -846,12 +847,19 @@ def _denominator_by_fraction_law(curve, points, v):
     return decompose(curve, total).d
 
 
+def _oriented(curve_name, orientation):
+    curve, gen_q, gen_p = {"e1": (E1, Q1, P1), "e2": (E2, Q2, P2)}[curve_name]
+    return curve, (gen_q, gen_p) if orientation == "qp" else (gen_p, gen_q)
+
+
 @pytest.mark.parametrize("curve_name", ["e1", "e2"])
 @pytest.mark.parametrize("orientation", ["qp", "pq"])
 def test_point_cache_matches_fraction_law_on_large_grid(default_recursion_limit,
                                                         curve_name, orientation):
-    curve, gen_q, gen_p = {"e1": (E1, Q1, P1), "e2": (E2, Q2, P2)}[curve_name]
-    points = (gen_q, gen_p) if orientation == "qp" else (gen_p, gen_q)
+    # denominators are read off the net's values, with no step of the point
+    # cache's chain, on seeded samples and the corners of a 30x30 and a
+    # 60x60 grid; the cache still rebuilds the public point
+    curve, points = _oriented(curve_name, orientation)
     rng = random.Random(f"{curve_name}-{orientation}")
     grid = [(c, r) for c in range(30) for r in range(30)]
     sample = rng.sample(grid, 20) + [(29, 29), (29, 0), (0, 29)]
@@ -860,6 +868,10 @@ def test_point_cache_matches_fraction_law_on_large_grid(default_recursion_limit,
     for v in sample:
         assert net.denominator(v) == _denominator_by_fraction_law(curve, points, v), v
         assert net.value(v) == rec.value(v), v
+    large = rng.sample([(c, r) for c in range(60) for r in range(60)], 12)
+    for v in large + [(59, 59), (59, 0), (0, 59), (1, 59), (59, 1)]:
+        assert net.denominator(v) == _denominator_by_fraction_law(curve, points, v), v
+    assert len(net._points_cache) == 1  # the origin alone
     # the public point is rebuilt from the cached triple
     v = sample[0]
     assert net.point(v) == curve.add(curve.mul(v[0], points[0]), curve.mul(v[1], points[1]))
@@ -957,6 +969,100 @@ def test_point_cache_rank_one_torsion():
             assert den == (0 if n == 0 else DependentPointsError if n % order == 0 else 1), n
             assert den == _outcome(lambda u: _denominator_by_fraction_law(curve, (point,), u), (n,))
         assert net.route_counts == reduced.route_counts == Counter(psi=14)
+
+
+# --- denominators read off the net ------------------------------------------
+
+
+@pytest.fixture
+def no_group_law(monkeypatch):
+    """``IntegralModel.add`` raises: a denominator that answers is read off
+    the net's values, with no step of the point cache's chain."""
+    def refuse(self, P, Q):
+        raise AssertionError("IntegralModel.add ran")
+    monkeypatch.setattr(IntegralModel, "add", refuse)
+
+
+# rank-2 nets on nonsingular integral models: E1 and E2 in both orders, the
+# nonsingular entries of DEGENERATE_NETS, and E1 with 2P = (345/64, ...)
+# first, where x(P_1) is not an integer, so that the sign of the correction
+# term shows in D
+NET_DENOMINATOR_CASES = {
+    **{f"{name}-{ori}": _oriented(name, ori) for name in ("e1", "e2") for ori in ("qp", "pq")},
+    **{name: (WeierstrassCurve(*coeffs), tuple(rational_point(x, y) for x, y in coords))
+       for name, (coeffs, coords, _, _) in DEGENERATE_NETS.items() if name != "node-smooth"},
+    "e1-(2P,Q)": (E1, (E1.mul(2, P1), Q1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NET_DENOMINATOR_CASES))
+def test_rank_two_denominators_take_no_group_law(default_recursion_limit, no_group_law, case):
+    # the radius-8 box, negative indices included; an identity index
+    # raises DependentPointsError on both sides
+    curve, points = NET_DENOMINATOR_CASES[case]
+    net = EllipticNet(curve, points)
+    identities = 0
+    for v in box_indices(2, 8):
+        expected = _outcome(lambda u: _denominator_by_fraction_law(curve, points, u), v)
+        assert _outcome(net.denominator, v) == expected, v
+        identities += expected is DependentPointsError
+    assert identities == {"dependent": 8, "torsion-rank-2": 42}.get(case, 0)
+    assert len(net._points_cache) == 1  # the origin alone: no chain ran
+
+
+def test_rank_one_denominators_take_no_group_law(default_recursion_limit, no_group_law):
+    # x(nP) = x - psi_{n+1} psi_{n-1} / psi_n^2, on E1, E2 and the torsion
+    # points, where psi_n = 0 at the identity
+    for curve, point in [(E1, P1), (E1, Q1), (E2, P2), (E2, Q2),
+                         *((CURVE_TORSION, pt) for pt in TORSION_POINTS.values())]:
+        net = EllipticNet(curve, (point,))
+        for n in range(-40, 41):
+            expected = _outcome(lambda u: _denominator_by_fraction_law(curve, (point,), u), (n,))
+            assert _outcome(net.denominator, (n,)) == expected, (point, n)
+
+
+def test_denominator_routes_by_rank_and_model(monkeypatch):
+    # ranks 1 and 2 on a nonsingular integral model read the net; rank 3,
+    # the node and the recurrence strategy keep the point cache's chain
+    calls = Counter()
+    add = IntegralModel.add
+
+    def counted(self, P, Q):
+        calls["add"] += 1
+        return add(self, P, Q)
+
+    monkeypatch.setattr(IntegralModel, "add", counted)
+    node = WeierstrassCurve(0, 1, 0, 0, 0, allow_singular=True)
+    for curve, points, chain in [
+        (E1, (Q1, P1), False), (E2, (P2,), False), (CURVE_5077A, POINTS_5077A, True),
+        (node, (rational_point(0, 0), rational_point(3, 6)), True),
+    ]:
+        calls.clear()
+        net = EllipticNet(curve, points)
+        v = (0,) * (len(points) - 1) + (3,)
+        assert net.denominator(v) == _denominator_by_fraction_law(curve, points, v), curve
+        assert (calls["add"] > 0) == chain, curve
+    calls.clear()
+    rec = EllipticNet(E1, (Q1, P1), strategy="recurrence")
+    assert rec.denominator((4, 9)) == CORNER and calls["add"] > 0
+    net = EllipticNet(CURVE_5077A, POINTS_5077A)
+    for v in box_indices(3, 2):
+        expected = _outcome(lambda u: _denominator_by_fraction_law(CURVE_5077A, POINTS_5077A, u), v)
+        assert _outcome(net.denominator, v) == expected, v
+
+
+def test_int_coordinates_give_the_rational_net():
+    # CurvePoint(3, 4) with int coordinates once divided into floats
+    ints = EllipticNet(E1, (CurvePoint(3, 4), CurvePoint(15, 58)))
+    fractions = EllipticNet(E1, (P1, Q1))
+    assert all(type(c) is Fraction for pt in ints.points for c in (pt.x, pt.y))
+    assert ints.value((5, 7)) == fractions.value((5, 7)) != 279100258473494.78
+    for v in ((5, 7), (1, 1), (2, -1), (0, 3), (-4, 9), (12, 5)):
+        assert type(ints.value(v)) is Fraction and ints.value(v) == fractions.value(v), v
+        assert ints.denominator(v) == fractions.denominator(v), v
+    rank_one = EllipticNet(E1, (CurvePoint(3, 4),))
+    assert rank_one.value((6,)) == DivisionPolynomials(E1, P1).psi(6)
+    assert rank_one.denominator((6,)) == EllipticNet(E1, (P1,)).denominator((6,))
 
 
 # --- the halving ladder over Q -------------------------------------------------

@@ -20,7 +20,7 @@ from ellnet import (
 )
 from ellnet.errors import EllnetError, NotEllipticSequenceError, PreconditionError
 from ellnet.net import box_indices
-from conftest import P1, P2
+from conftest import P1, P2, Q1, Q2
 
 
 def test_ayad_singular_case(e2, net2):
@@ -90,6 +90,29 @@ def test_unscaled_comparison_breaks_at_two(net1):
     raw = valuation_match_report(net1, 2, (4, 9), scaled=False)
     assert not raw.ok
     assert (1, 1) in raw.mismatches
+
+
+@pytest.mark.parametrize("points, p, grid, gate", [((Q1, P1), 3, (4, 9), True),
+                                                  ((P1, Q1), 2, 3, True),
+                                                  ((Q2, P2), 7, (6, 9), False)],
+                         ids=["E1-3", "E1-pq-2", "E2-7"])
+def test_valuation_report_reads_denominators_off_the_group_law(monkeypatch, e1, e2, points, p,
+                                                              grid, gate):
+    # the theorem check compares the net with the group law: with
+    # EllipticNet.denominator refused, the report keeps every entry
+    curve = e1 if points[0] in (P1, Q1) else e2
+    expected = valuation_match_report(EllipticNet(curve, points), p, grid,
+                                      require_nonsingular=gate)
+    net = EllipticNet(curve, points)
+    assert expected.entries == [(v, val_p(net.denominator(v), p).unwrap(), n)
+                                for v, _, n in expected.entries]
+
+    def refuse(self, v):
+        raise AssertionError("EllipticNet.denominator ran")
+
+    monkeypatch.setattr(EllipticNet, "denominator", refuse)
+    report = valuation_match_report(EllipticNet(curve, points), p, grid, require_nonsingular=gate)
+    assert (report.entries, report.mismatches) == (expected.entries, expected.mismatches)
 
 
 def test_unique_apparition_psi_sequences(e1, e2):
