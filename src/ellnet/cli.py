@@ -166,7 +166,7 @@ def cmd_verify(args) -> int:
         report(f"valuation match mod {args.prime}", rep.ok,
                f"{len(rep.mismatches)} mismatches")
     elif args.check == "recurrence":
-        bad = recurrence_check(net.value, net.rank, args.radius, args.trials, args.seed)
+        bad = recurrence_check(net.scaled_value, net.rank, args.radius, args.trials, args.seed)
         report("net recurrence", not bad, f"{len(bad)} violations / {args.trials} trials")
     elif args.check == "epsilon":
         ok = theorems.epsilon_quadratic_check(net, args.prime, args.radius)

@@ -7,12 +7,13 @@ index with one nonzero coordinate take the division polynomial
 every n and every rank.  At rank 2 every other index of the box |u| <= 3
 comes from one seeded box (``_seeded_box``): eleven seeds, read off the
 coordinates of P_1, P_2 and P_1 + P_2 and psi on the axes, and fourteen
-recurrence rows that multiply their target only by units, so no step
-divides.  At ranks 3 to 6 the box comes from the net's box callback.
-Every other index takes one halving ladder.  A recurrence instance writes
-W(u) as a difference of two products of four values near u / 2, with no
-division, so O(log |u|) levels of a bounded number of values each reach
-the box and the axes.  One parity rule (``_ladder_units``) picks the
+recurrence rows that multiply their target only by units (+-e_i and
++-(e_i + e_j), where W = +-1), so no step divides by a net value.  At
+ranks 3 to 6 the box comes from the net's box callback.  Every other
+index takes one halving ladder.  A recurrence instance writes W(u) times
+three units as a difference of two products of four values near u / 2,
+so O(log |u|) levels of a bounded number of values each reach the box and
+the axes.  One parity rule (``_ladder_units``) picks the
 instance at every rank from 2 to LADDER_MAX_RANK.  The ladder runs on a
 level-block schedule: at level j every index is (u >> j) + o for a small
 offset o, the children of o depend only on ((u >> j) & 1) + o, and one
@@ -20,21 +21,40 @@ cached table (``_children``) gives them; a top-down pass over the offsets
 of each level and a bottom-up fill replace any recursion.  Where a box
 value raises, and on a net of rank above LADDER_MAX_RANK off the axes, the
 box callback answers the index itself.  The nets differ only in their
-callbacks, the box, psi and the combine step:
+callbacks, the box, psi and the combine step, which divides by the
+units' values:
 
-* an exact net over Q on the points strategy: the seeded box built on the
-  first ``value`` call (P_1 + P_2 by the chord), the points route at ranks
-  3 to 6, psi over Q, and the identity on exact values.
+* an exact net over Q on the points strategy runs the rule on the
+  rescaled net Psi-hat(v) = F_v W(v), with F_v = prod over i <= j of
+  A_ij^(v_i v_j) (``QuadraticFormData``: A_ii = D_{P_i},
+  A_ij = D_{P_i+P_j} / (D_{P_i} D_{P_j})).  Each term of the net
+  recurrence carries the same power of every A_ij, since F is quadratic,
+  so Psi-hat is an elliptic net too, with Psi-hat(e_i) = D_{P_i} and
+  Psi-hat(e_i + e_j) = D_{P_i+P_j}; on an integral model it is an
+  integer net (its valuations are those of D_{v . P} where the points
+  reduce well), so the memo holds ints and no step takes a gcd.  The
+  seeded box is built on the first ``value`` call from the seeds scaled
+  by F_u (D_{P_1+P_2} and P_1 + P_2 from the chord, no group law), the
+  points route scaled by F_u serves ranks 3 to 6, psi is the int sequence
+  D_{P_i}^(n^2) psi_n (``DivisionPolynomials.scaled``, D_{P_i} times psi
+  of the integral point (A_i, B_i) on the curve with coefficients
+  a_j D_{P_i}^j), and the combine step divides exactly by the product
+  of Psi-hat over the three units of its step (``_quotient``, cached per
+  offset r): a checked divmod, which keeps the exact ``Fraction`` where it
+  leaves a remainder.  ``value`` returns W(v) = Psi-hat(v) / F_v.  Off an
+  integral model F = 1 and the values stay ``Fraction``s.
 * ``ReducedNet``: the seeded box built by the constructor from int residues
   (P_1 + P_2 read off the cached (A, B, D) triple mod p, with no group law
   over Q), ``_exact_residue`` (exact over Q, then reduced) at ranks 3 to 6,
-  psi of the reduced point, and ``x % p`` on int residues.
+  psi of the reduced point, and ``x % p`` on int residues: W = 1 on the
+  units, so nothing is divided.
 
 So ranks 1 and 2 answer Psi_v(P) at every index, from psi, the seeded box
 and the ladder alone, and an exact net and its ``ReducedNet`` agree there.
-On a nonsingular integral model ``denominator`` reads D_{v . P} off those
-values too, by x(v . P) = x(P_i) - W(v + e_i) W(v - e_i) / W(v)^2, with no
-group law.
+On a nonsingular integral model ``denominator`` reads D_{v . P} off the
+rescaled values too, by x(v . P) = x(P_i) - W(v + e_i) W(v - e_i) / W(v)^2
+= (A_i Psi-hat(v)^2 - Psi-hat(v + e_i) Psi-hat(v - e_i)) /
+(D_{P_i}^2 Psi-hat(v)^2), with no group law.
 
 The box of an exact net at ranks 3 to 6, and every value of a net on the
 recurrence strategy or over F_p, comes from ``EllipticNet._run``: an
@@ -214,9 +234,10 @@ def _children(r: Index) -> tuple[tuple[Index, ...], Callable[[dict], tuple]]:
     The net recurrence at p = v + a, q = v + b, r = c, s = d, with g = a - b,
     c and h = c + d units from ``_ladder_units``, where W = 1, reads
 
-        W(u) = W(A+h) W(A-c) W(B+d) W(B) - W(B+h) W(B-c) W(A+d) W(A)
+        W(u) W(g) W(c) W(h) = W(A+h) W(A-c) W(B+d) W(B) - W(B+h) W(B-c) W(A+d) W(A)
 
-    for u = 2v + a + b + d, A = (u + g - d) / 2 and B = A - g.  The parity
+    (W(g) = W(c) = W(h) = 1, so only Psi-hat divides by them) for
+    u = 2v + a + b + d, A = (u + g - d) / 2 and B = A - g.  The parity
     of u fixes (g, c, h) so that u + g - d is even, so for u = 2m + r the
     offsets A - m and B - m depend on r alone; for max-norm above LADDER_BASE_NORM every index on
     the right is then smaller in max-norm.  It is a halving step in the
@@ -237,7 +258,7 @@ def _max_norm(v: Index) -> int:
 
 
 def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
-               psi: Callable[[int, int], object], combine: Callable[[object], object],
+               psi: Callable[[int, int], object], combine: Callable[[object, Index], object],
                counts: Counter):
     """Memoize W(key) for a normalized index by the source rule of the
     module docstring, on the level-block schedule of the halving ladder.
@@ -253,13 +274,14 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
     stored in ``memo``; every other
     index is an inner node, and its children make up the next level.  A
     bottom-up pass then fills the inner nodes deepest level first with
-    ``combine(+-(prod W(first) - prod W(second)))``, stored in ``memo``
-    under the normalized index and counted in ``counts["ladder"]``:
-    ``x % p`` keeps residues reduced, the identity keeps exact values.  An
+    ``combine(+-(prod W(first) - prod W(second)), r)`` for the offset r
+    of ``_children``, stored in ``memo`` under the normalized index and
+    counted in ``counts["ladder"]``: ``x % p`` keeps residues reduced, and
+    an exact net divides Psi-hat by the Psi-hat of the units of r.  An
     index that an earlier fill stored (its mirror on the same level, or the
     same index on a deeper one) is read from ``memo``, so each index is
-    counted once.  The step multiplies and subtracts but never divides, so
-    it meets no zero divisor, and the key is reached in O(log |key|) levels
+    counted once.  The step divides by no net value, only by the units'
+    constant values, so it meets no zero divisor, and the key is reached in O(log |key|) levels
     of a bounded number of offsets each.  Where a box value on the way
     raises (dependent points), the key takes ``box(key)``, and so does an
     off-axis key of rank above LADDER_MAX_RANK, at once.
@@ -298,7 +320,7 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
                     return
             else:
                 step, values_of = _children(r)
-                inner.append((o, u, s, values_of))
+                inner.append((o, u, s, r, values_of))
                 below.update(step)
                 continue
             known[o] = w if s > 0 else -w
@@ -307,12 +329,12 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
         offsets = below
     filled, new = None, 0
     for known, inner in reversed(levels):
-        for o, u, s, values_of in inner:
+        for o, u, s, r, values_of in inner:
             w = memo.get(u)  # set already by u's mirror on this level or u on a deeper one
             if w is None:
                 t0, t1, t2, t3, t4, t5, t6, t7 = values_of(filled)
                 first, second = t0 * t1 * t2 * t3, t4 * t5 * t6 * t7
-                w = memo[u] = combine(first - second if s > 0 else second - first)
+                w = memo[u] = combine(first - second if s > 0 else second - first, r)
                 new += 1
             known[o] = w if s > 0 else -w
         filled = known
@@ -320,8 +342,13 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
         counts["ladder"] += new
 
 
-def _exact(x):
-    return x
+def _quotient(x, d: int):
+    """x / d: the int quotient where a checked divmod leaves no remainder,
+    else the exact ``Fraction``, so no value depends on x being integral."""
+    if d == 1:
+        return x
+    q, r = divmod(x, d)
+    return Fraction(x, d) if r else q
 
 
 def _normalize(v: Index) -> tuple[Index, int]:
@@ -354,8 +381,9 @@ class EllipticNet:
             if law is None:
                 curve.require_on_curve(pt)
                 cached.append(pt)
-            else:  # decompose, inside triple, checks that pt is on the curve
-                cached.append(law.triple(pt))
+            else:  # decompose checks that pt is on the curve
+                dec = decompose(curve, pt)
+                cached.append((dec.a, dec.b, dec.d))
         for i, j in itertools.combinations(range(len(points)), 2):
             if points[i].x == points[j].x:
                 raise DegeneratePairError(f"points {i} and {j} share an x-coordinate")
@@ -364,15 +392,15 @@ class EllipticNet:
         self.rank = len(points)
         self.strategy = strategy
         self._zero = points[0].x - points[0].x
-        self._one = points[0].x ** 0
-        self._values: dict[Index, object] = {}
+        self._values: dict[Index, object] = {}  # W on the step routes of ``_run``
+        self._scaled: dict[Index, object] = {}  # Psi-hat on the rule of ``_net_value``
+        self._divisors: dict[tuple, object] = {}  # by offset r or a seed row's units
         self._law = law
         neg, origin = (curve.neg, INFINITY) if law is None else (law.neg, None)
         # (P_i, -P_i) in the cache's form
         self._steps = tuple((pt, neg(pt)) for pt in cached)
         self._points_cache: dict[Index, object] = {(0,) * self.rank: origin}
         self._recurrence_base: dict[Index, object] | None = None
-        self._axis_divpoly: dict[int, DivisionPolynomials] = {}
         # memoized values by the route that produced them
         self.route_counts: Counter = Counter()
 
@@ -439,36 +467,88 @@ class EllipticNet:
     # ------------------------------------------------------------------
 
     def value(self, v: Sequence[int]):
-        """W(v) in the base field: on the points strategy over Q from the
-        rule of ``_net_value``, else on the strategy's route."""
+        """W(v) in the base field: on the points strategy over Q
+        Psi-hat(v) / F_v from ``scaled_value``, else on the strategy's
+        route."""
         v = self._key(v)
+        if self.strategy == POINTS and self.is_rational:
+            num, den = self._form.parts(v)
+            return Fraction(self._hat(v) * den, num)
         key, sign = _normalize(v)
         if key not in self._values:
-            if self.strategy == POINTS and self.is_rational:
-                if self.rank == 2 and "seed" not in self.route_counts:
-                    self._seed_box()
-                _net_value(key, self._values, self._points_value, self._axis_psi, _exact,
-                           self.route_counts)
-            else:
-                self._run(self.strategy, key)
+            self._run(self.strategy, key)
         result = self._values[key]
         return -result if sign < 0 else result
 
+    def scaled_value(self, v: Sequence[int]):
+        """Psi-hat(v) = F_v W(v), an int wherever it is integral: on the
+        points strategy over Q from the rule of ``_net_value`` on Psi-hat,
+        else F_v ``value(v)``.  F = 1 off an integral model."""
+        v = self._key(v)
+        if self.strategy == POINTS and self.is_rational:
+            return self._hat(v)
+        return self._scale(v, self.value(v)) if self.is_rational else self.value(v)
+
+    def _hat(self, v: Index):
+        """Psi-hat(v) on the points strategy over Q, for an index of the
+        net's rank."""
+        key, sign = _normalize(v)
+        if key not in self._scaled:
+            if self.rank == 2 and not self._scaled:
+                self._seed_box()
+            _net_value(key, self._scaled, self._points_value, self._axis_psi, self._divide,
+                       self.route_counts)
+        w = self._scaled[key]
+        return -w if sign < 0 else w
+
+    def _chord(self, i: int, j: int) -> tuple:
+        """P_i + P_j by the chord (the constructor refused x_i = x_j)."""
+        c, p, q = self.curve, self.points[i], self.points[j]
+        s = (q.y - p.y) / (q.x - p.x)
+        x3 = s * s + c.a1 * s - c.a2 - p.x - q.x
+        return x3, s * (p.x - x3) - p.y - c.a1 * x3 - c.a3
+
+    @cached_property
+    def _form(self) -> QuadraticFormData:
+        """The form of F over Q: D_{P_i} off the cached triples and
+        D_{P_i+P_j} off the denominator of the chord's x, with no group law;
+        all ones (F = 1) off an integral model."""
+        law = self._law is not None
+        return QuadraticFormData.from_denominators(
+            [pt[2] if law else 1 for pt, _ in self._steps],
+            lambda i, j: math.isqrt(self._chord(i, j)[0].denominator) if law else 1)
+
+    def _scale(self, v: Index, w):
+        """F_v w over Q, an int where it is integral."""
+        num, den = self._form.parts(v)
+        return _quotient(w.numerator * num, w.denominator * den)
+
     def _seed_box(self) -> None:
-        """Memoize the seeded rank-2 box, with P_1 + P_2 by the chord (the
-        constructor refused x_1 = x_2); an index memoized already keeps its
-        value, and the new ones are counted under ``seed``."""
+        """Start the memo of Psi-hat at rank 2 with the seeded box, from
+        the seeds scaled by F_u with P_1 + P_2 by the chord; its values are
+        counted under ``seed``."""
         c, (p1, p2) = self.curve, self.points
-        s = (p2.y - p1.y) / (p2.x - p1.x)
-        x3 = s * s + c.a1 * s - c.a2 - p1.x - p2.x
-        y3 = s * (p1.x - x3) - p1.y - c.a1 * x3 - c.a3
-        box = _seeded_box(p1.x, p2.x, x3, y3, c.a1, c.a3, self._axis_psi, _exact)
-        self.route_counts["seed"] = len(box.keys() - self._values.keys())
-        self._values = {**box, **self._values}
+        seeds = _box_seeds(p1.x, p2.x, *self._chord(0, 1), c.a1, c.a3)
+        self._scaled = _seeded_box({u: self._scale(u, w) for u, w in seeds.items()},
+                                   self._axis_psi, self._divide)
+        self.route_counts["seed"] = len(self._scaled)
 
     def _points_value(self, u: Index):
+        """Psi-hat(u) off the points route: the box of ranks 3 to 6."""
         self._run(POINTS, u)
-        return self._values[u]
+        return self._scale(u, self._values[u])
+
+    def _divide(self, x, key: tuple):
+        """x / prod Psi-hat(u) = x / prod F_u over the three units u of a
+        step, where W = 1: a seed row's units, or (g, c, h) of the halving
+        step at offset r = key (``_ladder_units``), cached by key.  The
+        quotient is an int, or the exact ``Fraction`` where a checked
+        divmod leaves a remainder."""
+        d = self._divisors.get(key)
+        if d is None:
+            units = key if isinstance(key[0], tuple) else _ladder_units(tuple(c & 1 for c in key))
+            d = self._divisors[key] = math.prod(self._scale(u, 1) for u in units)
+        return _quotient(x, d)
 
     def _run(self, route: str, target: Index) -> None:
         """Evaluate W(target) on an explicit stack of steps on one route.
@@ -591,11 +671,14 @@ class EllipticNet:
         """The axis of the point step: the first with the largest |coordinate|."""
         return max(range(len(v)), key=lambda i: abs(v[i]))
 
+    @cached_property
+    def _divpolys(self) -> tuple[DivisionPolynomials, ...]:
+        return tuple(DivisionPolynomials(self.curve, pt) for pt in self.points)
+
     def _axis_psi(self, axis: int, n: int):
-        """Axis values through the division polynomial doubling identities."""
-        if axis not in self._axis_divpoly:
-            self._axis_divpoly[axis] = DivisionPolynomials(self.curve, self.points[axis])
-        return self._axis_divpoly[axis].psi(n)
+        """Psi-hat(n e_i) = D_i^{n^2} psi_n over Q (psi_n off an integral
+        model)."""
+        return self._divpolys[axis].scaled(n)
 
     # ------------------------------------------------------------------
     # recurrence (rank <= 2)
@@ -625,7 +708,7 @@ class EllipticNet:
         """W(v) from the recurrence schedule alone; the values it needs are
         asked on this route too, never through the points route."""
         if self.rank == 1:
-            return "recurrence", self._axis_psi(0, v[0])
+            return "recurrence", self._divpolys[0].psi(v[0])
         base = self._recurrence_bases()
         if v in base:
             return "base", base[v]
@@ -664,16 +747,15 @@ class EllipticNet:
             return 0
         if self._law is None or self._law.singular or self.rank > 2 or self.strategy != POINTS:
             return self._chain_denominator(v)
-        w = self.value(v)
+        w = self._hat(v)
         if w == 0:
             raise DependentPointsError(f"{v} . P is the identity")
         i = next(k for k, c in enumerate(v) if c)
-        up = self.value(v[:i] + (v[i] + 1,) + v[i + 1:])
-        down = self.value(v[:i] + (v[i] - 1,) + v[i + 1:])
-        x, ud, w2 = self.points[i].x, up.denominator * down.denominator, w.numerator ** 2
-        den = x.denominator * ud * w2
-        num = x.numerator * ud * w2 - x.denominator * up.numerator * down.numerator * w.denominator ** 2
-        d2 = den // math.gcd(num, den)
+        up = self._hat(v[:i] + (v[i] + 1,) + v[i + 1:])
+        down = self._hat(v[:i] + (v[i] - 1,) + v[i + 1:])
+        a, _, d = self._steps[i][0]
+        num, den = a * w * w - up * down, d * d * w * w
+        d2 = den // math.gcd(num, den) if type(num) is int else Fraction(num, den).denominator
         d = math.isqrt(d2)
         if d * d != d2:
             raise ModelNotIntegralError("denominator of x is not a perfect square")
@@ -727,35 +809,41 @@ _SEED_ROWS = (
 )
 
 
-def _seed_step(p: Index, q: Index, r: Index, s: Index, k: int) -> tuple[int, tuple]:
-    """(sign, factors) with W(target) = sign * (prod W(factors[:4]) +
-    prod W(factors[4:])): T_k = W(+-target) * (+-1) is minus the other two
-    terms.  The factors are (normalized index, sign) pairs."""
+def _seed_step(p: Index, q: Index, r: Index, s: Index, k: int) -> tuple[int, tuple, tuple]:
+    """(sign, factors, units) with W(target) = sign * (prod W(factors[:4]) +
+    prod W(factors[4:])) / prod W(units): T_k = W(+-target) times its
+    three units, where W = +-1, is minus the other two terms.  The factors
+    are (normalized index, sign) pairs, the units normalized indices."""
     terms = _net_terms(p, q, r, s)
     (head, *units), rest = terms[k], terms[:k] + terms[k + 1:]
-    sign = -_normalize(head)[1] * reduce(mul, (_normalize(u)[1] for u in units))
-    return sign, tuple(_normalize(t) for t in itertools.chain(*rest))
+    units = [_normalize(u) for u in units]
+    sign = -_normalize(head)[1] * reduce(mul, (s for _, s in units))
+    return sign, tuple(_normalize(t) for t in itertools.chain(*rest)), tuple(u for u, _ in units)
 
 
 _SEED_STEPS = tuple((target, *_seed_step(*quad, k)) for target, quad, k in _SEED_ROWS)
 
 
-def _seeded_box(x1, x2, x3, y3, a1, a3, psi: Callable[[int, int], object],
-                combine: Callable[[object], object]) -> dict[Index, object]:
-    """The rank-2 box |u| <= 3 from its eleven seeds, in the field of the
-    arguments: W(0), the units W(e_1) = W(e_2) = W(e_1 + e_2) = 1 and psi_2,
-    psi_3 on each axis from ``psi(axis, n)``, and, with (x3, y3) = P_1 + P_2,
-    W(2,1) = x_1 - x3, W(1,2) = x_2 - x3 and W(2,2) = psi_2(P_1 + P_2).
-    The rows of ``_SEED_ROWS`` give the rest, with ``combine`` applied to
-    each new value; a row multiplies its target only by units, so no step
-    divides."""
-    box = {(0, 0): psi(0, 0), (1, 1): psi(0, 1), (2, 1): combine(x1 - x3),
-           (1, 2): combine(x2 - x3), (2, 2): combine(2 * y3 + a1 * x3 + a3)}
+def _box_seeds(x1, x2, x3, y3, a1, a3) -> dict[Index, object]:
+    """W(1,1) = 1 and, with (x3, y3) = P_1 + P_2, W(2,1) = x_1 - x3,
+    W(1,2) = x_2 - x3 and W(2,2) = psi_2(P_1 + P_2)."""
+    return {(1, 1): 1, (2, 1): x1 - x3, (1, 2): x2 - x3, (2, 2): 2 * y3 + a1 * x3 + a3}
+
+
+def _seeded_box(seeds: dict[Index, object], psi: Callable[[int, int], object],
+                combine: Callable[[object, tuple], object]) -> dict[Index, object]:
+    """The rank-2 box |u| <= 3 from its eleven seeds: W(0), psi_1 to psi_3
+    on each axis from ``psi(axis, n)``, and ``seeds``, the values at (1,1),
+    (2,1), (1,2) and (2,2) (``_box_seeds``).  The rows of ``_SEED_ROWS``
+    give the rest, each new value as ``combine(x, units)``: a row
+    multiplies its target only by three units, so ``combine`` divides by
+    their values or, where W = 1 on the units, keeps x."""
+    box = {(0, 0): psi(0, 0), **seeds}
     for n in (1, 2, 3):
         box[n, 0], box[0, n] = psi(0, n), psi(1, n)
-    for target, sign, factors in _SEED_STEPS:
+    for target, sign, factors, units in _SEED_STEPS:
         w = [box[t] if s > 0 else -box[t] for t, s in factors]
-        box[target] = combine(sign * (w[0] * w[1] * w[2] * w[3] + w[4] * w[5] * w[6] * w[7]))
+        box[target] = combine(sign * (w[0] * w[1] * w[2] * w[3] + w[4] * w[5] * w[6] * w[7]), units)
     return box
 
 
@@ -863,8 +951,8 @@ class ReducedNet:
         self._residues: dict[Index, int] = {}
         if self.rank == 2:  # P_1 + P_2 is affine mod p, by the checks above
             (x1, _), (x2, _) = self._points
-            x3, y3 = _triple_residues(*net._cached_point((1, 1)), p)
-            self._residues = _seeded_box(x1, x2, x3, y3, law.a1, law.a3, self._psi, self._residue)
+            seeds = _box_seeds(x1, x2, *_triple_residues(*net._cached_point((1, 1)), p), law.a1, law.a3)
+            self._residues = _seeded_box({u: w % p for u, w in seeds.items()}, self._psi, self._residue)
             self.route_counts["seed"] = len(self._residues)
 
     @cached_property
@@ -908,7 +996,7 @@ class ReducedNet:
     def _psi(self, axis: int, n: int) -> int:
         return self._divpolys[axis]._value(n)
 
-    def _residue(self, x: int) -> int:
+    def _residue(self, x: int, units) -> int:
         return x % self.p
 
 
@@ -919,23 +1007,25 @@ class QuadraticFormData:
     matrix: tuple[tuple[Fraction, ...], ...]
 
     @classmethod
+    def from_denominators(cls, dens: Sequence[int],
+                          pair: Callable[[int, int], int]) -> "QuadraticFormData":
+        """A from D_{P_i} = ``dens[i]`` and D_{P_i+P_j} = ``pair(i, j)``, i < j."""
+        a = [[Fraction(d)] * len(dens) for d in dens]
+        for i, j in itertools.combinations(range(len(dens)), 2):
+            a[i][j] = a[j][i] = Fraction(pair(i, j), dens[i] * dens[j])
+        return cls(tuple(map(tuple, a)))
+
+    @classmethod
     def from_curve_points(cls, curve: WeierstrassCurve,
                           points: Sequence[CurvePoint]) -> "QuadraticFormData":
-        r = len(points)
-        dens = [decompose(curve, pt).d for pt in points]
-        rows = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                if i == j:
-                    row.append(Fraction(dens[i]))
-                else:
-                    s = curve.add(points[i], points[j])
-                    if s.is_infinity:
-                        raise DegeneratePairError("P_i + P_j is the identity")
-                    row.append(Fraction(decompose(curve, s).d, dens[i] * dens[j]))
-            rows.append(tuple(row))
-        return cls(tuple(rows))
+        """A off (A, B, D) triples of ``IntegralModel``: the net's cached
+        triples of the points (the constructor checks them and refuses
+        x_i = x_j), and P_i + P_j by the integer group law."""
+        net = EllipticNet(curve, points)
+        if net._law is None:
+            raise ModelNotIntegralError("the rescaling F needs an integral model")
+        t = [pt for pt, _ in net._steps]
+        return cls.from_denominators([x[2] for x in t], lambda i, j: net._law.add(t[i], t[j])[2])
 
     @property
     def rank(self) -> int:
@@ -943,13 +1033,16 @@ class QuadraticFormData:
 
     def value(self, v: Sequence[int]) -> Fraction:
         """F_v = prod over i <= j of A_ij ** (v_i v_j)."""
-        result = Fraction(1)
-        for i in range(self.rank):
-            for j in range(i, self.rank):
-                e = v[i] * v[j]
-                if e:
-                    result *= self.matrix[i][j] ** e
-        return result
+        return Fraction(*self.parts(v))
+
+    def parts(self, v: Sequence[int]) -> tuple[int, int]:
+        """F_v as an int numerator and denominator, not in lowest terms."""
+        num = den = 1
+        for i, j in itertools.combinations_with_replacement(range(self.rank), 2):
+            a, e = self.matrix[i][j], v[i] * v[j]
+            n, d = (a.numerator, a.denominator) if e >= 0 else (a.denominator, a.numerator)
+            num, den = num * n ** abs(e), den * d ** abs(e)
+        return num, den
 
 
 def recurrence_check(value_fn: Callable[[Index], object], rank: int,

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 from .curve import is_singular_reduction
 from .errors import NotEllipticSequenceError, PreconditionError, SingularReductionError
 from .fieldarith import PrimeFieldElement, val_p
-from .net import EllipticNet, QuadraticFormData, box_indices, reduce_base_points
+from .net import EllipticNet, box_indices, reduce_base_points
 from .lattice import Vector
 
 
@@ -133,8 +133,9 @@ def valuation_match_report(net: EllipticNet, p: int, grid,
 
     ``grid``: an int radius (max-norm box) or per-axis upper bounds.  With
     ``scaled=False`` the raw net value is compared instead, which is the
-    comparison that breaks at the finitely many exceptional primes.  D
-    comes from the group-law chain (``EllipticNet._chain_denominator``),
+    comparison that breaks at the finitely many exceptional primes.
+    Psi-hat is read off the net (``scaled_value``).  D comes from the
+    group-law chain (``EllipticNet._chain_denominator``),
     not from ``denominator``, which reads it off the net at ranks 1 and 2:
     so the check compares the net with the group law.
     """
@@ -146,15 +147,11 @@ def valuation_match_report(net: EllipticNet, p: int, grid,
                     f"P_{i} has singular reduction mod {p}; "
                     "pass require_nonsingular=False to inspect anyway"
                 )
-    qdata = QuadraticFormData.from_curve_points(curve, net.points) if scaled else None
     entries = []
     mismatches = []
     for v in _grid(net.rank, grid):
         dval = val_p(net._chain_denominator(v), p).unwrap()
-        w = net.value(v)
-        if scaled:
-            w = w * qdata.value(v)
-        nval = val_p(w, p).unwrap()
+        nval = val_p(net.scaled_value(v) if scaled else net.value(v), p).unwrap()
         entries.append((v, dval, nval))
         if dval != nval:
             mismatches.append(v)

@@ -170,6 +170,19 @@ def test_verify_commands(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("args", [E1_ARGS, E2_ARGS, PQ_ARGS], ids=["e1", "e2", "e1-pq"])
+def test_verify_recurrence_checks_the_rescaled_net(monkeypatch, capsys, args):
+    # the recurrence is checked on the int net Psi-hat = F_v W(v), whose
+    # terms all carry the same power of F, so the report is W's
+    def refuse(self, v):
+        raise AssertionError("EllipticNet.value ran")
+
+    monkeypatch.setattr(EllipticNet, "value", refuse)
+    code, out, _ = run_cli(capsys, ["verify", "recurrence", *args, "--radius", "6",
+                                    "--trials", "200"])
+    assert (code, out) == (0, "PASS net recurrence: 0 violations / 200 trials\n")
+
+
 def test_verify_failure_exit_code(capsys):
     # gate disabled at the singular prime: mismatches exist, exit code 1
     code, out, _ = run_cli(capsys, ["verify", "valuation", *E2_ARGS, "--prime", "7",

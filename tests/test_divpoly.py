@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ellnet import CurvePoint, DivisionPolynomials, INFINITY, reduce_curve, reduce_mod_p
+from ellnet import (CurvePoint, DivisionPolynomials, INFINITY, WeierstrassCurve, rational_point,
+                    reduce_curve, reduce_mod_p)
 from conftest import P1, P2, Q1, Q2, assert_psi_is_exact_psi_reduced
 
 
@@ -108,3 +109,56 @@ def test_degenerate_even_step_over_gf(e1, e2):
         assert dp.psi(2) == 0
         assert dp.psi(3) is not None
         assert_psi_is_exact_psi_reduced(dp, curve, point, p)
+
+
+def _plain_psi(curve, point, n_max):
+    """psi_0 .. psi_{n_max} at the point by the plain recursion, one index
+    after the other, in the field of the coordinates: ``Fraction`` values
+    over Q, ``PrimeFieldElement`` values mod p."""
+    x, y = point.x, point.y
+    b2, b4, b6, b8 = curve.b_invariants()[:4]
+    psi = [x - x, x**0, 2 * y + curve.a1 * x + curve.a3,
+           3 * x**4 + b2 * x**3 + 3 * b4 * x**2 + 3 * b6 * x + b8]
+    psi.append(psi[2] * (2 * x**6 + b2 * x**5 + 5 * b4 * x**4 + 10 * b6 * x**3 + 10 * b8 * x**2
+                         + (b2 * b8 - b4 * b6) * x + b4 * b8 - b6**2))
+    for m in range(5, n_max + 1):
+        k = m // 2
+        if m % 2:
+            psi.append(psi[k + 2] * psi[k] ** 3 - psi[k - 1] * psi[k + 1] ** 3)
+        elif psi[2] == 0:  # a point of order 2: every even psi_n is 0
+            psi.append(psi[0])
+        else:
+            psi.append(psi[k] * (psi[k + 2] * psi[k - 1] ** 2 - psi[k - 2] * psi[k + 1] ** 2)
+                       / psi[2])
+    return psi
+
+
+E1 = WeierstrassCurve(0, 0, 0, 0, -11)
+TORSION_CURVE = WeierstrassCurve(0, 0, 0, 0, 1)
+# (curve, point, D, the largest n checked against Fraction psi): past
+# n = 150 the plain Fraction recursion at 2P takes tens of seconds, so 2P
+# is checked to 300 mod three primes as well
+RESCALED_PSI_CASES = {"E1-2P": (E1, E1.mul(2, P1), 8, 150),
+                      "order-2": (TORSION_CURVE, rational_point(-1, 0), 1, 300),
+                      "order-3": (TORSION_CURVE, rational_point(0, 1), 1, 300),
+                      "order-6": (TORSION_CURVE, rational_point(2, 3), 1, 300)}
+
+
+@pytest.mark.parametrize("case", sorted(RESCALED_PSI_CASES))
+def test_psi_over_q_is_the_int_sequence_d_to_the_n_squared_psi(case):
+    # the rescaled psi D^{n^2} psi_n (2P = (345/64, ...) has D = 8) is an
+    # int, the memo holds the ints D^{n^2 - 1} psi_n, and psi divides the
+    # power of D out again
+    curve, point, d, n_exact = RESCALED_PSI_CASES[case]
+    dp = DivisionPolynomials(curve, point)
+    psi = _plain_psi(curve, point, n_exact)
+    for n in range(-n_exact, n_exact + 1):
+        expected = psi[n] if n >= 0 else -psi[-n]
+        scaled = dp.scaled(n)
+        assert type(scaled) is int and scaled == expected * d ** (n * n), n
+        assert type(dp._value(n)) is int and dp._value(n) * d == scaled, n
+        assert dp.psi(n) == expected, n
+    for p in (1000003, 998244353, 2305843009213693951):
+        reduced = _plain_psi(reduce_curve(curve, p), reduce_mod_p(curve, point, p), 300)
+        for n in range(301):
+            assert dp.scaled(n) * pow(d, -n * n, p) % p == reduced[n].residue, (p, n)

@@ -36,9 +36,9 @@ from ellnet.errors import (
     SingularCurveError,
 )
 from ellnet import IntegralModel, PrimeFieldElement
-from ellnet.net import (EXACT_FALLBACK_MAX_NORM, LADDER_BASE_NORM, _SEED_ROWS, _children, _seeded_box,
-                        _ladder_units, _net_terms, _normalize, _reduce_fraction, box_indices,
-                        reduce_base_points)
+from ellnet.net import (EXACT_FALLBACK_MAX_NORM, LADDER_BASE_NORM, _SEED_ROWS, _box_seeds, _children,
+                        _ladder_units, _net_terms, _normalize, _quotient, _reduce_fraction,
+                        _seeded_box, box_indices, reduce_base_points)
 from conftest import (E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2, assert_psi_is_exact_psi_reduced,
                       points_route)
 
@@ -1307,8 +1307,8 @@ def test_seed_rows_rebuild_the_box_over_q(config):
     curve, points = SEEDED_CONFIGS[config]
     psi = [DivisionPolynomials(curve, pt) for pt in points]
     total = curve.add(*points)
-    box = _seeded_box(points[0].x, points[1].x, total.x, total.y, curve.a1, curve.a3,
-                      lambda axis, n: psi[axis].psi(n), lambda x: x)
+    seeds = _box_seeds(points[0].x, points[1].x, total.x, total.y, curve.a1, curve.a3)
+    box = _seeded_box(seeds, lambda axis, n: psi[axis].psi(n), lambda x, units: x)
     for v in ((2, 1), (1, 2)):
         assert box[v] == initial_net_value(curve, points, v), v
     by_points = EllipticNet(curve, points)
@@ -1536,3 +1536,88 @@ def test_constructor_checks_each_base_point_once(monkeypatch):
     assert _outcome(lambda pts: EllipticNet(E1, pts), (P1, E1.neg(P1))) is DegeneratePairError
     assert _outcome(lambda pts: EllipticNet(rational, pts),
                     (rational_point(0, 1),)) is PointNotOnCurveError
+
+
+# --- the rescaled net Psi-hat(v) = F_v W(v) over Q -------------------------------
+
+E1_2P = E1.mul(2, P1)  # (345/64, ...): D = 8
+RESCALED_CONFIGS = {**RANK_TWO_CONFIGS, "E1-(2P,Q)": (E1, (E1_2P, Q1))}
+
+
+@pytest.mark.parametrize("config", sorted(RESCALED_CONFIGS))
+def test_rescaled_net_is_f_times_the_points_route(default_recursion_limit, config):
+    # F from the integer group law (QuadraticFormData.from_curve_points),
+    # the net's own F from the chord; Psi-hat against F_v times the points
+    # route of a fresh net wherever it answers, on the radius-8 box, and
+    # every memoized Psi-hat is an int
+    curve, points = RESCALED_CONFIGS[config]
+    net, by_points = EllipticNet(curve, points), EllipticNet(curve, points)
+    form = QuadraticFormData.from_curve_points(curve, points)
+    answered = 0
+    for v in box_indices(2, 8):
+        expected = _outcome(lambda u: form.value(u) * points_route(by_points, u), v)
+        got = net.scaled_value(v)
+        assert expected in (got, DependentPointsError), v
+        answered += expected == got
+    assert net._form == form
+    assert answered > 50 and len(net._scaled) > 100
+    assert all(type(w) is int for w in net._scaled.values()), config
+
+
+@pytest.mark.parametrize("order", ["(2P,Q)", "(Q,2P)"])
+def test_rescaled_denominators_where_d_is_not_one(default_recursion_limit, no_group_law, order):
+    # x(v . P) = (A_i Psi-hat(v)^2 - Psi-hat(v + e_i) Psi-hat(v - e_i)) /
+    # (D_i^2 Psi-hat(v)^2) with D_i = 8 on the axis of 2P; |Psi-hat| = D
+    points = (E1_2P, Q1) if order == "(2P,Q)" else (Q1, E1_2P)
+    net = EllipticNet(E1, points)
+    checked = 0
+    for v in box_indices(2, 6):
+        if any(v):
+            d = _denominator_by_fraction_law(E1, points, v)
+            assert net.denominator(v) == d == abs(net.scaled_value(v)), v
+            checked += 1
+    assert checked == 168
+
+
+def test_rescaled_value_reduces_to_the_reduced_net_at_a_large_index(default_recursion_limit):
+    # W(640, 639) = Psi-hat / F_v over Q against ReducedNet, whose residues
+    # are never divided or rescaled
+    v = (640, 639)
+    w = EllipticNet(E1, (P1, Q1)).value(v)
+    assert w.denominator == 2 ** (640 * 639)
+    for p in (5, 1009, 1000003):
+        assert _reduce_fraction(w, p) == ReducedNet(EllipticNet(E1, (P1, Q1)), p).value(v), p
+
+
+def test_ladder_divides_exactly_or_keeps_the_fraction(default_recursion_limit):
+    assert _quotient(12, 4) == 3 and type(_quotient(12, 4)) is int
+    assert _quotient(-7, 2) == Fraction(-7, 2)
+    assert _quotient(Fraction(9, 2), 3) == Fraction(3, 2)
+    assert _quotient(Fraction(9, 1), 3) == 3
+    # G_v W(v) is an elliptic net for any quadratic G; with G = 3^(v1 v2)
+    # in place of F = 2^(v1 v2) on E1 (P,Q) it is not integral, so the seeded
+    # box and the ladder keep Fractions where a divmod leaves a remainder,
+    # and value divides G out again
+    net = EllipticNet(E1, (P1, Q1))
+    net.__dict__["_form"] = QuadraticFormData(((Fraction(1), Fraction(3)),
+                                               (Fraction(3), Fraction(1))))
+    fresh = EllipticNet(E1, (P1, Q1))
+    for v in [*box_indices(2, 6), (45, -31), (200, 199)]:
+        assert net.value(v) == fresh.value(v), v
+    kinds = Counter(type(w) for w in net._scaled.values())
+    assert kinds[Fraction] > 50 and kinds[int] > 0
+
+
+def test_quadratic_form_reads_integral_model_triples(monkeypatch):
+    # no Fraction group law: D_{P_i + P_j} comes from IntegralModel.add
+    def refuse(self, P, Q):
+        raise AssertionError("WeierstrassCurve.add ran")
+
+    expected = {(E1, (P1, Q1)): ((1, 2), (2, 1)), (E2, (P2, Q2)): ((1, 1), (1, 1)),
+                (E1, (E1_2P, Q1)): ((8, Fraction(3, 8)), (Fraction(3, 8), 1))}
+    monkeypatch.setattr(WeierstrassCurve, "add", refuse)
+    for (curve, points), matrix in expected.items():
+        assert QuadraticFormData.from_curve_points(curve, points).matrix == matrix
+        assert EllipticNet(curve, points)._form.matrix == matrix
+    assert _outcome(lambda pts: QuadraticFormData.from_curve_points(E1, pts),
+                    (P1, INFINITY)) is PreconditionError

@@ -7,6 +7,7 @@ import ellnet.net
 from ellnet import (
     DivisionPolynomials,
     EllipticNet,
+    QuadraticFormData,
     WeierstrassCurve,
     ayad_equivalence_report,
     decompose,
@@ -210,3 +211,26 @@ def test_epsilon_reads_heights_off_the_point_cache(monkeypatch, e1, net1, net2):
         if any(v):
             assert epsilon_value(net, 5, v) == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("points, p", [((Q1, P1), 2), ((Q1, P1), 23), ((P2, Q2), 7), ((Q2, P2), 13)],
+                         ids=["E1-2", "E1-23", "E2-pq-7", "E2-13"])
+def test_valuation_report_reads_the_rescaled_net(monkeypatch, e1, e2, points, p):
+    # val_p of Psi-hat comes off the net's int Psi-hat, equal to F_v W(v)
+    # with F from the integer group law; neither QuadraticFormData nor
+    # EllipticNet.value runs for the report
+    curve = e1 if points[0] in (P1, Q1) else e2
+    net = EllipticNet(curve, points)
+    form = QuadraticFormData.from_curve_points(curve, points)
+    grid = [v for v in box_indices(2, 4) if any(v)]
+    expected = [val_p(form.value(v) * net.value(v), p).unwrap() for v in grid]
+
+    def refuse(*args):
+        raise AssertionError("the report ran it")
+
+    monkeypatch.setattr(QuadraticFormData, "from_curve_points", refuse)
+    monkeypatch.setattr(QuadraticFormData, "value", refuse)
+    monkeypatch.setattr(EllipticNet, "value", refuse)
+    report = valuation_match_report(EllipticNet(curve, points), p, 4, require_nonsingular=False)
+    assert [v for v, _, _ in report.entries] == grid
+    assert [n for _, _, n in report.entries] == expected
