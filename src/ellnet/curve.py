@@ -172,6 +172,42 @@ class WeierstrassCurve:
         y3 = -(s * (x3 - x1) + y1) - self.a1 * x3 - self.a3
         return CurvePoint(x3, y3)
 
+    def residue_law(self, p: int):
+        """(add, neg) of this integral model reduced mod p, on affine points
+        as int residue pairs (x, y) in [0, p), with None for infinity.
+
+        The formulas of ``add``, with no ``PrimeFieldElement`` or
+        ``CurvePoint``; where p divides the discriminant an affine operand
+        at the singular point is refused, as ``add`` refuses it.
+        """
+        a1, a2, a3, a4 = (int(c) % p for c in (self.a1, self.a2, self.a3, self.a4))
+        singular = self.discriminant % p == 0
+
+        def neg(P):
+            return None if P is None else (P[0], (-P[1] - a1 * P[0] - a3) % p)
+
+        def add(P, Q):
+            if P is None:
+                return Q
+            if Q is None:
+                return P
+            if singular:
+                for x, y in (P, Q):
+                    if (2 * y + a1 * x + a3) % p == 0 == (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p:
+                        raise SingularCurveError("group law is undefined at a singular point")
+            (x1, y1), (x2, y2) = P, Q
+            if x1 == x2:
+                u = 2 * y1 + a1 * x1 + a3
+                if (u + y2 - y1) % p == 0:
+                    return None
+                s = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * pow(u, -1, p) % p
+            else:
+                s = (y2 - y1) * pow(x2 - x1, -1, p) % p
+            x3 = (s * s + a1 * s - a2 - x1 - x2) % p
+            return x3, (-(s * (x3 - x1) + y1) - a1 * x3 - a3) % p
+
+        return add, neg
+
     def sub(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         return self.add(P, self.neg(Q))
 
@@ -256,12 +292,6 @@ class IntegralModel:
         self.a1, self.a2, self.a3, self.a4, self.a6 = (
             int(c) for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
         self.singular = curve.discriminant == 0
-
-    def triple(self, point: CurvePoint) -> Triple | None:
-        if point.is_infinity:
-            return None
-        dec = decompose(self.curve, point)
-        return dec.a, dec.b, dec.d
 
     @staticmethod
     def point(t: Triple | None) -> CurvePoint:

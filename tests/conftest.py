@@ -4,6 +4,7 @@ import pytest
 
 from ellnet import (INFINITY, DivisionPolynomials, EllipticNet, ReducedNet, WeierstrassCurve,
                     rational_point)
+from ellnet.curve import decompose
 from ellnet.net import _normalize, _reduce_fraction
 
 # Fixture curves and generators; the table convention lists Q before P.
@@ -17,10 +18,12 @@ DEFAULT_RECURSION_LIMIT = 1000
 
 
 def assert_lattice_is_kernel(curve, points, lattice):
-    """Lambda is the kernel of v -> v . P, checked with curve.mul alone.
+    """Lambda is the kernel of v -> v . P, checked with the group law of
+    ``curve`` alone.
 
-    Every basis row maps to infinity, and the canonical representatives
-    have pairwise distinct images, so no other kernel vector exists.
+    Every basis row maps to infinity, and the canonical representatives,
+    the box prod [0, pivot_i), have pairwise distinct images, so no other
+    kernel vector exists.  The images of the box take one addition each.
     """
     def image(v):
         total = INFINITY
@@ -30,7 +33,13 @@ def assert_lattice_is_kernel(curve, points, lattice):
 
     for row in lattice.basis:
         assert image(row).is_infinity, row
-    assert len({image(m) for m in lattice.representatives()}) == lattice.index()
+    images = [INFINITY]
+    for i, point in enumerate(points):
+        multiples = [INFINITY]
+        for _ in range(1, lattice.basis[i][i]):
+            multiples.append(curve.add(multiples[-1], point))
+        images = [curve.add(h, m) for h in images for m in multiples]
+    assert len(set(images)) == lattice.index()
 
 
 def assert_psi_is_exact_psi_reduced(divpoly, curve, point, p, limit=300):
@@ -39,6 +48,15 @@ def assert_psi_is_exact_psi_reduced(divpoly, curve, point, p, limit=300):
     exact = DivisionPolynomials(curve, point)
     for n in range(-limit, limit + 1):
         assert divpoly.psi(n) == _reduce_fraction(exact.psi(n), p), n
+
+
+def triple(curve, point):
+    """The (A, B, D) triple of an affine point, the operand form of
+    ``IntegralModel``, read off ``decompose``; None at infinity."""
+    if point.is_infinity:
+        return None
+    dec = decompose(curve, point)
+    return dec.a, dec.b, dec.d
 
 
 def points_route(net, v):

@@ -460,6 +460,20 @@ def test_cli_symmetry_at_p241():
     assert_lattice_is_kernel(reduced.gf_curve, reduced.gf_points, lattice)
 
 
+@pytest.mark.parametrize("p", [10007, 100003])
+@pytest.mark.parametrize("points", [PQ_ARGS[3], E1_ARGS[3]], ids=["pq", "qp"])
+def test_eval_by_symmetry_matches_direct_at_the_frontier(capsys, points, p):
+    # the walk is linear in p: about 0.01 and 0.35 s a build at these primes
+    rng = random.Random(f"{points}:{p}")
+    base = ["eval", "--curve", PQ_ARGS[1], "--points", points, "--prime", str(p)]
+    for _ in range(3):
+        index = ",".join(str(rng.choice((-1, 1)) * rng.randrange(10 ** 29, 10 ** 30))
+                         for _ in range(2))
+        by_symmetry, direct = (run_cli(capsys, [*base, f"--index={index}", "--method", method])
+                               for method in ("symmetry", "direct"))
+        assert by_symmetry == direct and by_symmetry[0] == 0, index
+
+
 @pytest.fixture
 def unlimited_int_digits():
     limit = sys.get_int_max_str_digits()

@@ -40,7 +40,7 @@ from ellnet.net import (EXACT_FALLBACK_MAX_NORM, LADDER_BASE_NORM, _SEED_ROWS, _
                         _ladder_units, _net_terms, _normalize, _quotient, _reduce_fraction,
                         _seeded_box, box_indices, reduce_base_points)
 from conftest import (E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2, assert_psi_is_exact_psi_reduced,
-                      points_route)
+                      points_route, triple)
 
 E1 = WeierstrassCurve(*E1_COEFFS)
 E2 = WeierstrassCurve(*E2_COEFFS)
@@ -738,7 +738,7 @@ def test_exact_rank_three_group_law_identity(default_recursion_limit):
     law = IntegralModel(CURVE_5077A)
     total = None
     for n, point in zip(v, POINTS_5077A):
-        multiple = _triple_multiple(law, abs(n), law.triple(point))
+        multiple = _triple_multiple(law, abs(n), triple(CURVE_5077A, point))
         total = law.add(total, multiple if n > 0 else law.neg(multiple))
     net = EllipticNet(CURVE_5077A, POINTS_5077A)
     w = net.value(v)
@@ -1119,7 +1119,7 @@ def _x_by_double_and_add(v, k):
     which dominate the triple law on numbers of 10^5 digits.
     """
     law = IntegralModel(E1)
-    base = [law.triple(P1), law.triple(Q1)]
+    base = [triple(E1, P1), triple(E1, Q1)]
     u = [c >> k for c in v]
     r = [c - (d << k) for c, d in zip(v, u)]
     pu, pr = ([_triple_multiple(law, n, t) for n, t in zip(w, base)] for w in (u, r))
@@ -1143,7 +1143,7 @@ def _x_by_double_and_add(v, k):
 def test_double_and_add_oracle_matches_integral_model():
     law = IntegralModel(E1)
     for v in ((7, 5), (0, 9), (13, 1), (16, 16), (33, 40)):
-        expected = law.x(law.add(law.triple(E1.mul(v[0], P1)), law.triple(E1.mul(v[1], Q1))))
+        expected = law.x(law.add(triple(E1, E1.mul(v[0], P1)), triple(E1, E1.mul(v[1], Q1))))
         for k in range(max(v).bit_length()):
             big_x, big_z = _x_by_double_and_add(v, k)
             assert Fraction(big_x, big_z ** 2) == expected, (v, k)

@@ -5,6 +5,8 @@ import pytest
 
 from ellnet import (
     INFINITY,
+    CurvePoint,
+    PrimeFieldElement,
     symmetry,
     EllipticNet,
     ReducedNet,
@@ -13,13 +15,16 @@ from ellnet import (
     chi,
     delta,
     eval_by_symmetry,
+    is_prime,
     periodicity_check,
     rank_of_apparition,
+    rational_point,
     reduce_curve,
     xi,
     zero_lattice,
 )
-from ellnet.errors import EllnetError, NotSubgroupError, SmallQuotientError
+from ellnet.errors import (DependentPointsError, EllnetError, NotSubgroupError, PreconditionError,
+                           SingularCurveError, SmallQuotientError)
 from ellnet.lattice import lattice_from_generators
 from ellnet.net import box_indices
 from ellnet.symmetry import NON_UNIQUE, UNIQUE, apparition_profile
@@ -108,27 +113,46 @@ def _box_scan_lattice(net):
     return lattice_from_generators(net.rank, generators)
 
 
-def _walk_cases():
+CURVE_5077A = WeierstrassCurve(0, 0, 1, -7, 6)
+POINTS_5077A = (rational_point(1, 0), rational_point(2, 0), rational_point(0, 2))
+SMALL_PRIMES = [p for p in range(5, 90) if is_prime(p)]
+LARGE_PRIMES = [1009, 10007]
+
+
+def _walk_nets():
+    """E1 and E2 in both orders, each of their points at rank 1, E1 at
+    rank 3 with P + Q, and the three points of 5077a."""
     e1 = WeierstrassCurve(*E1_COEFFS)
     e2 = WeierstrassCurve(*E2_COEFFS)
-    nets = {
+    return {
         "E1-pq": EllipticNet(e1, (P1, Q1)),
         "E1-qp": EllipticNet(e1, (Q1, P1)),
         "E2-qp": EllipticNet(e2, (Q2, P2)),
         "E2-pq": EllipticNet(e2, (P2, Q2)),
+        "E1-p": EllipticNet(e1, (P1,)),
+        "E1-q": EllipticNet(e1, (Q1,)),
+        "E2-p": EllipticNet(e2, (P2,)),
+        "E2-q": EllipticNet(e2, (Q2,)),
+        "E1-pqs": EllipticNet(e1, (P1, Q1, e1.add(P1, Q1))),
+        "5077a": EllipticNet(CURVE_5077A, POINTS_5077A),
     }
-    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 61, 89):
-        for name, net in nets.items():
+
+
+WALK_NETS = _walk_nets()
+
+
+def _walk_cases(primes):
+    for name, net in WALK_NETS.items():
+        for p in primes:
             yield pytest.param(net, p, id=f"{name}-{p}")
-    rank1 = EllipticNet(e1, (Q1,))
-    rank3 = EllipticNet(e1, (P1, Q1, e1.add(P1, Q1)))
-    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
-        yield pytest.param(rank1, p, id=f"E1-q-{p}")
-    for p in (5, 7, 11, 13):
-        yield pytest.param(rank3, p, id=f"E1-pqs-{p}")
 
 
-@pytest.mark.parametrize("net, p", _walk_cases())
+# the box scan takes rho_1 ... rho_r additions, so rank 3 stops at p = 13
+BOX_SCAN_CASES = [case for case in _walk_cases(SMALL_PRIMES)
+                  if case.values[0].rank < 3 or case.values[1] <= 13]
+
+
+@pytest.mark.parametrize("net, p", BOX_SCAN_CASES)
 def test_zero_lattice_walk_matches_box_scan(net, p):
     reduced = ReducedNet(net, p)
     try:
@@ -137,7 +161,142 @@ def test_zero_lattice_walk_matches_box_scan(net, p):
         with pytest.raises(type(exc)):
             zero_lattice(reduced)
         return
-    assert zero_lattice(reduced).basis == expected.basis
+    lattice = zero_lattice(reduced)
+    assert lattice.basis == expected.basis
+    assert_lattice_is_kernel(reduced.gf_curve, reduced.gf_points, lattice)
+
+
+@pytest.mark.parametrize("net, p", _walk_cases(LARGE_PRIMES))
+def test_zero_lattice_walk_is_the_kernel_at_larger_primes(net, p):
+    # here the box scan is cheap at rank 1 only
+    reduced = ReducedNet(net, p)
+    lattice = zero_lattice(reduced)
+    assert_lattice_is_kernel(reduced.gf_curve, reduced.gf_points, lattice)
+    if net.rank == 1:
+        assert lattice.basis == _box_scan_lattice(reduced).basis
+
+
+@pytest.mark.parametrize(
+    "net, p", [case for case in _walk_cases(SMALL_PRIMES + LARGE_PRIMES) if "pqs" not in case.id])
+def test_tables_match_the_definitions(net, p):
+    # the tables come from chi(lam_i, e_j) by bilinearity; xi and chi
+    # compute each entry from its definition, through delta
+    reduced = ReducedNet(net, p)
+    try:
+        lattice = zero_lattice(reduced)
+    except NotSubgroupError:
+        with pytest.raises(NotSubgroupError):
+            build_symmetry_data(reduced)
+        return
+    if lattice.index() < 4:
+        with pytest.raises(SmallQuotientError):
+            build_symmetry_data(reduced)
+        return
+    sd = build_symmetry_data(reduced)
+    basis, rank = lattice.basis, lattice.rank
+    for i, lam in enumerate(basis):
+        assert sd.xi_basis[i] == xi(reduced, lattice, lam), i
+        for j in range(rank):
+            assert sd.chi_basis[i][j] == chi(reduced, lattice, lam, basis[j]), (i, j)
+            e_j = tuple(int(k == j) for k in range(rank))
+            assert sd.chi_axis[i][j] == chi(reduced, lattice, lam, e_j), (i, j)
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_tables_of_dependent_points_agree_with_the_net(p):
+    # P + Q as a third point: the definitions of xi and chi read the net at
+    # lam_i + lam_j + u, past the exact fallback's bound, so the tables are
+    # checked through the symmetry formula wherever the net answers
+    try:
+        reduced = ReducedNet(WALK_NETS["E1-pqs"], p)
+        sd = build_symmetry_data(reduced)
+    except (PreconditionError, DependentPointsError):
+        return
+    assert sd.lattice.contains((1, 1, -1))
+    checked = 0
+    for v in box_indices(3, 4):
+        try:
+            w = reduced.value(v)
+        except DependentPointsError:  # v . P is the identity on the way
+            continue
+        assert eval_by_symmetry(sd, v) == w, v
+        checked += 1
+    assert checked > 500
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the walk built a CurvePoint or a PrimeFieldElement")
+
+
+@pytest.mark.parametrize("name, p",
+                         [("E1-pq", 1009), ("E2-qp", 1009), ("5077a", 101), ("E1-q", 89)])
+def test_walk_runs_on_int_residues(monkeypatch, name, p):
+    reduced = ReducedNet(WALK_NETS[name], p)
+    monkeypatch.setattr(WeierstrassCurve, "add", _refuse)
+    monkeypatch.setattr(CurvePoint, "__init__", _refuse)
+    monkeypatch.setattr(PrimeFieldElement, "__init__", _refuse)
+    lattice = zero_lattice(reduced)
+    assert "gf_curve" not in vars(reduced) and "gf_points" not in vars(reduced)
+    monkeypatch.undo()
+    assert_lattice_is_kernel(reduced.gf_curve, reduced.gf_points, lattice)
+
+
+@pytest.mark.parametrize("coeffs, p, singular", [(E2_COEFFS, 7, True), (E1_COEFFS, 11, True),
+                                                 (E1_COEFFS, 3, True), (E2_COEFFS, 13, False),
+                                                 ((1, -1, 1, -3, 2), 23, False)])
+def test_residue_law_matches_the_curve_law(coeffs, p, singular):
+    curve = WeierstrassCurve(*coeffs)
+    add, neg = curve.residue_law(p)
+    reduced = reduce_curve(curve, p)
+    points = list(reduced.enumerate_points())
+
+    def pair(pt):
+        return None if pt.is_infinity else (pt.x.residue, pt.y.residue)
+
+    refused = 0
+    for a in points:
+        assert neg(pair(a)) == pair(reduced.neg(a))
+        for b in points:
+            try:
+                expected = pair(reduced.add(a, b))
+            except SingularCurveError:
+                refused += 1
+                with pytest.raises(SingularCurveError, match="undefined at a singular point"):
+                    add(pair(a), pair(b))
+                continue
+            assert add(pair(a), pair(b)) == expected, (a, b)
+    # either operand affine at the one singular point, the other affine
+    assert refused == (2 * len(points) - 3 if singular else 0)
+
+
+# E2 at the primes of its discriminant, -7^2 * 27739
+E2_PINS = {
+    ("(1,3);(0,0)", 7): (2, "", "error: axis 1 has no unique rank of apparition (non_unique)\n"),
+    ("(0,0);(1,3)", 7): (2, "", "error: axis 0 has no unique rank of apparition (non_unique)\n"),
+    ("(1,3)", 7): (2, "", "error: |Z^r / Lambda| = 3 < 4; symmetry functions undefined\n"),
+    ("(0,0)", 7): (2, "", "error: axis 0 has no unique rank of apparition (non_unique)\n"),
+    ("(1,3);(0,0)", 27739): (0, "p=27739 | lambda1=[3, 2728] | lambda2=[0, 3082] | "
+                             "xi(lambda1)=26938 | xi(lambda2)=9447 | chi(lambda1,lambda2)=18292 | "
+                             "chi(lambda1,e1)=19704 | chi(lambda1,e2)=24349 | "
+                             "chi(lambda2,e1)=23881 | chi(lambda2,e2)=9446\n", ""),
+    ("(0,0);(1,3)", 27739): (0, "p=27739 | lambda1=[2, 444] | lambda2=[0, 4623] | "
+                             "xi(lambda1)=4480 | xi(lambda2)=1 | chi(lambda1,lambda2)=9446 | "
+                             "chi(lambda1,e1)=18689 | chi(lambda1,e2)=23576 | "
+                             "chi(lambda2,e1)=18292 | chi(lambda2,e2)=1\n", ""),
+    ("(1,3)", 27739): (0, "p=27739 | lambda1=[4623] | xi(lambda1)=1 | chi(lambda1,e1)=1\n", ""),
+    ("(0,0)", 27739): (0, "p=27739 | lambda1=[3082] | xi(lambda1)=9447 | "
+                       "chi(lambda1,e1)=9446\n", ""),
+}
+
+
+@pytest.mark.parametrize("points, p", sorted(E2_PINS), ids=lambda x: str(x))
+def test_e2_bad_primes_keep_their_answers(capsys, points, p):
+    from ellnet.cli import main
+
+    argv = ["symmetry", "--curve", "0,1,7,28,0", "--points", points, "--prime", str(p)]
+    code = main([*argv, "--format", "plain"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == E2_PINS[(points, p)]
 
 
 def test_zero_set_closed_under_subtraction(reduced1_pq):
