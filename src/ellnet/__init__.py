@@ -40,7 +40,6 @@ from .net import (
 from .symmetry import (
     ApparitionResult,
     SymmetryData,
-    apparition_profile,
     build_symmetry_data,
     chi,
     delta,

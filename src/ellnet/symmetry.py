@@ -12,10 +12,11 @@ memoizes them; ``eval_by_symmetry`` then computes any W(v) from the closed
 product formula and the value of one representative.
 
 Lambda is the kernel of v -> v . P on the reduced curve group, found by a
-group walk on int residues (``zero_lattice``).  At good reduction the walk
-alone gives it; the psi scan for the ranks of apparition
-(``apparition_profile``, O(p) net values per axis) runs only where p
-divides the discriminant, as the guard that the zeros form a lattice there.
+group walk on int residues (``zero_lattice``) at every prime, good or bad.
+Ward's O(1) test, W(3 e_i) = W(4 e_i) = 0, guards it: it refuses an axis
+whose point reduces to the singular point.  The psi scan for the rank of
+apparition (``rank_of_apparition``, O(p) net values) is the definition and
+the tests' oracle; no build calls it.
 
 Bilinearity fixes the tables from the r^2 values chi(lambda_i, e_k), each
 a ratio of two deltas (``chi``).  A vector v with v_k >= 0 gives
@@ -52,10 +53,6 @@ class ApparitionResult:
     rho: int | None = None
     bound: int | None = None
 
-    @property
-    def is_unique(self) -> bool:
-        return self.status == UNIQUE
-
 
 def _axis_index(rank: int, axis: int, n: int) -> Vector:
     v = [0] * rank
@@ -68,16 +65,24 @@ def default_search_bound(p: int) -> int:
     return p + 1 + 2 * math.isqrt(p - 1) + 3
 
 
+def _ward_non_unique(net: ReducedNet, axis: int) -> bool:
+    """Ward's criterion: W(3 e_axis) = W(4 e_axis) = 0 leaves the axis no
+    unique rank of apparition."""
+    return all(net.value(_axis_index(net.rank, axis, n)) == 0 for n in (3, 4))
+
+
 def rank_of_apparition(net: ReducedNet, axis: int, bound: int | None = None) -> ApparitionResult:
     """Least n > 0 with W(n e_axis) = 0, with the divisibility law verified.
 
-    Returns NON_UNIQUE when W(3 e_axis) = W(4 e_axis) = 0 (the Ward
-    criterion), NONE when no zero occurs within the bound.
+    Returns NON_UNIQUE under Ward's criterion (``_ward_non_unique``), NONE
+    when no zero occurs within the bound.  This O(p) scan of the axis is
+    the definition of rho and the tests' oracle; ``zero_lattice`` does not
+    call it, at any prime.
     """
     if bound is None:
         bound = default_search_bound(net.p)
     e = lambda n: _axis_index(net.rank, axis, n)
-    if net.value(e(3)) == 0 and net.value(e(4)) == 0:
+    if _ward_non_unique(net, axis):
         return ApparitionResult(NON_UNIQUE, bound=bound)
     zeros = [n for n in range(1, bound + 1) if net.value(e(n)) == 0]
     if not zeros:
@@ -88,10 +93,6 @@ def rank_of_apparition(net: ReducedNet, axis: int, bound: int | None = None) -> 
             f"axis {axis}: zeros {zeros[:8]}... are not the multiples of {rho}"
         )
     return ApparitionResult(UNIQUE, rho=rho, bound=bound)
-
-
-def apparition_profile(net: ReducedNet) -> list[ApparitionResult]:
-    return [rank_of_apparition(net, axis) for axis in range(net.rank)]
 
 
 def zero_lattice(net: ReducedNet) -> IntegerLattice:
@@ -108,40 +109,35 @@ def zero_lattice(net: ReducedNet) -> IntegerLattice:
     one int addition, so the whole walk takes O(#E(F_p)) additions for any
     rank.
 
-    At good reduction (p does not divide the discriminant) the paper's
-    theorem makes the zeros of W exactly this kernel, and the walk alone
-    gives Lambda: infinity is in the table, so P_k's walk ends by
-    b = ord(P_k), and for k = 0 it yields rho_1 e_1.  On E1 (P, Q) the
-    walk on int residues, in place of ``CurvePoint``s of
-    ``PrimeFieldElement``s, took ``ellnet symmetry --format plain`` from
-    2.2 to 0.3 s (57 to 45 MB) at p = 100003 and from 5.8 to 0.9 s (138 to
-    97 MB) at p = 1000003 (in-process, median of three, 2-vCPU VM, Python
-    3.11).  At bad reduction
-    the psi scan of ``apparition_profile`` stays as the guard: every axis
-    needs a unique rank of apparition rho_i (else ``NotSubgroupError``),
-    the generators rho_i e_i join the walk's, and P_k's walk stops before
-    rho_k.  The tests compare the walk with three oracles: a scan of the
-    rho_1 x ... x rho_r box and a kernel check, both through
-    ``WeierstrassCurve.add``, and a scan of the net zeros themselves.
+    The paper's theorem makes the zeros of W exactly this kernel wherever
+    the P_i reduce to nonsingular points, at good and bad primes alike, so
+    the walk alone gives Lambda: infinity is in the table, so P_k's walk
+    ends by b = ord(P_k), and for k = 0 it yields rho_1 e_1.  Where some
+    P_i reduces to the singular point (p divides the discriminant), Ayad's
+    theorem gives W(3 e_i) = W(4 e_i) = 0, Ward's test, which is checked on
+    every axis first and raises ``NotSubgroupError``; at good reduction it
+    cannot fire, as 3P = 4P = O would force P = O and the base points
+    reduce to affine points.  On E1 (P, Q) the walk on int residues, in
+    place of ``CurvePoint``s of ``PrimeFieldElement``s, took ``ellnet
+    symmetry --format plain`` from 2.2 to 0.3 s (57 to 45 MB) at
+    p = 100003 and from 5.8 to 0.9 s (138 to 97 MB) at p = 1000003
+    (in-process, median of three, 2-vCPU VM, Python 3.11).  The tests
+    compare the walk with four oracles: a scan of the rho_1 x ... x rho_r
+    box and a kernel check, both through ``WeierstrassCurve.add``, the psi
+    scan of ``rank_of_apparition`` and a scan of the net zeros themselves.
     """
-    curve = net.net.curve
-    add, neg = curve.residue_law(net.p)
+    add, neg = net.net.curve.residue_law(net.p)
     rank = net.rank
+    for axis in range(rank):
+        if _ward_non_unique(net, axis):
+            raise NotSubgroupError(f"axis {axis} has no unique rank of apparition ({NON_UNIQUE})")
     generators: list[Vector] = []
-    limits = [default_search_bound(net.p) + 1] * rank
-    if curve.discriminant % net.p == 0:
-        for axis, entry in enumerate(apparition_profile(net)):
-            if not entry.is_unique:
-                raise NotSubgroupError(
-                    f"axis {axis} has no unique rank of apparition ({entry.status})"
-                )
-            generators.append(_axis_index(rank, axis, entry.rho))
-            limits[axis] = entry.rho
+    limit = default_search_bound(net.p) + 1
     table: dict[tuple[int, int] | None, tuple[int, ...]] = {None: ()}
     for k, point in enumerate(net._points):
         step, minus = None, neg(point)
         multiples = [step]  # -j . P_k
-        for b in range(1, limits[k]):
+        for b in range(1, limit):
             step = add(step, minus)
             hit = table.get(step)
             if hit is not None:

@@ -27,7 +27,7 @@ from ellnet.errors import (DependentPointsError, EllnetError, NotSubgroupError, 
                            SingularCurveError, SmallQuotientError)
 from ellnet.lattice import lattice_from_generators
 from ellnet.net import box_indices
-from ellnet.symmetry import NON_UNIQUE, UNIQUE, apparition_profile
+from ellnet.symmetry import NON_UNIQUE, UNIQUE
 from conftest import E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2, assert_lattice_is_kernel
 
 # Published zero-lattice bases for E1 with generators (P, Q), P listed first.
@@ -95,8 +95,8 @@ def test_zero_lattice_agrees_with_net_zeros(reduced1_pq):
 
 def _box_scan_lattice(net):
     """Oracle: every kernel vector of v -> v . P in the box prod [0, rho_i)."""
-    profile = apparition_profile(net)
-    if not all(entry.is_unique for entry in profile):
+    profile = [rank_of_apparition(net, axis) for axis in range(net.rank)]
+    if any(entry.status != UNIQUE for entry in profile):
         raise NotSubgroupError("no unique rank of apparition")
     rhos = [entry.rho for entry in profile]
     curve = net.gf_curve
@@ -289,6 +289,16 @@ E2_PINS = {
 }
 
 
+# P = (-30,1009) reduces to the singular point mod 1009, Q = (-27,335) does not
+WARD_CURVE = "0,0,0,-304391,-8086649"
+WARD_PINS = {
+    "(-27,335);(-30,1009)": (2, "", "error: axis 1 has no unique rank of apparition (non_unique)\n"),
+    "(-30,1009);(-27,335)": (2, "", "error: axis 0 has no unique rank of apparition (non_unique)\n"),
+    "(-30,1009)": (2, "", "error: axis 0 has no unique rank of apparition (non_unique)\n"),
+    "(-27,335)": (0, "p=1009 | lambda1=[168] | xi(lambda1)=1008 | chi(lambda1,e1)=1\n", ""),
+}
+
+
 @pytest.mark.parametrize("points, p", sorted(E2_PINS), ids=lambda x: str(x))
 def test_e2_bad_primes_keep_their_answers(capsys, points, p):
     from ellnet.cli import main
@@ -319,7 +329,7 @@ def test_zero_lattice_refuses_non_unique(e2):
 
 
 def _refuse_scan(*args, **kwargs):
-    raise AssertionError("the psi scan ran at good reduction")
+    raise AssertionError("the psi scan ran")
 
 
 @pytest.mark.parametrize("p", [13, 61, 89, 1009])
@@ -331,32 +341,31 @@ def test_good_reduction_takes_no_scan(monkeypatch, net1_pq, p):
     assert periodicity_check(sd, samples=10)
 
 
-def _counting_scan(monkeypatch):
-    calls = []
-    scan = symmetry.rank_of_apparition
-
-    def counted(net, axis, bound=None):
-        calls.append(axis)
-        return scan(net, axis, bound)
-
-    monkeypatch.setattr(symmetry, "rank_of_apparition", counted)
-    return calls
-
-
-def test_bad_reduction_keeps_the_scan(monkeypatch, capsys, e2, reduced1_pq):
-    # 11 divides the discriminant of E1 and 7 that of E2
-    calls = _counting_scan(monkeypatch)
+def test_bad_reduction_takes_no_scan(monkeypatch, capsys, e2, reduced1_pq):
+    # 11 divides the discriminant of E1, 7 and 27739 that of E2, 5077 that
+    # of 5077a: the walk answers, or Ward's test refuses, without the scan
+    monkeypatch.setattr(symmetry, "rank_of_apparition", _refuse_scan)
     assert zero_lattice(reduced1_pq[11]).basis == PAPER_LATTICES[11]
-    assert calls == [0, 1]
+    for name, p in [("E2-qp", 27739), ("5077a", 5077)]:
+        assert periodicity_check(build_symmetry_data(ReducedNet(WALK_NETS[name], p)), samples=10)
     with pytest.raises(NotSubgroupError, match="rank of apparition"):
         zero_lattice(ReducedNet(EllipticNet(e2, (P2,)), 7))
-    assert calls == [0, 1, 0]
     from ellnet.cli import main
 
     argv = ["symmetry", "--curve", "0,1,7,28,0", "--points", "(1,3);(0,0)", "--prime", "7"]
     assert main(argv) == 2
     assert "rank of apparition" in capsys.readouterr().err
-    assert calls == [0, 1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("points", sorted(WARD_PINS))
+def test_ward_refuses_singular_points_at_1009(monkeypatch, capsys, points):
+    from ellnet.cli import main
+
+    monkeypatch.setattr(symmetry, "rank_of_apparition", _refuse_scan)
+    argv = ["symmetry", "--curve", WARD_CURVE, "--points", points, "--prime", "1009"]
+    code = main([*argv, "--format", "plain"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == WARD_PINS[points]
 
 
 def _axis_period(lattice, axis):
@@ -365,16 +374,47 @@ def _axis_period(lattice, axis):
                 if lattice.contains(tuple(n if i == axis else 0 for i in range(lattice.rank))))
 
 
-@pytest.mark.parametrize("p", [1009, 10007])
-@pytest.mark.parametrize("points", [(P1, Q1), (Q1, P1)], ids=["pq", "qp"])
-def test_walk_lattice_matches_scan_at_larger_primes(e1, points, p):
-    net = ReducedNet(EllipticNet(e1, points), p)
+# bad primes: E2's, 5077a's, and those of two curves built through two
+# integral points so that 4a^3 + 27b^2 has a large prime factor
+BAD_PRIME_NETS = {
+    "E2": (E2_COEFFS, ((0, 0), (1, 3)), 27739),
+    "5077a": ((0, 0, 1, -7, 6), ((1, 0), (2, 0), (0, 2)), 5077),
+    "C15791": ((0, 0, 0, -21, 549), ((-5, 23), (9, 33)), 15791),
+    "C34897": ((0, 0, 0, 198, 1495), ((-1, 36), (3, 46)), 34897),
+}
+
+
+def _larger_prime_cases():
+    """E1 (P, Q) in both orders at 1009 and 10007; at each bad prime, the
+    points in both orders (5077a: all three and each pair) and each point
+    alone."""
+    e1 = WeierstrassCurve(*E1_COEFFS)
+    for p in (1009, 10007):
+        yield pytest.param(e1, (P1, Q1), p, id=f"pq-{p}")
+        yield pytest.param(e1, (Q1, P1), p, id=f"qp-{p}")
+    for name, (coeffs, coords, p) in BAD_PRIME_NETS.items():
+        curve = WeierstrassCurve(*coeffs)
+        if len(coords) == 2:
+            choices = [coords, coords[::-1]]
+        else:
+            choices = [coords, *itertools.combinations(coords, 2)]
+        for choice in choices + [(c,) for c in coords]:
+            points = tuple(rational_point(*c) for c in choice)
+            label = ";".join(f"({x},{y})" for x, y in choice)
+            yield pytest.param(curve, points, p, id=f"{name}-{label}-{p}")
+
+
+@pytest.mark.parametrize("curve, points, p", _larger_prime_cases())
+def test_walk_lattice_matches_scan_at_larger_primes(curve, points, p):
+    net = ReducedNet(EllipticNet(curve, points), p)
     sd = build_symmetry_data(net)
-    rhos = [entry.rho for entry in apparition_profile(net)]
-    assert [_axis_period(sd.lattice, axis) for axis in range(2)] == rhos
+    rhos = [rank_of_apparition(net, axis).rho for axis in range(net.rank)]
+    assert [_axis_period(sd.lattice, axis) for axis in range(net.rank)] == rhos
     for row in sd.lattice.basis:
         assert net.value(row) == 0, row
     assert periodicity_check(sd)
+    if net.rank > 1:  # at rank 1 the scan alone fixes Lambda = rho Z
+        assert_lattice_is_kernel(net.gf_curve, net.gf_points, sd.lattice)
 
 
 def test_delta_basics(reduced1_pq):
