@@ -247,6 +247,15 @@ class PointDecomposition:
     d: int
 
 
+def _exact_sqrt(n: int) -> int:
+    """The square root of n, the denominator of an x-coordinate; n that is
+    not a perfect square raises ``ModelNotIntegralError``."""
+    r = math.isqrt(n)
+    if r * r != n:
+        raise ModelNotIntegralError("denominator of x is not a perfect square")
+    return r
+
+
 def decompose(curve: WeierstrassCurve, point: CurvePoint) -> PointDecomposition:
     """Standard (A, B, D) shape of a rational point on an integral model."""
     if point.is_infinity:
@@ -255,9 +264,7 @@ def decompose(curve: WeierstrassCurve, point: CurvePoint) -> PointDecomposition:
         raise ModelNotIntegralError("decomposition requires integral coefficients")
     curve.require_on_curve(point)
     x, y = point.x, point.y
-    d = math.isqrt(x.denominator)
-    if d * d != x.denominator:
-        raise ModelNotIntegralError("denominator of x is not a perfect square")
+    d = _exact_sqrt(x.denominator)
     b, rem = divmod(y.numerator * d**3, y.denominator)
     if rem:
         raise ModelNotIntegralError("denominator of y is not the cube of D")
@@ -372,10 +379,7 @@ class IntegralModel:
         x = n * n + a1 * n * z - a2 * z2 - x1z - x2z
         y = -(n * (x - x1z) + y1z) - a1 * x * z - a3 * z2 * z
         g = math.gcd(x, z2)
-        d2 = z2 // g
-        d = math.isqrt(d2)
-        if d * d != d2:
-            raise ModelNotIntegralError("denominator of x is not a perfect square")
+        d = _exact_sqrt(z2 // g)
         e = z // d  # e^2 = g
         b, rem = divmod(y, g * e)
         if rem:

@@ -117,8 +117,7 @@ def _int_val(n: int, p: int) -> int:
 
 def val_p(x: Fraction | int, p: int) -> Valuation:
     """p-adic valuation of a rational number; infinite for zero."""
-    if not is_prime(p):
-        raise NonPrimeModulusError(f"{p} is not prime")
+    _check_prime_modulus(p)
     x = Fraction(x)
     if x == 0:
         return INFINITE_VALUATION

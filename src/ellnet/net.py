@@ -54,7 +54,11 @@ and the ladder alone, and an exact net and its ``ReducedNet`` agree there.
 On a nonsingular integral model ``denominator`` reads D_{v . P} off the
 rescaled values too, by x(v . P) = x(P_i) - W(v + e_i) W(v - e_i) / W(v)^2
 = (A_i Psi-hat(v)^2 - Psi-hat(v + e_i) Psi-hat(v - e_i)) /
-(D_{P_i}^2 Psi-hat(v)^2), with no group law.
+(D_{P_i}^2 Psi-hat(v)^2), with no group law, and by the paper's valuation
+theorem (ord_q Psi-hat(v) = ord_q D_{v . P} where every P_i reduces to a
+nonsingular point) it reduces that fraction with a gcd taken mod
+D_{P_i}^2 s^2 only, s the part of Psi-hat(v) at the primes of singular
+reduction: D_{v . P} = |Psi-hat(v)| on E1.
 
 The box of an exact net at ranks 3 to 6, and every value of a net on the
 recurrence strategy or over F_p, comes from ``EllipticNet._run``: an
@@ -115,8 +119,8 @@ from functools import cache, cached_property, reduce
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Sequence
 
-from .curve import (INFINITY, CurvePoint, IntegralModel, WeierstrassCurve, _triple_residues,
-                    decompose, gf_point, rational_point, reduce_curve)
+from .curve import (INFINITY, CurvePoint, IntegralModel, WeierstrassCurve, _exact_sqrt,
+                    _triple_residues, decompose, gf_point, rational_point, reduce_curve)
 from .divpoly import DivisionPolynomials
 from .errors import (
     DegenerateNetError,
@@ -349,6 +353,26 @@ def _quotient(x, d: int):
         return x
     q, r = divmod(x, d)
     return Fraction(x, d) if r else q
+
+
+def _smooth_part(w: int, m: int) -> int:
+    """The largest divisor of w > 0 whose primes all divide m; 1 at once
+    where gcd(w mod m, m) = 1.  Each round divides out the highest power
+    of g = gcd(w, m) that divides w, by the binary digits of its exponent
+    (powers g^(2^j), largest first), so the cost is a few divisions by
+    powers no larger than s, not one division per factor.  Every prime of
+    m left in w then divides g, so the gcds stay the size of m."""
+    s, g = 1, math.gcd(w % m, m)
+    while g > 1:
+        powers = [g]
+        while w % (q := powers[-1] * powers[-1]) == 0:
+            powers.append(q)
+        for q in reversed(powers):
+            quotient, r = divmod(w, q)
+            if not r:
+                s, w = s * q, quotient
+        g = math.gcd(w % g, g)
+    return s
 
 
 def _normalize(v: Index) -> tuple[Index, int]:
@@ -735,12 +759,24 @@ class EllipticNet:
         i where v_i != 0 (W(e_i) = 1; Stange; at rank 1 the classical
         x(nP) = x - psi_{n+1} psi_{n-1} / psi_n^2),
 
-            x(v . P) = x(P_i) - W(v + e_i) W(v - e_i) / W(v)^2,
+            x(v . P) = x(P_i) - W(v + e_i) W(v - e_i) / W(v)^2
+                     = N / (D_i^2 w^2),  N = A_i w^2 - Psi-hat(v + e_i) Psi-hat(v - e_i),
 
-        formed in integers with one gcd, and D is the square root of its
-        reduced denominator.  W(v) = 0 exactly when v . P is the identity.
-        No group law runs.  Ranks above 2, singular and non-integral models
-        and the recurrence strategy take ``_chain_denominator``.
+        with w = Psi-hat(v), so D = D_i |w| / sqrt(gcd(N, D_i^2 w^2)).  By
+        the valuation theorem ord_q w = ord_q D at every prime q where each
+        P_i reduces to a nonsingular point, so there the q-part of that gcd
+        is q^(2 ord_q D_i), which is also the q-part of gcd(N, M) for
+        M = D_i^2 s^2, s the part of w built from the primes of
+        ``_singular_modulus`` (the primes of singular reduction); at those
+        primes M holds all of w^2, so the gcd is taken in full.  gcd(N, M)
+        is formed from residues mod M, with no full-size product or gcd;
+        where M = 1 (D_i = 1 and w has no prime of singular reduction, as
+        everywhere on E1) D = |w|, and N is not formed.  W(v) = 0 exactly
+        when v . P is the identity.
+        A Psi-hat value that is not an int takes the reduced denominator of
+        the exact ``Fraction`` x instead.  No group law runs.  Ranks above
+        2, singular and non-integral models and the recurrence strategy take
+        ``_chain_denominator``.
         """
         v = self._key(v)
         if not any(v):
@@ -751,15 +787,32 @@ class EllipticNet:
         if w == 0:
             raise DependentPointsError(f"{v} . P is the identity")
         i = next(k for k, c in enumerate(v) if c)
+        a, _, d = self._steps[i][0]
+        if type(w) is int:
+            mod = (d * _smooth_part(abs(w), self._singular_modulus)) ** 2
+            if mod == 1:  # D_i = 1 and no prime of singular reduction divides w
+                return abs(w)
         up = self._hat(v[:i] + (v[i] + 1,) + v[i + 1:])
         down = self._hat(v[:i] + (v[i] - 1,) + v[i + 1:])
-        a, _, d = self._steps[i][0]
-        num, den = a * w * w - up * down, d * d * w * w
-        d2 = den // math.gcd(num, den) if type(num) is int else Fraction(num, den).denominator
-        d = math.isqrt(d2)
-        if d * d != d2:
-            raise ModelNotIntegralError("denominator of x is not a perfect square")
-        return d
+        if type(w) is not int or type(up) is not int or type(down) is not int:
+            return _exact_sqrt(Fraction(a * w * w - up * down, d * d * w * w).denominator)
+        n = (a * (w % mod) ** 2 - up % mod * (down % mod)) % mod
+        return d * abs(w) // _exact_sqrt(math.gcd(n, mod))
+
+    @cached_property
+    def _singular_modulus(self) -> int:
+        """m = prod_i gcd(F_y, F_x) on the cached triple (A_i, B_i, D_i),
+        F_y = 2B + a1 A D + a3 D^3 and F_x = 3A^2 + 2 a2 A D^2 + a4 D^4 - a1 B D
+        (the partials of the curve at P_i, cleared of D): a prime divides m
+        exactly when some P_i reduces to the singular point mod it, since
+        where it divides D_i, F_y = 2B and F_x = 3A^2 are not both zero."""
+        law = self._law
+        m = 1
+        for (a, b, d), _ in self._steps:
+            d2 = d * d
+            m *= math.gcd(2 * b + law.a1 * a * d + law.a3 * d2 * d,
+                          3 * a * a + 2 * law.a2 * a * d2 + law.a4 * d2 * d2 - law.a1 * b * d)
+        return m
 
     def _chain_denominator(self, v: Index) -> int:
         """D_{v . P} for a nonzero index off the point cache's group-law
@@ -1035,13 +1088,21 @@ class QuadraticFormData:
         """F_v = prod over i <= j of A_ij ** (v_i v_j)."""
         return Fraction(*self.parts(v))
 
+    @cached_property
+    def _terms(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(i, j, numerator, denominator) of each A_ij != 1, i <= j."""
+        return tuple((i, j, a.numerator, a.denominator)
+                     for i, j in itertools.combinations_with_replacement(range(self.rank), 2)
+                     if (a := self.matrix[i][j]) != 1)
+
     def parts(self, v: Sequence[int]) -> tuple[int, int]:
         """F_v as an int numerator and denominator, not in lowest terms."""
         num = den = 1
-        for i, j in itertools.combinations_with_replacement(range(self.rank), 2):
-            a, e = self.matrix[i][j], v[i] * v[j]
-            n, d = (a.numerator, a.denominator) if e >= 0 else (a.denominator, a.numerator)
-            num, den = num * n ** abs(e), den * d ** abs(e)
+        for i, j, n, d in self._terms:
+            e = v[i] * v[j]
+            if e < 0:
+                n, d, e = d, n, -e
+            num, den = num * n ** e, den * d ** e
         return num, den
 
 
@@ -1050,13 +1111,15 @@ def recurrence_check(value_fn: Callable[[Index], object], rank: int,
     """Sample quadruples and test the four-index net recurrence exactly.
 
     Returns the violating quadruples (empty means every sample passed).
+    ``value_fn`` is called once per distinct index (memoized per call).
     """
     rng = random.Random(seed)
+    value = cache(value_fn)
     violations = []
     for _ in range(trials):
         quad = tuple(tuple(rng.randint(-box_radius, box_radius) for _ in range(rank))
                      for _ in range(4))
-        if sum(reduce(mul, map(value_fn, term)) for term in _net_terms(*quad)) != 0:
+        if sum(reduce(mul, map(value, term)) for term in _net_terms(*quad)) != 0:
             violations.append(quad)
     return violations
 

@@ -254,6 +254,16 @@ def test_verify_refuses_a_non_prime_modulus(capsys, check, prime):
     assert (code, out, err) == (2, "", f"error: {prime} is not prime\n")
 
 
+@pytest.mark.parametrize("prime", [561, 3215031751])
+def test_verify_valuation_refuses_a_pseudoprime_after_a_prime(capsys, prime):
+    # a prime checked once is cached; a composite is still refused, exit 2
+    code, out, _ = run_cli(capsys, ["verify", "valuation", *E1_ARGS, "--prime", "5",
+                                    "--radius", "2"])
+    assert code == 0 and out.startswith("PASS")
+    assert run_cli(capsys, ["verify", "valuation", *E1_ARGS, f"--prime={prime}"]) == (
+        2, "", f"error: {prime} is not prime\n")
+
+
 def test_table_error_prints_no_partial_table(capsys):
     # P = (2, 3) has order 6, so D_{6P} does not exist: the last entry of
     # the grid raises after six entries have answered

@@ -26,6 +26,17 @@ def test_val_p_rejects_composite_modulus():
         val_p(Fraction(1), 6)
 
 
+@pytest.mark.parametrize("n", [0, 1, 4, 6, 91, 561, 3215031751, -7])
+def test_val_p_refuses_a_non_prime_every_time(n):
+    # the cached prime check admits only primes: a composite (561 is a
+    # Carmichael number, 3215031751 a strong pseudoprime to the bases 2, 3,
+    # 5 and 7) is refused on every call, with the same message
+    assert val_p(Fraction(9, 4), 3) == 2
+    for _ in range(2):
+        with pytest.raises(NonPrimeModulusError, match=f"^{n} is not prime$"):
+            val_p(Fraction(9, 4), n)
+
+
 def test_valuation_ordering():
     assert INFINITE_VALUATION > 10**9
     assert Valuation(3) > 2

@@ -1,7 +1,9 @@
 import functools
 import itertools
+import math
 import random
 import time
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -19,7 +21,9 @@ from ellnet import (
     ReducedNet,
     WeierstrassCurve,
     decompose,
+    factorize,
     initial_net_value,
+    is_singular_reduction,
     rational_point,
     recurrence_check,
     reduce_curve,
@@ -36,9 +40,10 @@ from ellnet.errors import (
     SingularCurveError,
 )
 from ellnet import IntegralModel, PrimeFieldElement
+from ellnet import net as net_module
 from ellnet.net import (EXACT_FALLBACK_MAX_NORM, LADDER_BASE_NORM, _SEED_ROWS, _box_seeds, _children,
                         _ladder_units, _net_terms, _normalize, _quotient, _reduce_fraction,
-                        _seeded_box, box_indices, reduce_base_points)
+                        _seeded_box, _smooth_part, box_indices, reduce_base_points)
 from conftest import (E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2, assert_psi_is_exact_psi_reduced,
                       points_route, triple)
 
@@ -144,6 +149,35 @@ def test_quadratic_form(e1, net1):
     assert q.matrix[0][1] == 2
 
 
+def _parts_by_every_entry(form, v):
+    """F_v as (numerator, denominator) over every A_ij, i <= j, ones included."""
+    num = den = 1
+    for i, j in itertools.combinations_with_replacement(range(form.rank), 2):
+        a, e = form.matrix[i][j], v[i] * v[j]
+        n, d = (a.numerator, a.denominator) if e >= 0 else (a.denominator, a.numerator)
+        num, den = num * n ** abs(e), den * d ** abs(e)
+    return num, den
+
+
+@pytest.mark.parametrize("curve, points, terms", [
+    (E1, (Q1, P1), ((0, 1, 2, 1),)),
+    (E1, (P1, Q1), ((0, 1, 2, 1),)),
+    (E2, (Q2, P2), ()),
+    (WeierstrassCurve(0, 0, 1, -7, 6),
+     tuple(rational_point(x, y) for x, y in ((1, 0), (2, 0), (0, 2))), None),
+    (E1, (rational_point(Fraction(9, 4), Fraction(-5, 8)), Q1), None),
+], ids=["e1-qp", "e1-pq", "e2", "5077a", "e1-d2"])
+def test_quadratic_form_parts_skip_the_ones(curve, points, terms):
+    form = QuadraticFormData.from_curve_points(curve, points)
+    assert all(n != d for _, _, n, d in form._terms)
+    if terms is not None:
+        assert form._terms == terms
+    rng = random.Random(len(points))
+    for _ in range(200):
+        v = tuple(rng.randint(-9, 9) for _ in points)
+        assert form.parts(v) == _parts_by_every_entry(form, v), v
+
+
 def exponents(rank, v):
     """Exponent array of F_v over the entries A_ij, i <= j."""
     return tuple(v[i] * v[j] for i in range(rank) for j in range(i, rank))
@@ -182,6 +216,28 @@ def test_recurrence_check(net1):
     table[(1, 2)] += 1
     violations = recurrence_check(lambda v: table[v], 2, 4, 300, seed=10)
     assert violations
+
+
+def test_recurrence_check_asks_each_index_once(net1):
+    # memoized per call: the same violations, in the same order, as one
+    # value_fn call per index of each sampled term
+    table = {v: net1.value(v) for v in box_indices(2, 12)}
+    table[(1, 2)] += 1
+    table[(-3, 2)] -= 1
+    calls = Counter()
+
+    def counted(v):
+        calls[v] += 1
+        return table[v]
+
+    rng, expected = random.Random(10), []
+    for _ in range(300):
+        quad = tuple(tuple(rng.randint(-4, 4) for _ in range(2)) for _ in range(4))
+        if sum(math.prod(table[u] for u in term) for term in _net_terms(*quad)):
+            expected.append(quad)
+    assert expected
+    assert recurrence_check(counted, 2, 4, 300, seed=10) == expected
+    assert set(calls.values()) == {1}
 
 
 def test_reduced_net_matches_direct_gf(e1, net1):
@@ -875,6 +931,94 @@ def test_point_cache_matches_fraction_law_on_large_grid(default_recursion_limit,
     # the public point is rebuilt from the cached triple
     v = sample[0]
     assert net.point(v) == curve.add(curve.mul(v[0], points[0]), curve.mul(v[1], points[1]))
+
+
+# Nets whose denominators ``denominator`` reads off Psi-hat by the valuation
+# theorem: E1 in both orders and with P_1 = (9/4, -5/8) (D_1 = 2), E2 in both
+# orders (m = 7), 5077a, three curves with singular primes of the points
+# (m = 12, 3, 2), one where 2 and 3 divide both D_1 = 30 and m = 6 (P_2 is
+# singular there), and a rank-one net (m = 2).
+VALUATION_NETS = {
+    "e1-qp": (E1_COEFFS, ((15, 58), (3, 4))),
+    "e1-pq": (E1_COEFFS, ((3, 4), (15, 58))),
+    "e1-d2": (E1_COEFFS, ((Fraction(9, 4), Fraction(-5, 8)), (3, 4))),
+    "e2-qp": (E2_COEFFS, ((1, 3), (0, 0))),
+    "e2-pq": (E2_COEFFS, ((0, 0), (1, 3))),
+    "5077a": ((0, 0, 1, -7, 6), ((1, 0), (2, 0))),
+    "m12": ((0, 0, 0, -21, 549), ((-5, 23), (9, 33))),
+    "m6-d30": ((0, 0, 0, -21, 549), ((Fraction(-2831, 900), Fraction(-652447, 27000)), (9, 33))),
+    "m3": ((0, 0, 0, 198, 1495), ((-1, 36), (3, 46))),
+    "m2": ((0, 0, 0, -172, 105), ((-12, 21), (-13, 12))),
+    "rank-one": ((0, 0, 0, -304391, -8086649), ((-27, 335),)),
+}
+
+
+def _valuation_net(name):
+    coeffs, coords = VALUATION_NETS[name]
+    return EllipticNet(WeierstrassCurve(*coeffs), tuple(rational_point(x, y) for x, y in coords))
+
+
+@pytest.mark.parametrize("name", sorted(VALUATION_NETS))
+def test_denominator_matches_the_group_law_chain(name):
+    # D_{v . P} read off Psi-hat equals the group-law chain's on every index
+    # of the box |v| <= 12, at singular primes of the points too
+    net, chain = _valuation_net(name), _valuation_net(name)
+    for v in box_indices(net.rank, 12):
+        if any(v):
+            assert net.denominator(v) == chain._chain_denominator(v), v
+
+
+@pytest.mark.parametrize("name", sorted(VALUATION_NETS))
+def test_singular_modulus_names_the_primes_of_singular_reduction(name):
+    # a prime of the discriminant divides m exactly when some P_i reduces
+    # to the singular point; a P_i that reduces to infinity is nonsingular
+    net = _valuation_net(name)
+    m = net._singular_modulus
+    assert m > 0
+
+    def singular(point, q):
+        try:
+            return is_singular_reduction(net.curve, point, q)
+        except PreconditionError:
+            return False
+
+    for q, _ in factorize(int(net.curve.discriminant)).factors:
+        assert (m % q == 0) == any(singular(pt, q) for pt in net.points), q
+    expected = {"e1-qp": 1, "e1-pq": 1, "e1-d2": 1, "e2-qp": 7, "e2-pq": 7, "5077a": 1,
+                "m6-d30": 6}
+    assert m == expected.get(name, m)
+
+
+@pytest.mark.parametrize("orientation", ["qp", "pq"])
+def test_e1_denominators_take_no_full_size_gcd(monkeypatch, orientation):
+    # on E1 m = 1 and D_i = 1, so D = |Psi-hat(v)|: every gcd that net.py
+    # takes for a 28x28 table is on operands of at most 64 bits
+    sizes = []
+
+    def gcd(*args):
+        sizes.extend(abs(a).bit_length() for a in args)
+        return math.gcd(*args)
+
+    names = {k: getattr(math, k) for k in dir(math) if not k.startswith("_")}
+    monkeypatch.setattr(net_module, "math", types.SimpleNamespace(**{**names, "gcd": gcd}))
+    curve, points = _oriented("e1", orientation)
+    net = EllipticNet(curve, points)
+    grid = [(c, r) for c in range(28) for r in range(28) if c or r]
+    assert [net.denominator(v) for v in grid] == [abs(net.scaled_value(v)) for v in grid]
+    assert sizes and max(sizes) <= 64
+    assert net.denominator((27, 27)).bit_length() > 1000
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 12, 210, 7 * 10**20 + 1])
+def test_smooth_part(m):
+    rng = random.Random(m)
+    primes = [q for q in (2, 3, 5, 7, 11, 13) if m % q == 0]
+    for _ in range(200):
+        s = math.prod(q ** rng.randint(0, 40) for q in primes)
+        rest = rng.randint(1, 10**30)
+        while math.gcd(rest, m) > 1:
+            rest //= math.gcd(rest, m)
+        assert _smooth_part(s * rest, m) == s * _smooth_part(rest, m) == s
 
 
 # Outcomes on the box |v| <= 3 of the net on the node y^2 = x^3 + x^2 with
