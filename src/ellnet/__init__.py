@@ -22,9 +22,7 @@ from .curve import (
 from .divpoly import DivisionPolynomials
 from .fieldarith import (
     Factorization,
-    INFINITE_VALUATION,
     PrimeFieldElement,
-    Valuation,
     factorize,
     is_prime,
     val_p,

@@ -21,7 +21,7 @@ from .errors import (
     SingularCurveError,
     SingularReductionError,
 )
-from .fieldarith import PrimeFieldElement, Valuation, _element, val_p
+from .fieldarith import PrimeFieldElement, _element, val_p
 
 
 @dataclass(frozen=True)
@@ -172,45 +172,6 @@ class WeierstrassCurve:
         y3 = -(s * (x3 - x1) + y1) - self.a1 * x3 - self.a3
         return CurvePoint(x3, y3)
 
-    def residue_law(self, p: int):
-        """(add, neg) of this integral model reduced mod p, on affine points
-        as int residue pairs (x, y) in [0, p), with None for infinity.
-
-        The formulas of ``add``, with no ``PrimeFieldElement`` or
-        ``CurvePoint``; where p divides the discriminant an affine operand
-        at the singular point is refused, as ``add`` refuses it.
-        """
-        a1, a2, a3, a4 = (int(c) % p for c in (self.a1, self.a2, self.a3, self.a4))
-        singular = self.discriminant % p == 0
-
-        def neg(P):
-            return None if P is None else (P[0], (-P[1] - a1 * P[0] - a3) % p)
-
-        def add(P, Q):
-            if P is None:
-                return Q
-            if Q is None:
-                return P
-            if singular:
-                for x, y in (P, Q):
-                    if (2 * y + a1 * x + a3) % p == 0 == (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p:
-                        raise SingularCurveError("group law is undefined at a singular point")
-            (x1, y1), (x2, y2) = P, Q
-            if x1 == x2:
-                u = 2 * y1 + a1 * x1 + a3
-                if (u + y2 - y1) % p == 0:
-                    return None
-                s = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * pow(u, -1, p) % p
-            else:
-                s = (y2 - y1) * pow(x2 - x1, -1, p) % p
-            x3 = (s * s + a1 * s - a2 - x1 - x2) % p
-            return x3, (-(s * (x3 - x1) + y1) - a1 * x3 - a3) % p
-
-        return add, neg
-
-    def sub(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-        return self.add(P, self.neg(Q))
-
     def mul(self, n: int, P: CurvePoint) -> CurvePoint:
         if n < 0:
             n, P = -n, self.neg(P)
@@ -285,9 +246,12 @@ class IntegralModel:
     with cleared denominators, x = X / Z^2 and y = Y / Z^3 in integers, and
     reaches lowest terms with one gcd(X, Z^2) and one isqrt, where a
     ``Fraction`` chord-and-tangent step takes about a dozen gcds.  The
-    coefficients are read once, when the model is built.  As in
+    coefficients are read once, when the model is built, as ints: a curve
+    with a coefficient that is not an integer is refused.  As in
     ``WeierstrassCurve.add``, an affine operand at the singular point of a
-    singular curve is refused.
+    singular curve is refused.  The model's arithmetic mod p (``residue_law``,
+    ``local_height``) runs on the same ints, and every singular-point test
+    of the model, over Z or mod p, reads the partials of ``_partials``.
     """
 
     __slots__ = ("curve", "a1", "a2", "a3", "a4", "a6", "singular")
@@ -331,27 +295,75 @@ class IntegralModel:
             raise ModelNotIntegralError("coprimality of (A, B) with D fails")
         return d
 
+    def _partials(self, a: int, b: int, d: int) -> tuple[int, int]:
+        """The partials (F_y, F_x) of the curve at (A / D^2, B / D^3),
+        cleared of D: F_y D^3 = 2B + a1 A D + a3 D^3 and
+        -F_x D^4 = 3A^2 + 2 a2 A D^2 + a4 D^4 - a1 B D.  Both are zero
+        exactly at a singular point, and both are zero mod p exactly where
+        the point reduces to the singular point mod p: where p divides D,
+        2B and 3A^2 are not both zero mod p, as A and B are prime to D."""
+        d2 = d * d
+        return (2 * b + self.a1 * a * d + self.a3 * d2 * d,
+                3 * a * a + 2 * self.a2 * a * d2 + self.a4 * d2 * d2 - self.a1 * b * d)
+
     def local_height(self, t: Triple, p: int) -> Fraction:
         """``neron_local_height`` of an affine point, read off its triple.
 
         A is prime to D, so v_p(x) = v_p(A) - 2 v_p(D), and the term
-        max(-v_p(x) / 2, 0) is v_p(D).
+        max(-v_p(x) / 2, 0) is v_p(D).  A point that reduces to the
+        singular point mod p, by ``_partials`` mod p, is refused.
         """
-        a, b, d = t
-        reduced = _reduce_triple(a, b, d, p)
-        if not reduced.is_infinity and reduce_curve(self.curve, p).is_singular_point(reduced):
+        fy, fx = self._partials(*t)
+        if fy % p == 0 == fx % p:
             raise SingularReductionError("local height formula requires nonsingular reduction")
-        vdisc = val_p(Fraction(self.curve.discriminant), p).unwrap()
-        return val_p(d, p).unwrap() + Fraction(vdisc, 12)
+        return val_p(t[2], p) + Fraction(val_p(self.curve.discriminant, p), 12)
+
+    def residue_law(self, p: int):
+        """(add, neg) of the model reduced mod p, on affine points as int
+        residue pairs (x, y) in [0, p), with None for infinity.
+
+        The formulas of ``WeierstrassCurve.add``, with no
+        ``PrimeFieldElement`` or ``CurvePoint``; where p divides the
+        discriminant an affine operand at the singular point (``_partials``
+        with D = 1, mod p) is refused, as ``add`` refuses it.
+        """
+        a1, a2, a3, a4 = (c % p for c in (self.a1, self.a2, self.a3, self.a4))
+        singular = self.curve.discriminant % p == 0
+        partials = self._partials
+
+        def neg(P):
+            return None if P is None else (P[0], (-P[1] - a1 * P[0] - a3) % p)
+
+        def add(P, Q):
+            if P is None:
+                return Q
+            if Q is None:
+                return P
+            if singular:
+                for x, y in (P, Q):
+                    fy, fx = partials(x, y, 1)
+                    if fy % p == 0 == fx % p:
+                        raise SingularCurveError("group law is undefined at a singular point")
+            (x1, y1), (x2, y2) = P, Q
+            if x1 == x2:
+                u = 2 * y1 + a1 * x1 + a3
+                if (u + y2 - y1) % p == 0:
+                    return None
+                s = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * pow(u, -1, p) % p
+            else:
+                s = (y2 - y1) * pow(x2 - x1, -1, p) % p
+            x3 = (s * s + a1 * s - a2 - x1 - x2) % p
+            return x3, (-(s * (x3 - x1) + y1) - a1 * x3 - a3) % p
+
+        return add, neg
 
     def add(self, P: Triple | None, Q: Triple | None) -> Triple | None:
         if P is None:
             return Q
         if Q is None:
             return P
-        if self.singular:
-            self.curve._refuse_singular(self.point(P))
-            self.curve._refuse_singular(self.point(Q))
+        if self.singular and (self._partials(*P) == (0, 0) or self._partials(*Q) == (0, 0)):
+            raise SingularCurveError("group law is undefined at a singular point")
         a1, a2, a3, a4 = self.a1, self.a2, self.a3, self.a4
         A1, B1, D1 = P
         A2, B2, D2 = Q
@@ -402,12 +414,7 @@ def reduce_mod_p(curve: WeierstrassCurve, point: CurvePoint, p: int) -> CurvePoi
     if point.is_infinity:
         return INFINITY
     dec = decompose(curve, point)
-    return _reduce_triple(dec.a, dec.b, dec.d, p)
-
-
-def _reduce_triple(a: int, b: int, d: int, p: int) -> CurvePoint:
-    """(A / D^2, B / D^3) mod p, infinity when p divides D."""
-    residues = _triple_residues(a, b, d, p)
+    residues = _triple_residues(dec.a, dec.b, dec.d, p)
     return INFINITY if residues is None else gf_point(*residues, p)
 
 
@@ -441,7 +448,5 @@ def neron_local_height(curve: WeierstrassCurve, point: CurvePoint, p: int) -> Fr
         raise SingularReductionError(
             "local height formula requires nonsingular reduction"
         )
-    vx: Valuation = val_p(Fraction(point.x), p)
-    first = Fraction(0) if vx.is_infinite else max(Fraction(-vx.unwrap(), 2), Fraction(0))
-    vdisc = val_p(Fraction(curve.discriminant), p).unwrap()
-    return first + Fraction(vdisc, 12)
+    first = max(Fraction(-val_p(point.x, p), 2), Fraction(0)) if point.x else Fraction(0)
+    return first + Fraction(val_p(curve.discriminant, p), 12)

@@ -1,7 +1,9 @@
 """Exact arithmetic foundations: p-adic valuations, prime fields, factoring.
 
 Rational numbers are plain ``fractions.Fraction`` values (already reduced,
-positive denominator), so no wrapper type is needed for them.
+positive denominator) and valuations plain ints, so no wrapper type is
+needed for either: a caller that may meet zero, whose valuation is
+infinite, tests for it before calling ``val_p``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, total_ordering
+from functools import cache
 
 from .errors import NonPrimeModulusError
 
@@ -48,65 +50,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@total_ordering
-class Valuation:
-    """Value of a discrete valuation: an integer, or infinite for zero.
-
-    The infinite valuation compares greater than every integer one.
-    """
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: int | None):
-        self._value = value
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._value is None
-
-    def unwrap(self) -> int:
-        """The finite value; raises for the valuation of zero."""
-        if self._value is None:
-            raise ValueError("valuation is infinite")
-        return self._value
-
-    def __add__(self, other: "Valuation") -> "Valuation":
-        if not isinstance(other, Valuation):
-            other = Valuation(other)
-        if self._value is None or other._value is None:
-            return INFINITE_VALUATION
-        return Valuation(self._value + other._value)
-
-    __radd__ = __add__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Valuation):
-            return self._value == other._value
-        if isinstance(other, int):
-            return self._value == other
-        return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Valuation(other)
-        if not isinstance(other, Valuation):
-            return NotImplemented
-        if self._value is None:
-            return False
-        if other._value is None:
-            return True
-        return self._value < other._value
-
-    def __hash__(self):
-        return hash(self._value)
-
-    def __repr__(self):
-        return "Valuation(INFINITY)" if self._value is None else f"Valuation({self._value})"
-
-
-INFINITE_VALUATION = Valuation(None)
-
-
 def _int_val(n: int, p: int) -> int:
     v = 0
     while n % p == 0:
@@ -115,13 +58,14 @@ def _int_val(n: int, p: int) -> int:
     return v
 
 
-def val_p(x: Fraction | int, p: int) -> Valuation:
-    """p-adic valuation of a rational number; infinite for zero."""
+def val_p(x: Fraction | int, p: int) -> int:
+    """p-adic valuation of a nonzero rational number; zero, whose valuation
+    is infinite, raises ``ValueError``."""
     _check_prime_modulus(p)
     x = Fraction(x)
     if x == 0:
-        return INFINITE_VALUATION
-    return Valuation(_int_val(x.numerator, p) - _int_val(x.denominator, p))
+        raise ValueError("valuation is infinite")
+    return _int_val(x.numerator, p) - _int_val(x.denominator, p)
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,6 @@ class IntegerLattice:
         _, rem = self.decompose(v)
         return not any(rem)
 
-    def representative(self, v: Sequence[int]) -> Vector:
-        """Canonical coset representative, componentwise in [0, pivot_i)."""
-        return self.decompose(v)[1]
-
     def representatives(self) -> Iterator[Vector]:
         """All canonical coset representatives in lexicographic order."""
         ranges = [range(self.basis[i][i]) for i in range(self.rank)]

@@ -41,7 +41,10 @@ units' values:
   a_j D_{P_i}^j), and the combine step divides exactly by the product
   of Psi-hat over the three units of its step (``_quotient``, cached per
   offset r): a checked divmod, which keeps the exact ``Fraction`` where it
-  leaves a remainder.  ``value`` returns W(v) = Psi-hat(v) / F_v.  Off an
+  leaves a remainder.  At ranks 3 and up one does: a box value need not be
+  integral (Psi-hat(1, 1, 1) = -1/2 on 234446a with x_i = 0, -4, 4, where
+  F = 1).  At ranks 1 and 2 none has been seen on some 3,700 integral
+  nets.  ``value`` returns W(v) = Psi-hat(v) / F_v.  Off an
   integral model F = 1 and the values stay ``Fraction``s.
 * ``ReducedNet``: the seeded box built by the constructor from int residues
   (P_1 + P_2 read off the cached (A, B, D) triple mod p, with no group law
@@ -348,7 +351,8 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
 
 def _quotient(x, d: int):
     """x / d: the int quotient where a checked divmod leaves no remainder,
-    else the exact ``Fraction``, so no value depends on x being integral."""
+    else the exact ``Fraction``, so no value depends on x being integral
+    (at ranks 3 and up a box value may not be)."""
     if d == 1:
         return x
     q, r = divmod(x, d)
@@ -774,7 +778,9 @@ class EllipticNet:
         everywhere on E1) D = |w|, and N is not formed.  W(v) = 0 exactly
         when v . P is the identity.
         A Psi-hat value that is not an int takes the reduced denominator of
-        the exact ``Fraction`` x instead.  No group law runs.  Ranks above
+        the exact ``Fraction`` x instead; at ranks 1 and 2 no integral model
+        is known to give one, and the tests reach this branch only with a
+        rescaling that is not F.  No group law runs.  Ranks above
         2, singular and non-integral models and the recurrence strategy take
         ``_chain_denominator``.
         """
@@ -801,18 +807,11 @@ class EllipticNet:
 
     @cached_property
     def _singular_modulus(self) -> int:
-        """m = prod_i gcd(F_y, F_x) on the cached triple (A_i, B_i, D_i),
-        F_y = 2B + a1 A D + a3 D^3 and F_x = 3A^2 + 2 a2 A D^2 + a4 D^4 - a1 B D
-        (the partials of the curve at P_i, cleared of D): a prime divides m
-        exactly when some P_i reduces to the singular point mod it, since
-        where it divides D_i, F_y = 2B and F_x = 3A^2 are not both zero."""
-        law = self._law
-        m = 1
-        for (a, b, d), _ in self._steps:
-            d2 = d * d
-            m *= math.gcd(2 * b + law.a1 * a * d + law.a3 * d2 * d,
-                          3 * a * a + 2 * law.a2 * a * d2 + law.a4 * d2 * d2 - law.a1 * b * d)
-        return m
+        """m = prod_i gcd(F_y, F_x) of the partials of the curve at P_i,
+        cleared of D (``IntegralModel._partials`` on the cached triple): a
+        prime divides m exactly when some P_i reduces to the singular point
+        mod it."""
+        return math.prod(math.gcd(*self._law._partials(*pt)) for pt, _ in self._steps)
 
     def _chain_denominator(self, v: Index) -> int:
         """D_{v . P} for a nonzero index off the point cache's group-law

@@ -113,8 +113,3 @@ def table_json(entry: Callable[[tuple[int, int]], object], cols: int, rows: int)
                           "den": decimal_string(value.denominator)},
             })
     return out
-
-
-def normalized(text: str) -> str:
-    """Whitespace-insensitive comparison form of a table."""
-    return "\n".join(" ".join(line.split()) for line in text.strip().splitlines())

@@ -100,12 +100,13 @@ def zero_lattice(net: ReducedNet) -> IntegerLattice:
 
     Lambda is built on the reduced curve group by a walk in the style of
     Shanks' baby-step giant-step, on affine points as int residue pairs
-    (``WeierstrassCurve.residue_law``).  The points P_k are taken one at a
-    time: a table maps each point of H = <P_1, ..., P_{k-1}> to a
-    coefficient vector c, the walk steps -b . P_k for b = 1, 2, ... and
-    stops at the first b with -b . P_k = c . P in the table, which adds the
-    generator (c, b, 0, ...).  The cosets H - j . P_k for j < b then extend
-    the table to <P_1, ..., P_k>.  Every table entry and every step costs
+    (``IntegralModel.residue_law`` of the reduced net's model).  The points
+    P_k are taken one at a time: a table maps each point of
+    H = <P_1, ..., P_{k-1}> to a coefficient vector c, the walk steps
+    -b . P_k for b = 1, 2, ... and stops at the first b with
+    -b . P_k = c . P in the table, which adds the generator (c, b, 0, ...).
+    The cosets H - j . P_k for j < b then extend the table to
+    <P_1, ..., P_k>.  Every table entry and every step costs
     one int addition, so the whole walk takes O(#E(F_p)) additions for any
     rank.
 
@@ -126,7 +127,7 @@ def zero_lattice(net: ReducedNet) -> IntegerLattice:
     box and a kernel check, both through ``WeierstrassCurve.add``, the psi
     scan of ``rank_of_apparition`` and a scan of the net zeros themselves.
     """
-    add, neg = net.net.curve.residue_law(net.p)
+    add, neg = net.net._law.residue_law(net.p)
     rank = net.rank
     for axis in range(rank):
         if _ward_non_unique(net, axis):

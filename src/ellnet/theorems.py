@@ -49,10 +49,6 @@ class AyadReport:
     def all_equivalent(self) -> bool:
         return len(set(self.properties.values())) == 1
 
-    @property
-    def verdict(self) -> bool:
-        return self.properties["e"]
-
     def to_dict(self) -> dict:
         return {
             "p": self.p,
@@ -71,7 +67,8 @@ def ayad_equivalence_report(net: EllipticNet, p: int, box_radius: int = 3,
 
     A P_i that reduces to infinity mod p is refused; each P_i +- P_j that
     does is recorded as a warning rather than refused (``reduce_base_points``):
-    the bad-reduction fixtures exercise exactly those edges.
+    the bad-reduction fixtures exercise exactly those edges.  A value that
+    is zero counts as divisible by p.
     """
     curve = net.curve
     if not curve.is_integral:
@@ -79,7 +76,8 @@ def ayad_equivalence_report(net: EllipticNet, p: int, box_radius: int = 3,
     _, warnings = reduce_base_points(net, p)
 
     rank = net.rank
-    vp = lambda idx: val_p(net.value(idx), p)
+    divides = lambda x: x == 0 or val_p(x, p) > 0  # p divides 0
+    divides_w = lambda idx: divides(net.value(idx))
     props: dict[str, bool] = {}
     wit: dict[str, object] = {}
 
@@ -91,14 +89,14 @@ def ayad_equivalence_report(net: EllipticNet, p: int, box_radius: int = 3,
             wit[name] = found
 
     axes = range(rank)
-    search("a", axes, lambda i: vp(_axis(rank, i, 2)) > 0 and vp(_axis(rank, i, 3)) > 0)
-    search("b", axes, lambda i: all(vp(_axis(rank, i, n)) > 0 for n in range(2, n_max + 1)))
-    divisible = lambda: (v for v in box_indices(rank, box_radius) if vp(v) > 0)
+    search("a", axes, lambda i: divides_w(_axis(rank, i, 2)) and divides_w(_axis(rank, i, 3)))
+    search("b", axes, lambda i: all(divides_w(_axis(rank, i, n)) for n in range(2, n_max + 1)))
+    divisible = lambda: (v for v in box_indices(rank, box_radius) if divides_w(v))
     search("c", ((v, i) for v in divisible() for i in axes),
-           lambda vi: vp(_plus(vi[0], _axis(rank, vi[1]))) > 0)
+           lambda vi: divides_w(_plus(vi[0], _axis(rank, vi[1]))))
     x1, e1 = net.points[0].x, _axis(rank, 0)
-    search("d", divisible(), lambda v: val_p(net.value(v) ** 2 * x1 - net.value(_plus(v, e1))
-                                        * net.value(tuple(a - b for a, b in zip(v, e1))), p) > 0)
+    search("d", divisible(), lambda v: divides(net.value(v) ** 2 * x1 - net.value(_plus(v, e1))
+                                               * net.value(tuple(a - b for a, b in zip(v, e1)))))
     search("e", axes, lambda i: is_singular_reduction(curve, net.points[i], p))
     return AyadReport(p, box_radius, n_max, props, wit, warnings)
 
@@ -150,8 +148,8 @@ def valuation_match_report(net: EllipticNet, p: int, grid,
     entries = []
     mismatches = []
     for v in _grid(net.rank, grid):
-        dval = val_p(net._chain_denominator(v), p).unwrap()
-        nval = val_p(net.scaled_value(v) if scaled else net.value(v), p).unwrap()
+        dval = val_p(net._chain_denominator(v), p)
+        nval = val_p(net.scaled_value(v) if scaled else net.value(v), p)
         entries.append((v, dval, nval))
         if dval != nval:
             mismatches.append(v)
@@ -197,8 +195,7 @@ def _epsilon(net: EllipticNet, p: int, v: Vector, value: Callable) -> Fraction |
     height = net.local_height(v, p)
     if height is None:
         return None
-    vdisc = val_p(Fraction(net.curve.discriminant), p).unwrap()
-    return height - Fraction(vdisc, 12) - val_p(value(v), p).unwrap()
+    return height - Fraction(val_p(net.curve.discriminant, p), 12) - val_p(value(v), p)
 
 
 def epsilon_value(net: EllipticNet, p: int, v: Vector) -> Fraction:

@@ -33,7 +33,6 @@ from ellnet import (
 )
 from ellnet.cli import main
 from ellnet.net import box_indices
-from ellnet.render import normalized
 from conftest import P1, Q1
 
 DATA = Path(__file__).parent / "data"
@@ -79,7 +78,7 @@ def test_criterion_1_table1(capsys):
     code, out = run_cli(capsys, ["denom-table", *E1_ARGS, "--grid", "5x10",
                                  "--format", "factored"])
     assert code == 0
-    assert normalized(out) == normalized((DATA / "table1.txt").read_text())
+    assert out == (DATA / "table1.txt").read_text()
     elapsed = time.monotonic() - start
     assert elapsed < 5
     with capsys.disabled():
@@ -92,7 +91,7 @@ def test_criterion_2_table2(capsys):
                                  "--format", "factored"])
     assert code == 0
     golden = (DATA / "table2.txt").read_text()
-    assert normalized(out) == normalized(golden)
+    assert out == golden
     assert "-2^-36 · 23 · 103 · 340789 · 175849593114259" in out
     elapsed = time.monotonic() - start
     assert elapsed < 10
@@ -105,11 +104,11 @@ def test_criterion_3_tables_3_and_4(capsys):
     code, out3 = run_cli(capsys, ["denom-table", *E2_ARGS, "--grid", "7x10",
                                   "--format", "factored"])
     assert code == 0
-    assert normalized(out3) == normalized((DATA / "table3.txt").read_text())
+    assert out3 == (DATA / "table3.txt").read_text()
     code, out4 = run_cli(capsys, ["net-table", *E2_ARGS, "--grid", "7x10",
                                   "--format", "factored"])
     assert code == 0
-    assert normalized(out4) == normalized((DATA / "table4.txt").read_text())
+    assert out4 == (DATA / "table4.txt").read_text()
     assert "7^20" in out4.splitlines()[0]
     elapsed = time.monotonic() - start
     assert elapsed < 30
@@ -201,7 +200,7 @@ def test_criterion_6_ayad_suite(net1, net2):
         net = nets[fixture]
         rep = ayad_equivalence_report(net, p, box_radius=3, n_max=12)
         assert rep.all_equivalent, (fixture, p, rep.properties)
-        assert rep.verdict is expected, (fixture, p)
+        assert rep.properties["e"] is expected, (fixture, p)
         # (e) by partial derivatives agrees with the psi_2/psi_3 valuation test
         for pt in net.points:
             dp = DivisionPolynomials(net.curve, pt)
@@ -269,10 +268,10 @@ def test_criterion_7_property_suites(e1, net1, net2, net1_pq, reduced1_pq, symme
     # epsilon parallelogram law on the fixture boxes
     for p in (2, 3, 5):
         a, b = e1.mul(2, P1), e1.add(P1, Q1)
-        lhs = neron_local_height(e1, e1.add(a, b), p) + neron_local_height(e1, e1.sub(a, b), p)
+        lhs = neron_local_height(e1, e1.add(a, b), p) + neron_local_height(e1, e1.add(a, e1.neg(b)), p)
         rhs = (2 * neron_local_height(e1, a, p) + 2 * neron_local_height(e1, b, p)
-               + Fraction(val_p(Fraction(a.x) - Fraction(b.x), p).unwrap())
-               - Fraction(val_p(Fraction(e1.discriminant), p).unwrap(), 6))
+               + Fraction(val_p(Fraction(a.x) - Fraction(b.x), p))
+               - Fraction(val_p(Fraction(e1.discriminant), p), 6))
         assert lhs == rhs
     assert epsilon_quadratic_check(net1, 2, 3)
     assert epsilon_quadratic_check(net1, 5, 3)

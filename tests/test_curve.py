@@ -222,10 +222,10 @@ def test_neron_refuses_singular_reduction(e2):
 
 def quasi_parallelogram_holds(curve, a, b, p):
     lhs = (neron_local_height(curve, curve.add(a, b), p)
-           + neron_local_height(curve, curve.sub(a, b), p))
+           + neron_local_height(curve, curve.add(a, curve.neg(b)), p))
     rhs = (2 * neron_local_height(curve, a, p) + 2 * neron_local_height(curve, b, p)
-           + Fraction(val_p(Fraction(a.x) - Fraction(b.x), p).unwrap())
-           - Fraction(val_p(Fraction(curve.discriminant), p).unwrap(), 6))
+           + Fraction(val_p(Fraction(a.x) - Fraction(b.x), p))
+           - Fraction(val_p(Fraction(curve.discriminant), p), 6))
     return lhs == rhs
 
 
@@ -237,7 +237,7 @@ def test_quasi_parallelogram_law(e1, e2):
         for p in primes:
             for a in pts:
                 for b in pts:
-                    four = [a, b, curve.add(a, b), curve.sub(a, b)]
+                    four = [a, b, curve.add(a, b), curve.add(a, curve.neg(b))]
                     if any(x.is_infinity for x in four):
                         continue
                     try:

@@ -10,14 +10,13 @@ from pathlib import Path
 import pytest
 
 import ellnet
-from ellnet import INFINITE_VALUATION, PrimeFieldElement, Valuation, factorize, is_prime, val_p
+from ellnet import PrimeFieldElement, factorize, is_prime, val_p
 from ellnet.errors import NonPrimeModulusError
 from ellnet.fieldarith import factor_route_counts
 
 
 def test_val_p_examples():
     assert val_p(Fraction(3, 4), 2) == -2
-    assert val_p(Fraction(0), 7) == INFINITE_VALUATION
     assert val_p(Fraction(45, 7), 3) == 2
 
 
@@ -37,13 +36,12 @@ def test_val_p_refuses_a_non_prime_every_time(n):
             val_p(Fraction(9, 4), n)
 
 
-def test_valuation_ordering():
-    assert INFINITE_VALUATION > 10**9
-    assert Valuation(3) > 2
-    assert Valuation(-2) < 0
-    assert INFINITE_VALUATION.is_infinite
-    with pytest.raises(ValueError):
-        INFINITE_VALUATION.unwrap()
+def test_val_p_of_zero_raises():
+    # a valuation is a plain int; zero's, which is infinite, is refused
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError, match="^valuation is infinite$"):
+            val_p(zero, 7)
+    assert type(val_p(Fraction(45, 7), 3)) is int
 
 
 def test_val_p_multiplicative_and_ultrametric():

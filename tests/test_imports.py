@@ -1,8 +1,12 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private function or method it defines is used in the package.
 
-No linter ships with the project, so this catches imports left behind when
-the code that needed them goes.  ``__init__`` re-exports what it imports,
-and ``from __future__`` imports are directives, so both are exempt.
+No linter ships with the project, so this catches imports and helpers left
+behind when the code that needed them goes.  ``__init__`` re-exports what
+it imports, and ``from __future__`` imports are directives, so both are
+exempt.  A private definition (one leading underscore, not a dunder) is
+used when its name occurs as a name or an attribute anywhere in the
+package outside the definition itself; tests do not count.
 """
 import ast
 from pathlib import Path
@@ -35,3 +39,31 @@ def test_every_import_is_used(module):
 def test_unused_import_is_reported():
     source = "from __future__ import annotations\nimport os, sys\nfrom a import b as c, d\nsys.exit(d)\n"
     assert unused_imports(source) == ["os (line 2)", "c (line 3)"]
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """The private functions and methods defined in the sources, by module,
+    whose name no other place in the sources uses as a name or attribute."""
+    definitions, references = [], []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    definitions.append((module, node.name, node.lineno, node.end_lineno))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                references.append((module, getattr(node, "id", None) or node.attr, node.lineno))
+    return [f"{module}: {name} (line {start})" for module, name, start, end in definitions
+            if not any(used == name and not (where == module and start <= line <= end)
+                       for where, used, line in references)]
+
+
+def test_every_private_definition_is_used():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_definitions(sources) == []
+
+
+def test_unused_private_definition_is_reported():
+    sources = {"a.py": "def _used():\n    return _used()\n\ndef _left(x):\n    return x\n",
+               "b.py": "import a\nclass C:\n    def _method(self):\n        return a._used()\n"
+                       "    def __repr__(self):\n        return ''\n"}
+    assert unreferenced_private_definitions(sources) == ["a.py: _left (line 4)", "b.py: _method (line 3)"]

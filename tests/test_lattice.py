@@ -78,7 +78,7 @@ def test_membership_and_decomposition():
     reps = list(lat.representatives())
     assert len(reps) == lat.index() == 90
     assert reps[0] == (0, 0) and reps == sorted(reps)
-    assert lat.representative((-1, -1)) in reps
+    assert lat.decompose((-1, -1))[1] in reps
     coeffs, rep = lat.decompose((-1, -1))
     recon = [sum(c * b[k] for c, b in zip(coeffs, lat.basis)) + rep[k] for k in (0, 1)]
     assert tuple(recon) == (-1, -1)

@@ -1623,7 +1623,7 @@ def _reduce_base_points_by_fraction_law(curve, points, p):
     defects = [f"P_{i} {sign} P_{j} reduces to infinity mod {p}"
                for i, j in itertools.combinations(range(len(points)), 2)
                for sign, combo in (("+", curve.add(points[i], points[j])),
-                                   ("-", curve.sub(points[i], points[j])))
+                                   ("-", curve.add(points[i], curve.neg(points[j]))))
                if reduce_mod_p(curve, combo, p).is_infinity]
     return tuple(reduced), defects
 
@@ -1741,15 +1741,80 @@ def test_ladder_divides_exactly_or_keeps_the_fraction(default_recursion_limit):
     # G_v W(v) is an elliptic net for any quadratic G; with G = 3^(v1 v2)
     # in place of F = 2^(v1 v2) on E1 (P,Q) it is not integral, so the seeded
     # box and the ladder keep Fractions where a divmod leaves a remainder,
-    # and value divides G out again
+    # value divides G out again, and where G W(v) is a Fraction denominator
+    # reads D off the Fraction x(v . P) (G(e_i) = 1, so x(v . P) =
+    # x(P_i) - G(v+e_i) G(v-e_i) / G(v)^2 holds for G W as for F W)
     net = EllipticNet(E1, (P1, Q1))
     net.__dict__["_form"] = QuadraticFormData(((Fraction(1), Fraction(3)),
                                                (Fraction(3), Fraction(1))))
     fresh = EllipticNet(E1, (P1, Q1))
+    read_off_a_fraction = 0
     for v in [*box_indices(2, 6), (45, -31), (200, 199)]:
         assert net.value(v) == fresh.value(v), v
+        if type(net.scaled_value(v)) is Fraction:
+            assert net.denominator(v) == fresh.denominator(v), v
+            read_off_a_fraction += 1
     kinds = Counter(type(w) for w in net._scaled.values())
-    assert kinds[Fraction] > 50 and kinds[int] > 0
+    assert kinds[Fraction] > 50 and kinds[int] > 0 and read_off_a_fraction > 50
+    # a net whose own F leaves a remainder: at rank three the box value
+    # W(1, 1, 1) = y[x_1, x_2, x_3] of 234446a at x = 0, -4, 4 is -1/2, with
+    # F = 1 (every P_i and P_i + P_j integral)
+    points = tuple(rational_point(x, y) for x, y in ((0, 17), (-4, 25), (4, -7)))
+    net = EllipticNet(CURVE_234446A, points)
+    assert net._form.value((1, 1, 1)) == 1
+    assert net.scaled_value((1, 1, 1)) == Fraction(-1, 2)
+    # and the ladder above it carries the Fraction to the points route's value
+    assert net.value((5, 4, -4)) == points_route(EllipticNet(CURVE_234446A, points), (5, 4, -4))
+    assert net.route_counts["ladder"] > 0
+
+
+def _random_integral_bases(rng):
+    """A random integral model through two random integer points P and Q
+    (a4 and a6 solved for, x_Q = x_P +- 1), and base tuples of multiples
+    of them: D > 1 (2P) and dependent points (P, 2P)."""
+    a1, a2, a3 = (rng.randint(-2, 2) for _ in range(3))
+    x1, y1, y2 = rng.randint(-6, 6), rng.randint(-9, 9), rng.randint(-9, 9)
+    x2 = x1 + rng.choice((1, -1))
+    r1, r2 = (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x for x, y in ((x1, y1), (x2, y2)))
+    a4 = (r1 - r2) // (x1 - x2)
+    curve = WeierstrassCurve(a1, a2, a3, a4, r1 - a4 * x1, allow_singular=True)
+    P, Q = rational_point(x1, y1), rational_point(x2, y2)
+    return curve, [(P,), (curve.mul(2, P), Q), (P, curve.mul(2, P))]
+
+
+# the node y^2 = x^3 + x^2 with the node (0, 0) as a base point, the cusp
+# y^2 = x^3, and the torsion points of orders 6, 2 and 3 on y^2 = x^3 + 1
+SINGULAR_AND_TORSION_BASES = [
+    ((0, 1, 0, 0, 0), ((3, 6), (0, 0))), ((0, 1, 0, 0, 0), ((3, 6), (8, 24))),
+    ((0, 0, 0, 0, 0), ((4, 8), (1, 1))),
+    ((0, 0, 0, 0, 1), ((2, 3), (-1, 0))), ((0, 0, 0, 0, 1), ((0, 1), (2, 3))),
+    ((0, 0, 0, 0, 1), ((-1, 0),)),
+]
+
+
+def test_rescaled_net_is_an_integer_net_on_random_integral_models(default_recursion_limit):
+    # at ranks 1 and 2 Psi-hat = F W is an int at every index |v| <= 5 of
+    # random integral nets, so the ladder's division leaves no remainder,
+    # and the denominators read off it agree with the group-law chain
+    rng = random.Random(23)
+    cases = [(WeierstrassCurve(*coeffs, allow_singular=True),
+              [tuple(rational_point(x, y) for x, y in coords)])
+             for coeffs, coords in SINGULAR_AND_TORSION_BASES]
+    cases += [_random_integral_bases(rng) for _ in range(24)]
+    seen = Counter()
+    for curve, bases in cases:
+        for points in bases:
+            try:
+                net, chain = EllipticNet(curve, points), EllipticNet(curve, points)
+            except (PreconditionError, DegeneratePairError):  # 2P = O, x(P) = x(Q)
+                seen["refused"] += 1
+                continue
+            seen["singular" if curve.discriminant == 0 else f"rank {net.rank}"] += 1
+            for v in box_indices(net.rank, 5):
+                assert type(net.scaled_value(v)) is int, (points, v)
+                if any(v):
+                    assert _outcome(net.denominator, v) == _outcome(chain._chain_denominator, v), v
+    assert seen == {"singular": 3, "rank 1": 25, "rank 2": 45, "refused": 5}
 
 
 def test_quadratic_form_reads_integral_model_triples(monkeypatch):

@@ -9,6 +9,7 @@ from ellnet import (
     PrimeFieldElement,
     symmetry,
     EllipticNet,
+    IntegralModel,
     ReducedNet,
     WeierstrassCurve,
     build_symmetry_data,
@@ -246,7 +247,7 @@ def test_walk_runs_on_int_residues(monkeypatch, name, p):
                                                  ((1, -1, 1, -3, 2), 23, False)])
 def test_residue_law_matches_the_curve_law(coeffs, p, singular):
     curve = WeierstrassCurve(*coeffs)
-    add, neg = curve.residue_law(p)
+    add, neg = IntegralModel(curve).residue_law(p)
     reduced = reduce_curve(curve, p)
     points = list(reduced.enumerate_points())
 

@@ -26,7 +26,7 @@ from conftest import P1, P2, Q1, Q2
 
 def test_ayad_singular_case(e2, net2):
     report = ayad_equivalence_report(net2, 7, box_radius=3, n_max=12)
-    assert report.all_equivalent and report.verdict is True
+    assert report.all_equivalent and report.properties["e"] is True
     assert report.witnesses["e"] == 1  # P = (0, 0) is the second point
     assert report.properties == {k: True for k in "abcde"}
 
@@ -37,7 +37,7 @@ def test_ayad_good_and_bad_nonsingular_cases(net1, net2):
                    (net2, 5), (net2, 11)):
         report = ayad_equivalence_report(net, p, box_radius=3, n_max=12)
         assert report.all_equivalent, (p, report.properties)
-        assert report.verdict is False
+        assert report.properties["e"] is False
 
 
 def test_ayad_equivalence_closure_suite(net1, net2):
@@ -54,6 +54,28 @@ def test_ayad_hypothesis_warning_recorded(net1):
     assert any("infinity" in w for w in report.hypothesis_warnings)
     report5 = ayad_equivalence_report(net1, 5, box_radius=3, n_max=8)
     assert report5.hypothesis_warnings == []
+
+
+def test_ayad_counts_a_vanishing_value_as_divisible(capsys):
+    # P = (-1, 0) has order 2 on y^2 = x^3 + 1, so W(2 e_1) = 0 is divisible
+    # by every p: mod 3 (a) holds with val_3(W(3 e_1)) = val_3(-9) = 2, and
+    # P is the singular point; mod 2 and 5 W(3 e_1) is a unit and (a) fails
+    from ellnet.cli import main
+
+    curve, point = WeierstrassCurve(0, 0, 0, 0, 1), rational_point(-1, 0)
+    net = EllipticNet(curve, (point,))
+    assert net.value((2,)) == 0
+    for p in (2, 3, 5):
+        report = ayad_equivalence_report(net, p)
+        singular = p == 3
+        assert report.properties == {k: singular for k in "abcde"}, p
+        assert report.witnesses == ({"a": 0, "b": 0, "c": ((-3,), 0), "d": (-3,), "e": 0}
+                                    if singular else {}), p
+        assert main(["verify", "ayad", "--curve", "0,0,0,0,1", "--points", "(-1,0)",
+                     "--prime", str(p)]) == 0
+        flag = "true" if singular else "false"
+        assert capsys.readouterr() == (
+            "PASS ayad all-equivalent: {" + ", ".join(f'"{k}": {flag}' for k in "abcde") + "}\n", "")
 
 
 def test_ayad_report_serializes(net2):
@@ -105,7 +127,7 @@ def test_valuation_report_reads_denominators_off_the_group_law(monkeypatch, e1, 
     expected = valuation_match_report(EllipticNet(curve, points), p, grid,
                                       require_nonsingular=gate)
     net = EllipticNet(curve, points)
-    assert expected.entries == [(v, val_p(net.denominator(v), p).unwrap(), n)
+    assert expected.entries == [(v, val_p(net.denominator(v), p), n)
                                 for v, _, n in expected.entries]
 
     def refuse(self, v):
@@ -223,7 +245,7 @@ def test_valuation_report_reads_the_rescaled_net(monkeypatch, e1, e2, points, p)
     net = EllipticNet(curve, points)
     form = QuadraticFormData.from_curve_points(curve, points)
     grid = [v for v in box_indices(2, 4) if any(v)]
-    expected = [val_p(form.value(v) * net.value(v), p).unwrap() for v in grid]
+    expected = [val_p(form.value(v) * net.value(v), p) for v in grid]
 
     def refuse(*args):
         raise AssertionError("the report ran it")
