@@ -61,9 +61,13 @@ def _b_invariants(a1, a2, a3, a4, a6) -> tuple:
 
 
 class WeierstrassCurve:
-    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q or F_p."""
+    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q or F_p.
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_binv")
+    ``is_integral`` (a model over Q with integer coefficients) is set once,
+    by the constructor.
+    """
+
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_binv", "is_integral")
 
     def __init__(self, a1, a2, a3, a4, a6, allow_singular: bool = False):
         coeffs = [a1, a2, a3, a4, a6]
@@ -77,9 +81,11 @@ class WeierstrassCurve:
             ints = [c.residue if isinstance(c, PrimeFieldElement) else int(c) for c in coeffs]
             coeffs = [_element(c, p) for c in ints]
             binv = [_element(b, p) for b in _b_invariants(*ints)]
+            self.is_integral = False
         else:
             coeffs = [Fraction(c) for c in coeffs]
-            if all(c.denominator == 1 for c in coeffs):
+            self.is_integral = all(c.denominator == 1 for c in coeffs)
+            if self.is_integral:
                 binv = map(Fraction, _b_invariants(*(c.numerator for c in coeffs)))
             else:
                 binv = _b_invariants(*coeffs)
@@ -100,12 +106,6 @@ class WeierstrassCurve:
     def gf_modulus(self) -> int | None:
         """The prime p when defined over F_p, else None."""
         return self.a1.p if isinstance(self.a1, PrimeFieldElement) else None
-
-    @property
-    def is_integral(self) -> bool:
-        if self.gf_modulus is not None:
-            return False
-        return all(c.denominator == 1 for c in (self.a1, self.a2, self.a3, self.a4, self.a6))
 
     def f(self, x, y):
         """The defining polynomial; zero exactly on the curve."""

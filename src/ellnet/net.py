@@ -485,7 +485,7 @@ class EllipticNet:
         return pt.is_infinity if self._law is None else pt is None
 
     def _key(self, v: Sequence[int]) -> Index:
-        v = tuple(int(c) for c in v)
+        v = tuple(map(int, v))
         if len(v) != self.rank:
             raise ValueError(f"index length {len(v)} does not match rank {self.rank}")
         return v
@@ -973,7 +973,9 @@ class ReducedNet:
     bound the detour raises ``DependentPointsError`` and a net of rank
     above LADDER_MAX_RANK ``PreconditionError``.  So ``value`` agrees with
     ``exact_value`` wherever it answers, and raises where that raises or
-    past the bound.
+    past the bound.  ``residue`` gives W(v) as an int in [0, p), which the
+    symmetry tables, exports and evaluator work on; ``value`` wraps it in a
+    ``PrimeFieldElement``.
 
     ``route_counts`` counts the memoized residues by source: ``seed``
     (the seeded box), ``exact`` (exact over Q and reduced), ``psi`` and
@@ -1017,13 +1019,17 @@ class ReducedNet:
         """The base points reduced mod p."""
         return tuple(gf_point(x, y, self.p) for x, y in self._points)
 
-    def value(self, v: Sequence[int]) -> PrimeFieldElement:
+    def residue(self, v: Sequence[int]) -> int:
+        """W(v) mod p as an int in [0, p)."""
         key, sign = _normalize(self.net._key(v))
         if key not in self._residues:
             _net_value(key, self._residues, self._exact_residue, self._psi, self._residue,
                        self.route_counts)
         w = self._residues[key]
-        return _element(w if sign > 0 else -w, self.p)
+        return (w if sign > 0 else -w) % self.p
+
+    def value(self, v: Sequence[int]) -> PrimeFieldElement:
+        return _element(self.residue(v), self.p)
 
     def exact_value(self, v: Sequence[int]) -> PrimeFieldElement:
         """Force the exact-over-Q-then-reduce path."""
