@@ -36,11 +36,15 @@ class DegeneratePairError(EllnetError, ValueError):
 class DependentPointsError(EllnetError, ArithmeticError):
     """A nonzero integer combination of the base points is the identity.
 
-    The points route over Q raises it at a zero divisor, and ``denominator``
-    where v . P is the identity.  ``value`` raises it only at ranks 3 and
-    up, where the points route serves the box (a ``ReducedNet`` also past
-    its bound on the exact detour); nets of rank 1 and 2 answer Psi_v(P) at
-    every index, from psi, the seeded box and the ladder.
+    The points route over Q raises it at a zero divisor, of a point step or
+    of the row of the net recurrence that reduces a small support, and
+    ``denominator`` where v . P is the identity.  ``value`` raises it only
+    at ranks 3 and up, where the points route serves the box (a
+    ``ReducedNet`` also past its bound on the exact detour, which it takes
+    afresh at every index whose ladder meets a raising box value, so the
+    outcome does not depend on what the net evaluated before); nets of rank
+    1 and 2 answer Psi_v(P) at every index, from psi, the seeded box and
+    the ladder.
     """
 
 

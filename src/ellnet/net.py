@@ -63,6 +63,15 @@ nonsingular point) it reduces that fraction with a gcd taken mod
 D_{P_i}^2 s^2 only, s the part of Psi-hat(v) at the primes of singular
 reduction: D_{v . P} = |Psi-hat(v)| on E1.
 
+Every use of the net recurrence is one row (p, q, r, s) of
+``_net_terms``, T0 + T1 + T2 = 0, and ``_instance`` solves a row for the
+first index of T0: the other three indices of T0 divide, the eight of T1
+and T2 multiply.  The seeded box and the recurrence route's derived
+bases take rows whose divisors are units (``_unit_steps``, the units'
+signs folded in at import), the two routes below take a row per step
+(``_row_step``), and ``_children`` reads the ladder's offsets off
+``_net_terms`` of its row.
+
 The box of an exact net at ranks 3 to 6, and every value of a net on the
 recurrence strategy or over F_p, comes from ``EllipticNet._run``: an
 explicit stack of steps, each a generator that asks for the values it
@@ -73,7 +82,9 @@ not by the interpreter's recursion limit.  There are two routes.
   ``W(v+u) = W(v)^2 W(u)^2 (X_u - X_v) / W(v-u)`` with ``u = +-e_i`` and the
   x-coordinates supplied by the curve group law.  The step axis is the one
   with the largest coordinate, so the max-norm shrinks toward the initial
-  values, one step per unit of |v|.  An exact net on an integral model
+  values, one step per unit of |v|.  An index with every coordinate in
+  {-1, 0, 1} and three or more nonzero, which that step does not shrink,
+  takes the row of ``_support_row`` instead.  An exact net on an integral model
   caches v . P as the integer triple (A, B, D) with
   v . P = (A / D^2, B / D^3) in lowest terms, filled by the integer group
   law of ``curve.IntegralModel``; the step reads x = A / D^2 from it, and
@@ -86,19 +97,23 @@ not by the interpreter's recursion limit.  There are two routes.
   the tests; over F_p it is a linear oracle, which no library caller takes.
 * ``recurrence``: pure recurrence instantiations grounded in the initial
   values, with no group-law input.  Rank 1 delegates to the division
-  polynomial doubling identities; rank 2 uses a fixed well-founded schedule
-  of instantiations of the four-index recurrence (axis, adjacent-line and
-  interior formulas), validated against the points strategy.  It never
-  takes the ladder, so it stays an independent oracle.
+  polynomial doubling identities.  Rank 2 starts from the seven initial
+  values, W(0) and five unit rows (``_recurrence_bases``), and takes every
+  other index by the row of ``_recurrence_row``, one row affine in the
+  index per region of the plane (axis, adjacent-line and interior
+  formulas): a fixed well-founded schedule, validated against the points
+  strategy.  It never takes the ladder, so it stays an independent oracle.
 
 The strategy of a net names the route its values start on.  Exact values
 over Q never divide by zero when the base points are independent; a zero
 divisor there raises ``DependentPointsError``.  For dependent points the
 contract is: every index the points route answers gets the same value, and
 no such index raises, since an index whose ladder box raises is evaluated
-on the points route instead.  An index the points route refuses with
-``DependentPointsError`` may get Psi_v(P) from the division-free ladder,
-the seeded box or psi; at ranks 1 and 2 every index does.
+on the points route instead; that value is returned and not memoized, so
+no answer depends on what the memo already holds.  An index the points
+route refuses with ``DependentPointsError`` may get Psi_v(P) from the
+division-free ladder, the seeded box or psi; at ranks 1 and 2 every index
+does.
 ``ReducedNet`` bounds every value it takes over Q at max-norm
 EXACT_FALLBACK_MAX_NORM: above it the detour raises
 ``DependentPointsError``, and a net of rank above LADDER_MAX_RANK raises
@@ -171,36 +186,21 @@ def initial_net_value(curve: WeierstrassCurve, points: Sequence[CurvePoint], v: 
     return None
 
 
-def _recurrence_terms(m: int, n: int):
-    """The schedule entry (first, second, sign, divisor) for W(m, n), m >= 0.
-
-    W(m, n) = (prod W(first) + sign * prod W(second)) / prod W(divisor),
-    each an instantiation of the four-index recurrence (axis, adjacent-line
-    and interior formulas) on indices that are smaller in the schedule.
-    """
-    if m == 0:  # n >= 4; the swapped axis formula
-        return (((1, n - 1), (-1, n - 2), (0, 2)),
-                ((1, 2), (-1, 1), (0, n - 1), (0, n - 2)), -1, ((0, n - 3),))
-    if n == 0:
-        return (((m - 1, 1), (m - 2, -1), (2, 0)),
-                ((2, 1), (1, -1), (m - 1, 0), (m - 2, 0)), -1, ((m - 3, 0),))
-    if n == 1:
-        return (((m - 1, 1), (m - 1, -1)),
-                ((1, 2), (m - 1, 0), (m - 1, 0)), -1, ((m - 2, -1),))
-    if n == -1:
-        return (((m - 1, 1), (m - 1, -1), (1, -1), (1, -1)),
-                ((1, -2), (m - 1, 0), (m - 1, 0)), -1, ((m - 2, 1),))
-    if n >= 2 and m == 1:
-        return (((0, 2), (1, n - 1), (0, n - 1)),
-                ((0, n), (1, n - 2)), -1, ((0, n - 2), (1, -1)))
-    if n >= 2:
-        return (((m, n - 1), (m - 2, n)),
-                ((2, 0), (m - 1, n), (m - 1, n - 1)), -1, ((m - 2, n - 1), (1, -1)))
-    if m == 1:  # n <= -2
-        return (((0, 2), (1, n + 1), (0, n + 1)),
-                ((1, -1), (0, n), (1, n + 2)), -1, ((0, n + 2),))
-    return (((2, 0), (m - 1, n), (m - 1, n + 1)),
-            ((1, -1), (m, n + 1), (m - 2, n)), 1, ((m - 2, n + 1),))
+def _recurrence_row(m: int, n: int) -> tuple[Index, Index, Index, Index]:
+    """The row (p, q, r, s) of W(m, n), m >= 0, on the rank-2 recurrence
+    schedule: T0 of ``_net_terms`` is W(m, n) times three divisors, and
+    every other index of the row comes earlier in the schedule (the axis,
+    adjacent-line and interior formulas, by the region of (m, n))."""
+    if m == 0:  # n >= 4
+        p, q, r = (0, 1), (-1, 1), (-1, -1)
+    elif n == 0:  # m >= 4
+        p, q, r = (1, 0), (1, -1), (-1, -1)
+    elif abs(n) == 1:  # m >= 3
+        p, q, r = (1, 0), (1, n), (0, -n)
+    else:
+        t = 1 if n > 0 else -1
+        p, q, r = (0, t), (1, 0), ((0, -t) if m == 1 else (-1, 0))
+    return p, q, r, (m - p[0] - q[0], n - p[1] - q[1])
 
 
 LADDER_BASE_NORM = 3
@@ -238,25 +238,23 @@ def _children(r: Index) -> tuple[tuple[Index, ...], Callable[[dict], tuple]]:
     offset: W(2m + r) = prod W(m + t) over the first four minus prod
     W(m + t) over the last four.
 
-    The net recurrence at p = v + a, q = v + b, r = c, s = d, with g = a - b,
-    c and h = c + d units from ``_ladder_units``, where W = 1, reads
-
-        W(u) W(g) W(c) W(h) = W(A+h) W(A-c) W(B+d) W(B) - W(B+h) W(B-c) W(A+d) W(A)
-
-    (W(g) = W(c) = W(h) = 1, so only Psi-hat divides by them) for
-    u = 2v + a + b + d, A = (u + g - d) / 2 and B = A - g.  The parity
-    of u fixes (g, c, h) so that u + g - d is even, so for u = 2m + r the
-    offsets A - m and B - m depend on r alone; for max-norm above LADDER_BASE_NORM every index on
-    the right is then smaller in max-norm.  It is a halving step in the
-    spirit of Shipsey's EDS doubling and Stange's double-and-add on
+    The step is the row (m + a, m + b, c, d) of ``_net_terms``, with
+    g = a - b, c and h = c + d units from ``_ladder_units``, where W = 1:
+    T0 = W(2m + r) W(g) W(c) W(h) (W(g) = W(c) = W(h) = 1, so only
+    Psi-hat divides by them) is minus T1 and T2.  Relative to m, the
+    indices of T1 and T2 are those of the row (a, b, c, d), but for T2's
+    second index c - (m + a), which enters as -W(m + (a - c)).  The parity
+    of r fixes (g, c, h) so that a = (r + g - d) / 2 is integral, so the
+    offsets depend on r alone; for max-norm above LADDER_BASE_NORM every
+    index on the right is then smaller in max-norm.  It is a halving step
+    in the spirit of Shipsey's EDS doubling and Stange's double-and-add on
     elliptic nets ("The Tate pairing via elliptic nets").
     """
     g, c, h = _ladder_units(tuple(x & 1 for x in r))
     d = tuple(map(sub, h, c))
     a = tuple((x + y - z) // 2 for x, y, z in zip(r, g, d))
-    b = tuple(map(sub, a, g))
-    step = (tuple(map(add, a, h)), tuple(map(sub, a, c)), tuple(map(add, b, d)), b,
-            tuple(map(add, b, h)), tuple(map(sub, b, c)), tuple(map(add, a, d)), a)
+    _, t1, (t20, t21, t22, t23) = _net_terms(a, tuple(map(sub, a, g)), c, d)
+    step = (t20, tuple(-x for x in t21), t22, t23, *t1)
     return step, itemgetter(*step)
 
 
@@ -267,8 +265,9 @@ def _max_norm(v: Index) -> int:
 def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
                psi: Callable[[int, int], object], combine: Callable[[object, Index], object],
                counts: Counter):
-    """Memoize W(key) for a normalized index by the source rule of the
-    module docstring, on the level-block schedule of the halving ladder.
+    """W(key) for a normalized index by the source rule of the module
+    docstring, on the level-block schedule of the halving ladder,
+    memoized in ``memo`` with every value on its way.
 
     At level j every index the key needs is (key >> j) + o for a small
     offset o (per-coordinate floor halving), and the children of offset o
@@ -291,7 +290,9 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
     constant values, so it meets no zero divisor, and the key is reached in O(log |key|) levels
     of a bounded number of offsets each.  Where a box value on the way
     raises (dependent points), the key takes ``box(key)``, and so does an
-    off-axis key of rank above LADDER_MAX_RANK, at once.
+    off-axis key of rank above LADDER_MAX_RANK, at once; that value is
+    returned but not memoized, so a later ladder through the key meets the
+    raising box value too, and no answer depends on what ``memo`` held.
     """
     rank = len(key)
     levels, base, offsets = [], key, {(0,) * rank}
@@ -323,8 +324,7 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
                 except EllnetError:
                     if u == key:
                         raise
-                    memo[key] = box(key)
-                    return
+                    return box(key)
             else:
                 step, values_of = _children(r)
                 inner.append((o, u, s, r, values_of))
@@ -347,6 +347,7 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
         filled = known
     if new:
         counts["ladder"] += new
+    return filled[(0,) * rank]
 
 
 def _quotient(x, d: int):
@@ -428,7 +429,6 @@ class EllipticNet:
         # (P_i, -P_i) in the cache's form
         self._steps = tuple((pt, neg(pt)) for pt in cached)
         self._points_cache: dict[Index, object] = {(0,) * self.rank: origin}
-        self._recurrence_base: dict[Index, object] | None = None
         # memoized values by the route that produced them
         self.route_counts: Counter = Counter()
 
@@ -521,12 +521,12 @@ class EllipticNet:
         """Psi-hat(v) on the points strategy over Q, for an index of the
         net's rank."""
         key, sign = _normalize(v)
-        if key not in self._scaled:
+        w = self._scaled.get(key)
+        if w is None:
             if self.rank == 2 and not self._scaled:
                 self._seed_box()
-            _net_value(key, self._scaled, self._points_value, self._axis_psi, self._divide,
-                       self.route_counts)
-        w = self._scaled[key]
+            w = _net_value(key, self._scaled, self._points_value, self._axis_psi, self._divide,
+                           self.route_counts)
         return -w if sign < 0 else w
 
     def _chord(self, i: int, j: int) -> tuple:
@@ -631,7 +631,7 @@ class EllipticNet:
         if base is not None:
             return "base", base
         if self._is_small_support(v):
-            return "points", (yield from self._support_reduce(v))
+            return "points", (yield from self._row_step(self._support_row(v)))
         return "points", (yield from self._point_step(v, self._step_axis(v)))
 
     def _point_step(self, v: Index, axis: int):
@@ -652,43 +652,35 @@ class EllipticNet:
         xw = pw.x if self._law is None else self._law.x(pw)
         return w_val * w_val * (self.points[axis].x - xw) / wmu_val
 
-    def _support_reduce(self, v: Index):
-        """W(v) for an index with every coordinate in {-1, 0, 1} and at
-        least three nonzero entries.
+    def _row_step(self, row: tuple[Index, Index, Index, Index]):
+        """W at the target of ``_instance(*row)`` on the route of ``_run``:
+        the three divisors are asked first, and a zero product raises,
+        then the eight factors."""
+        target, sign, factors, divisors = _instance(*row)
+        w = []
+        for u, s in divisors:
+            x = yield u
+            w.append(x if s > 0 else -x)
+        den = w[0] * w[1] * w[2]
+        if den == 0:
+            raise self._degenerate(f"zero divisor in the net recurrence at {target}")
+        for u, s in factors:
+            x = yield u
+            w.append(x if s > 0 else -x)
+        x = w[3] * w[4] * w[5] * w[6] + w[7] * w[8] * w[9] * w[10]
+        return (x if sign > 0 else -x) / den
 
-        The axis step does not shrink such indices, so they are resolved by
-        the recurrence instantiation (p, q, r, s) =
-        (e_i + w, e_i + s_k e_k, -e_i, -e_i) with v = e_i + w + s_k e_k,
-        which only references indices of smaller support.
-        """
-        i = next(k for k, c in enumerate(v) if c == 1)
+    @staticmethod
+    def _support_row(v: Index) -> tuple[Index, Index, Index, Index]:
+        """The row (e_i + w, e_i + s_k e_k, -e_i, -e_i) of an index
+        v = e_i + w + s_k e_k with every coordinate in {-1, 0, 1} and at
+        least three nonzero entries, which the axis step does not shrink:
+        every other index of the row has smaller support."""
+        i = v.index(1)
         k = next(k for k, c in enumerate(v) if c and k != i)
-        sk = v[k]
-        w = list(v)
-        w[i] = 0
-        w[k] = 0
-        w = tuple(w)
-
-        def shift(base: Index, *moves: tuple[int, int]) -> Index:
-            out = list(base)
-            for axis, delta in moves:
-                out[axis] += delta
-            return tuple(out)
-
-        zero = (0,) * self.rank
-        psi2_i = yield shift(zero, (i, 2))
-        divisor = (yield shift(w, (k, -sk))) * psi2_i
-        if divisor == 0:
-            raise self._degenerate(f"zero divisor in the support reduction at {v}")
-        t2 = ((yield shift(zero, (k, sk), (i, -1)))
-              * (yield shift(zero, (i, 2), (k, sk)))
-              * (yield w)
-              * (yield shift(w, (i, 1))))
-        t3 = ((yield shift(w, (i, -1)))
-              * (yield shift(tuple(-c for c in w), (i, -2)))
-              * sk
-              * (yield shift(zero, (i, 1), (k, sk))))
-        return -(t2 + t3) / divisor
+        minus_i = tuple(-int(j == i) for j in range(len(v)))
+        s_k = tuple(v[k] * (j == k) for j in range(len(v)))
+        return tuple(map(sub, v, s_k)), tuple(map(sub, s_k, minus_i)), minus_i, minus_i
 
     @staticmethod
     def _is_small_support(v: Index) -> bool:
@@ -712,44 +704,27 @@ class EllipticNet:
     # recurrence (rank <= 2)
     # ------------------------------------------------------------------
 
+    @cached_property
     def _recurrence_bases(self) -> dict[Index, object]:
-        if self._recurrence_base is not None:
-            return self._recurrence_base
+        """The initial values of the rank-2 recurrence schedule, and the
+        rows of ``_RECURRENCE_BASE_STEPS``, which divide only by units."""
         if self.rank != 2:
             raise PreconditionError("recurrence schedule is defined for rank <= 2")
-        init = {}
-        for v in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2)):
-            init[v] = initial_net_value(self.curve, self.points, v)
+        init = {v: initial_net_value(self.curve, self.points, v)
+                for v in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2))}
         init[(0, 0)] = self._zero
-        # instantiations of the net recurrence published with the initial data:
-        #   W(e1-e2)   = W(e1+2e2) - W(2e1+e2)
-        #   W(2e1-e2)  = W(2e1) W(2e2) - W(2e1+e2) W(e1-e2)^2   (and swapped)
-        init[(1, -1)] = init[(1, 2)] - init[(2, 1)]
-        init[(2, -1)] = init[(2, 0)] * init[(0, 2)] - init[(2, 1)] * init[(1, -1)] ** 2
-        init[(1, -2)] = -(init[(0, 2)] * init[(2, 0)] - init[(1, 2)] * init[(1, -1)] ** 2)
-        init[(3, 0)] = init[(2, 1)] * init[(2, -1)] - init[(2, 0)] ** 2 * init[(1, -1)]
-        init[(0, 3)] = -init[(1, 2)] * init[(1, -2)] + init[(0, 2)] ** 2 * init[(1, -1)]
-        self._recurrence_base = init
-        return init
+        return _apply_steps(init, _RECURRENCE_BASE_STEPS, lambda x, units: x)
 
     def _recurrence(self, v: Index):
-        """W(v) from the recurrence schedule alone; the values it needs are
-        asked on this route too, never through the points route."""
+        """W(v) from the recurrence schedule alone (``_recurrence_row``);
+        the values it needs are asked on this route too, never through the
+        points route."""
         if self.rank == 1:
             return "recurrence", self._divpolys[0].psi(v[0])
-        base = self._recurrence_bases()
+        base = self._recurrence_bases
         if v in base:
             return "base", base[v]
-        first, second, sign, divisor = _recurrence_terms(*v)
-        vals = []
-        for index in first + second + divisor:
-            vals.append((yield index))
-        a, b = len(first), len(first) + len(second)
-        den = reduce(mul, vals[b:])
-        if den == 0:
-            raise self._degenerate(f"zero divisor in the recurrence at {v}")
-        num1, num2 = reduce(mul, vals[:a]), reduce(mul, vals[a:b])
-        return "recurrence", (num1 + num2 if sign > 0 else num1 - num2) / den
+        return "recurrence", (yield from self._row_step(_recurrence_row(*v)))
 
     # ------------------------------------------------------------------
     # denominators
@@ -838,42 +813,71 @@ def _net_terms(p: Index, q: Index, r: Index, s: Index) -> tuple[tuple[Index, ...
     return term(p, q, r), term(q, r, p), term(r, p, q)
 
 
+def _instance(p: Index, q: Index, r: Index, s: Index) -> tuple[Index, int, tuple, tuple]:
+    """The net recurrence on the row (p, q, r, s) solved for the first
+    index of T0 of ``_net_terms``: (target, sign, factors, divisors) with
+
+        W(target) = sign * (prod W(factors[:4]) + prod W(factors[4:])) / prod W(divisors),
+
+    the factors the indices of T1 and T2 and the divisors the other three
+    of T0, each a (normalized index, sign) pair.  T_k of a row is T0 of the
+    row with p, q, r turned k places, so T0 serves every instance."""
+    (head, *divisors), t1, t2 = _net_terms(p, q, r, s)
+    target, sign = _normalize(head)
+    return target, -sign, tuple(map(_normalize, t1 + t2)), tuple(map(_normalize, divisors))
+
+
+def _unit_steps(rows) -> tuple[tuple[Index, int, tuple, tuple[Index, ...]], ...]:
+    """The ``_instance`` of each row whose divisors are units, where
+    W = +-1, as (target, sign, factors, units): the units' signs folded
+    into the sign, and the units their normalized indices."""
+    steps = []
+    for row in rows:
+        target, sign, factors, divisors = _instance(*row)
+        steps.append((target, sign * math.prod(s for _, s in divisors), factors,
+                      tuple(u for u, _ in divisors)))
+    return tuple(steps)
+
+
+def _apply_steps(values: dict[Index, object], steps, combine: Callable[[object, tuple], object]):
+    """``values`` with the target of each of ``steps`` (``_unit_steps``)
+    added in turn, as ``combine(x, units)`` for x = sign * (T1 + T2):
+    ``combine`` divides by the units' values or, where W = 1 on the units,
+    keeps x."""
+    for target, sign, factors, units in steps:
+        w = [values[t] if s > 0 else -values[t] for t, s in factors]
+        values[target] = combine(sign * (w[0] * w[1] * w[2] * w[3] + w[4] * w[5] * w[6] * w[7]), units)
+    return values
+
+
 # The rank-2 box |u| <= 3 from its eleven seeds W(0), W(e1) = W(e2) =
-# W(e1+e2) = 1, psi_2 and psi_3 on each axis, W(2,1), W(1,2) and W(2,2).
-# A row (target, (p, q, r, s), k) names the term T_k of ``_net_terms`` whose
-# first index is +-target and whose other three are units, where W = +-1;
-# the other two terms hold seeds and earlier targets only.
+# W(e1+e2) = 1, psi_2 and psi_3 on each axis, W(2,1), W(1,2) and W(2,2):
+# rows whose divisors are units, each new target (in the comment) from
+# seeds and earlier targets only.
 _SEED_ROWS = (
-    ((1, -1), ((-2, -1), (-1, -1), (-1, 0), (2, 2)), 2),
-    ((1, -2), ((-2, 0), (-1, -1), (-1, 0), (2, 2)), 2),
-    ((2, -1), ((-1, -1), (-1, 0), (0, -1), (0, 2)), 0),
-    ((2, -2), ((-2, 0), (-2, 1), (-1, -1), (2, 1)), 0),
-    ((1, -3), ((-2, 1), (-1, -1), (-1, 1), (2, 1)), 2),
-    ((1, 3), ((-2, -2), (-1, -2), (-1, -1), (2, 1)), 0),
-    ((2, -3), ((-2, 1), (-2, 2), (-1, 0), (2, 0)), 0),
-    ((2, 3), ((-2, -2), (-2, -1), (-1, 0), (2, 0)), 0),
-    ((3, -3), ((-3, 0), (-2, 1), (-1, -1), (2, 2)), 0),
-    ((3, -2), ((-2, 0), (-2, 1), (-1, 0), (1, 1)), 0),
-    ((3, -1), ((-2, -1), (-2, 0), (-1, -1), (1, 2)), 0),
-    ((3, 1), ((-2, -2), (-2, -1), (-1, -1), (1, 2)), 0),
-    ((3, 2), ((-2, -2), (-2, -1), (-1, 0), (1, 1)), 0),
-    ((3, 3), ((-3, -2), (-2, -2), (-1, -1), (2, 1)), 0),
+    ((-1, 0), (-2, -1), (-1, -1), (2, 2)),  # (1, -1)
+    ((-1, 0), (-2, 0), (-1, -1), (2, 2)),  # (1, -2)
+    ((-1, -1), (-1, 0), (0, -1), (0, 2)),  # (2, -1)
+    ((-2, 0), (-2, 1), (-1, -1), (2, 1)),  # (2, -2)
+    ((-1, 1), (-2, 1), (-1, -1), (2, 1)),  # (1, -3)
+    ((-2, -2), (-1, -2), (-1, -1), (2, 1)),  # (1, 3)
+    ((-2, 1), (-2, 2), (-1, 0), (2, 0)),  # (2, -3)
+    ((-2, -2), (-2, -1), (-1, 0), (2, 0)),  # (2, 3)
+    ((-3, 0), (-2, 1), (-1, -1), (2, 2)),  # (3, -3)
+    ((-2, 0), (-2, 1), (-1, 0), (1, 1)),  # (3, -2)
+    ((-2, -1), (-2, 0), (-1, -1), (1, 2)),  # (3, -1)
+    ((-2, -2), (-2, -1), (-1, -1), (1, 2)),  # (3, 1)
+    ((-2, -2), (-2, -1), (-1, 0), (1, 1)),  # (3, 2)
+    ((-3, -2), (-2, -2), (-1, -1), (2, 1)),  # (3, 3)
 )
-
-
-def _seed_step(p: Index, q: Index, r: Index, s: Index, k: int) -> tuple[int, tuple, tuple]:
-    """(sign, factors, units) with W(target) = sign * (prod W(factors[:4]) +
-    prod W(factors[4:])) / prod W(units): T_k = W(+-target) times its
-    three units, where W = +-1, is minus the other two terms.  The factors
-    are (normalized index, sign) pairs, the units normalized indices."""
-    terms = _net_terms(p, q, r, s)
-    (head, *units), rest = terms[k], terms[:k] + terms[k + 1:]
-    units = [_normalize(u) for u in units]
-    sign = -_normalize(head)[1] * reduce(mul, (s for _, s in units))
-    return sign, tuple(_normalize(t) for t in itertools.chain(*rest)), tuple(u for u, _ in units)
-
-
-_SEED_STEPS = tuple((target, *_seed_step(*quad, k)) for target, quad, k in _SEED_ROWS)
+_SEED_STEPS = _unit_steps(_SEED_ROWS)
+# the values the rank-2 recurrence schedule derives from its seven initial
+# ones: W(1,-1), W(2,-1), W(1,-2), W(3,0) and W(0,3), in that order
+_RECURRENCE_BASE_STEPS = _unit_steps((((0, -1), (1, 0), (1, 1), (0, 0)),
+                                      ((1, 0), (0, -1), (0, 1), (1, 0)),
+                                      ((0, -1), (1, 0), (-1, 0), (0, -1)),
+                                      ((1, 0), (2, 0), (0, -1), (0, 0)),
+                                      ((0, 1), (0, 2), (-1, 0), (0, 0))))
 
 
 def _box_seeds(x1, x2, x3, y3, a1, a3) -> dict[Index, object]:
@@ -893,10 +897,7 @@ def _seeded_box(seeds: dict[Index, object], psi: Callable[[int, int], object],
     box = {(0, 0): psi(0, 0), **seeds}
     for n in (1, 2, 3):
         box[n, 0], box[0, n] = psi(0, n), psi(1, n)
-    for target, sign, factors, units in _SEED_STEPS:
-        w = [box[t] if s > 0 else -box[t] for t, s in factors]
-        box[target] = combine(sign * (w[0] * w[1] * w[2] * w[3] + w[4] * w[5] * w[6] * w[7]), units)
-    return box
+    return _apply_steps(box, _SEED_STEPS, combine)
 
 
 def reduce_base_points(net: EllipticNet, p: int) -> tuple[tuple[tuple[int, int], ...], list[str]]:
@@ -965,8 +966,10 @@ class ReducedNet:
 
     So at ranks 1 and 2 ``value`` answers Psi_v(P) mod p at every index,
     and never reaches Q.  At ranks 3 to 6, where an exact box value on the
-    way raises (dependent points), the index itself is taken exact over Q,
-    and so is every off-axis index of a net of rank above LADDER_MAX_RANK.
+    way raises (dependent points), the index itself is taken exact over Q
+    each time it is asked (that residue is not memoized, so no answer
+    depends on what the net evaluated before), and so is every off-axis
+    index of a net of rank above LADDER_MAX_RANK.
     Every value exact over Q comes from ``_exact_residue``, ``exact_value``
     bounded at max-norm EXACT_FALLBACK_MAX_NORM, since the points route
     over Q is linear in |v| with values of size quadratic in |v|: above the
@@ -1022,10 +1025,10 @@ class ReducedNet:
     def residue(self, v: Sequence[int]) -> int:
         """W(v) mod p as an int in [0, p)."""
         key, sign = _normalize(self.net._key(v))
-        if key not in self._residues:
-            _net_value(key, self._residues, self._exact_residue, self._psi, self._residue,
-                       self.route_counts)
-        w = self._residues[key]
+        w = self._residues.get(key)
+        if w is None:
+            w = _net_value(key, self._residues, self._exact_residue, self._psi, self._residue,
+                           self.route_counts)
         return (w if sign > 0 else -w) % self.p
 
     def value(self, v: Sequence[int]) -> PrimeFieldElement:

@@ -15,12 +15,7 @@ from .errors import NotEllipticSequenceError, PreconditionError, SingularReducti
 from .fieldarith import PrimeFieldElement, val_p
 from .net import EllipticNet, box_indices, reduce_base_points
 from .lattice import Vector
-
-
-def _axis(rank: int, i: int, n: int = 1) -> Vector:
-    v = [0] * rank
-    v[i] = n
-    return tuple(v)
+from .symmetry import _axis_index
 
 
 def _plus(a: Vector, b: Vector) -> Vector:
@@ -89,12 +84,12 @@ def ayad_equivalence_report(net: EllipticNet, p: int, box_radius: int = 3,
             wit[name] = found
 
     axes = range(rank)
-    search("a", axes, lambda i: divides_w(_axis(rank, i, 2)) and divides_w(_axis(rank, i, 3)))
-    search("b", axes, lambda i: all(divides_w(_axis(rank, i, n)) for n in range(2, n_max + 1)))
+    search("a", axes, lambda i: divides_w(_axis_index(rank, i, 2)) and divides_w(_axis_index(rank, i, 3)))
+    search("b", axes, lambda i: all(divides_w(_axis_index(rank, i, n)) for n in range(2, n_max + 1)))
     divisible = lambda: (v for v in box_indices(rank, box_radius) if divides_w(v))
     search("c", ((v, i) for v in divisible() for i in axes),
-           lambda vi: divides_w(_plus(vi[0], _axis(rank, vi[1]))))
-    x1, e1 = net.points[0].x, _axis(rank, 0)
+           lambda vi: divides_w(_plus(vi[0], _axis_index(rank, vi[1], 1))))
+    x1, e1 = net.points[0].x, _axis_index(rank, 0, 1)
     search("d", divisible(), lambda v: divides(net.value(v) ** 2 * x1 - net.value(_plus(v, e1))
                                                * net.value(tuple(a - b for a, b in zip(v, e1)))))
     search("e", axes, lambda i: is_singular_reduction(curve, net.points[i], p))

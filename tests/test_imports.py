@@ -1,12 +1,15 @@
 """Every name a module of the package imports is used in that module, and
-every private function or method it defines is used in the package.
+every private function, method or module-level name it defines is used in
+the package.
 
-No linter ships with the project, so this catches imports and helpers left
-behind when the code that needed them goes.  ``__init__`` re-exports what
-it imports, and ``from __future__`` imports are directives, so both are
-exempt.  A private definition (one leading underscore, not a dunder) is
-used when its name occurs as a name or an attribute anywhere in the
-package outside the definition itself; tests do not count.
+No linter ships with the project, so this catches imports, helpers and
+tables left behind when the code that needed them goes.  ``__init__``
+re-exports what it imports, and ``from __future__`` imports are
+directives, so both are exempt.  A private definition (one leading
+underscore, not a dunder) is a ``def`` or a name that a module-level
+assignment binds; it is used when its name occurs as a name or an
+attribute anywhere in the package outside the definition itself (the
+function, or the assignment statement); tests do not count.
 """
 import ast
 from pathlib import Path
@@ -42,13 +45,21 @@ def test_unused_import_is_reported():
 
 
 def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
-    """The private functions and methods defined in the sources, by module,
-    whose name no other place in the sources uses as a name or attribute."""
+    """The private functions, methods and module-level names defined in the
+    sources, by module, whose name no other place in the sources uses as a
+    name or attribute."""
+    private = lambda name: name.startswith("_") and not name.endswith("__")
     definitions, references = [], []
     for module, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                definitions += [(module, name, node.lineno, node.end_lineno) for name in names if private(name)]
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
+                if private(node.name):
                     definitions.append((module, node.name, node.lineno, node.end_lineno))
             elif isinstance(node, (ast.Name, ast.Attribute)):
                 references.append((module, getattr(node, "id", None) or node.attr, node.lineno))
@@ -63,7 +74,11 @@ def test_every_private_definition_is_used():
 
 
 def test_unused_private_definition_is_reported():
-    sources = {"a.py": "def _used():\n    return _used()\n\ndef _left(x):\n    return x\n",
+    sources = {"a.py": "def _used():\n    return _used()\n\ndef _left(x):\n    return x\n"
+                       "_ROWS = (1, 2)\n_STEPS = tuple(_ROWS)\n_TABLE: dict = {}\n_A, _B = 1, 2\n"
+                       "__all__ = []\n",
                "b.py": "import a\nclass C:\n    def _method(self):\n        return a._used()\n"
-                       "    def __repr__(self):\n        return ''\n"}
-    assert unreferenced_private_definitions(sources) == ["a.py: _left (line 4)", "b.py: _method (line 3)"]
+                       "    def __repr__(self):\n        return a._STEPS, a._A\n"
+                       "    _slot = None\n"}
+    assert unreferenced_private_definitions(sources) == [
+        "a.py: _TABLE (line 8)", "a.py: _B (line 9)", "a.py: _left (line 4)", "b.py: _method (line 3)"]

@@ -1,11 +1,13 @@
 import functools
 import itertools
+import json
 import math
 import random
 import time
 import types
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +291,26 @@ def test_gf_recurrence_strategy(e1, net1):
             continue
         assert got == reduced.value(v), v
     assert degenerate > 0
+
+
+# where the recurrence route mod p and the points route on dependent points
+# raise (tests/data/raise_sets.json), recorded on the explicit schedule and
+# support reduction that the rows of the net recurrence replaced
+RAISE_SETS = json.loads((Path(__file__).parent / "data" / "raise_sets.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(RAISE_SETS["recurrence"]))
+def test_gf_recurrence_raise_set_is_pinned(name):
+    config, _, p = name.split()
+    curve, points = {"E1-pq": (E1, (P1, Q1)), "E1-qp": (E1, (Q1, P1)),
+                     "E2-pq": (E2, (P2, Q2)), "E2-qp": (E2, (Q2, P2))}[config]
+    p = int(p)
+    net = EllipticNet(reduce_curve(curve, p), tuple(reduce_mod_p(curve, pt, p) for pt in points),
+                      strategy="recurrence")
+    marks = {DegenerateNetError: "x", PrimeFieldElement: "."}
+    rows = ["".join(marks.get(_outcome(lambda v: type(net.value(v)), (a, b)), "?")
+                    for b in range(-12, 13)) for a in range(-12, 13)]
+    assert rows == RAISE_SETS["recurrence"][name]
 
 
 def test_gf_points_strategy_signals_degeneracy(e1):
@@ -676,6 +698,16 @@ def test_exact_fallback_is_bounded_by_max_norm():
     _reduce_fraction(points_route(by_points, past), 101)
     with pytest.raises(DependentPointsError, match="max-norm at most 28"):
         reduced.value(past)
+
+
+def test_points_route_raise_set_on_dependent_points_is_pinned():
+    # the support reduction serves every index of max-norm 1 with three or
+    # more nonzero coordinates
+    net = EllipticNet(CURVE_234446A, DEPENDENT_234446A)
+    outcomes = {v: _outcome(lambda u: points_route(net, u), v) for v in box_indices(4, 3)}
+    raised = [v for v, w in outcomes.items() if isinstance(w, type)]
+    assert {outcomes[v] for v in raised} == {DependentPointsError}
+    assert [list(v) for v in raised] == RAISE_SETS["points"]
 
 
 # seven integral points of 5077a: past LADDER_MAX_RANK, and dependent,
@@ -1430,13 +1462,12 @@ SEEDED_CONFIGS = {
 
 def test_seed_rows_are_well_founded():
     known = set(SEEDS)
-    for target, quad, k in _SEED_ROWS:
+    for quad in _SEED_ROWS:
         terms = _net_terms(*quad)
-        head, *units = terms[k]
-        assert head in (target, tuple(-c for c in target)), target
+        head, *units = terms[0]
+        target = _normalize(head)[0]
         assert set(units) <= UNITS, target
-        rest = [t for j, term in enumerate(terms) if j != k for t in term]
-        assert {_normalize(t)[0] for t in rest} <= known, target
+        assert {_normalize(t)[0] for term in terms[1:] for t in term} <= known, target
         assert all(max(map(abs, t)) <= 3 for term in terms for t in term), target
         known.add(target)
     # the seeds and the rows cover the normalized box, each index once

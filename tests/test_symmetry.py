@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -227,18 +228,29 @@ def test_tables_of_dependent_points_agree_with_the_net(p):
 
 def test_dependent_triple_verify_keeps_its_output(capsys):
     # the identity check calls xi at lam_i + lam_j, whose auxiliary values
-    # lie past the exact fallback's bound: whether the rank-3 ladder answers
-    # them depends on what the build left in the memo (xi at (1, 1, 27)
-    # raises on a fresh net and gives 57 after a build), so the output is
-    # pinned; the periodicity check then meets the dependence
+    # lie past the exact fallback's bound, so it refuses as a fresh net does
     from ellnet.cli import main
 
     code = main(["verify", "symmetry-props", "--curve", "0,0,0,0,-11",
                  "--points", "(3,4);(15,58);(9/4,-5/8)", "--prime", "211"])
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (
-        2, "PASS chi/xi identities mod 211\n",
-        "error: (1, 1, -1) . P is the identity: base points are dependent\n")
+        2, "", "error: a box value on the ladder raises (dependent points), and the exact "
+               "fallback takes indices of max-norm at most 28\n")
+
+
+def test_rank_three_answers_do_not_depend_on_the_memo():
+    # the exact fallback's value at a ladder key is not memoized, so a
+    # later ladder through that key meets the raising box value as a fresh
+    # net's does: xi at (1, 1, 27) raises on a fresh net and after a build
+    curve, points = WeierstrassCurve(*E1_COEFFS), (P1, Q1, rational_point(Fraction(9, 4), Fraction(-5, 8)))
+    fresh = ReducedNet(EllipticNet(curve, points), 211)
+    built = ReducedNet(EllipticNet(curve, points), 211)
+    lattice = build_symmetry_data(built).lattice
+    assert lattice == zero_lattice(fresh)
+    for net in (fresh, built):
+        with pytest.raises(DependentPointsError, match="max-norm at most 28"):
+            xi(net, lattice, (1, 1, 27))
 
 
 # the walk nets of independent points, 5077a's first pair and a rank-3
