@@ -36,7 +36,6 @@ from .net import (
     recurrence_check,
 )
 from .symmetry import (
-    ApparitionResult,
     SymmetryData,
     build_symmetry_data,
     chi,

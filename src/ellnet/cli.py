@@ -11,7 +11,6 @@ import contextlib
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import render, symmetry, theorems
 from .curve import CurvePoint, INFINITY, WeierstrassCurve, rational_point
@@ -72,19 +71,6 @@ def _oriented_points(args) -> tuple[CurvePoint, ...]:
 
 def _build_net(args) -> EllipticNet:
     return EllipticNet(parse_curve(args.curve), _oriented_points(args))
-
-
-def _denominators(net: EllipticNet, args):
-    return lambda v: Fraction(net.denominator(v))
-
-
-def _net_values(net: EllipticNet, args):
-    return net.value
-
-
-def _residues(net: EllipticNet, args):
-    reduced = ReducedNet(net, args.prime)
-    return lambda v: Fraction(reduced.value(v).residue)
 
 
 def cmd_table(args) -> int:
@@ -213,15 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("denom-table", help="denominator net grid")
     common(p, grid=True)
-    p.set_defaults(func=cmd_table, entries=_denominators)
+    p.set_defaults(func=cmd_table, entries=lambda net, args: net.denominator)
 
     p = sub.add_parser("net-table", help="net polynomial value grid")
     common(p, grid=True)
-    p.set_defaults(func=cmd_table, entries=_net_values)
+    p.set_defaults(func=cmd_table, entries=lambda net, args: net.value)
 
     p = sub.add_parser("reduced-table", help="net values reduced mod p")
     common(p, grid=True, prime=True, prime_required=True)
-    p.set_defaults(func=cmd_table, entries=_residues)
+    p.set_defaults(func=cmd_table,
+                   entries=lambda net, args: ReducedNet(net, args.prime).residue)
 
     p = sub.add_parser("symmetry", help="zero lattice and xi/chi tables mod p")
     common(p, prime=True, prime_required=True)

@@ -147,7 +147,6 @@ from .errors import (
     EllnetError,
     ModelNotIntegralError,
     NonIntegralReductionError,
-    PointNotOnCurveError,
     PreconditionError,
     SingularCurveError,
 )
@@ -177,13 +176,17 @@ def initial_net_value(curve: WeierstrassCurve, points: Sequence[CurvePoint], v: 
         if {ci, cj} == {1, 2}:
             if ci == 1:
                 i, j = j, i
-            xi, yi = points[i].x, points[i].y
-            xj, yj = points[j].x, points[j].y
-            if xi == xj:
+            if points[i].x == points[j].x:
                 raise DegeneratePairError("base points share an x-coordinate")
-            s = (yj - yi) / (xj - xi)
-            return 2 * xi + xj - s * s - curve.a1 * s + curve.a2
+            return points[i].x - _chord(curve, points[i], points[j])[0]
     return None
+
+
+def _chord(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> tuple:
+    """P + Q = (x3, y3) by the chord through P and Q, x_P != x_Q."""
+    s = (q.y - p.y) / (q.x - p.x)
+    x3 = s * s + curve.a1 * s - curve.a2 - p.x - q.x
+    return x3, s * (p.x - x3) - p.y - curve.a1 * x3 - curve.a3
 
 
 def _recurrence_row(m: int, n: int) -> tuple[Index, Index, Index, Index]:
@@ -529,22 +532,15 @@ class EllipticNet:
                            self.route_counts)
         return -w if sign < 0 else w
 
-    def _chord(self, i: int, j: int) -> tuple:
-        """P_i + P_j by the chord (the constructor refused x_i = x_j)."""
-        c, p, q = self.curve, self.points[i], self.points[j]
-        s = (q.y - p.y) / (q.x - p.x)
-        x3 = s * s + c.a1 * s - c.a2 - p.x - q.x
-        return x3, s * (p.x - x3) - p.y - c.a1 * x3 - c.a3
-
     @cached_property
     def _form(self) -> QuadraticFormData:
         """The form of F over Q: D_{P_i} off the cached triples and
         D_{P_i+P_j} off the denominator of the chord's x, with no group law;
         all ones (F = 1) off an integral model."""
-        law = self._law is not None
+        law, c, pts = self._law is not None, self.curve, self.points
         return QuadraticFormData.from_denominators(
             [pt[2] if law else 1 for pt, _ in self._steps],
-            lambda i, j: math.isqrt(self._chord(i, j)[0].denominator) if law else 1)
+            lambda i, j: math.isqrt(_chord(c, pts[i], pts[j])[0].denominator) if law else 1)
 
     def _scale(self, v: Index, w):
         """F_v w over Q, an int where it is integral."""
@@ -556,7 +552,7 @@ class EllipticNet:
         the seeds scaled by F_u with P_1 + P_2 by the chord; its values are
         counted under ``seed``."""
         c, (p1, p2) = self.curve, self.points
-        seeds = _box_seeds(p1.x, p2.x, *self._chord(0, 1), c.a1, c.a3)
+        seeds = _box_seeds(p1.x, p2.x, *_chord(c, p1, p2), c.a1, c.a3)
         self._scaled = _seeded_box({u: self._scale(u, w) for u, w in seeds.items()},
                                    self._axis_psi, self._divide)
         self.route_counts["seed"] = len(self._scaled)
@@ -941,10 +937,12 @@ class ReducedNet:
     (x_i - x_j)^-1 (Stange), so reduction mod p is a ring map and the
     reduced seeds fix the reduced net.  The constructor works on int
     residues throughout: the reduced points come from the net's cached
-    (A, B, D) triples and are checked on the curve mod p, and ``gf_curve``
-    and ``gf_points``, in ``PrimeFieldElement`` form, are built on first
-    access.  Each index v takes its residue from one source, by the rule of
-    ``_net_value`` that exact nets follow too:
+    (A, B, D) triples, which ``decompose`` checked on the integral model in
+    integers, so with p not dividing D (``reduce_base_points``) they lie on
+    the reduced curve; ``gf_curve`` and ``gf_points``, in
+    ``PrimeFieldElement`` form, are built on first access.  Each index v
+    takes its residue from one source, by the rule of ``_net_value`` that
+    exact nets follow too:
 
     * 0 and one nonzero coordinate: psi_n of the reduced point P_i
       (``DivisionPolynomials`` on int residues, Shipsey's doubling; 0 at
@@ -998,9 +996,6 @@ class ReducedNet:
         if defects:
             raise PreconditionError(defects[0])
         law = net._law
-        for x, y in self._points:
-            if (y * (y + law.a1 * x + law.a3) - x * (x * (x + law.a2) + law.a4) - law.a6) % p:
-                raise PointNotOnCurveError(f"{gf_point(x, y, p)} is not on the curve")
         b2, b4, b6, b8, _ = (b.numerator for b in net.curve.b_invariants())
         self._divpolys = tuple(DivisionPolynomials.from_residues(p, law.a1, law.a3, b2, b4, b6, b8, x, y)
                                for x, y in self._points)

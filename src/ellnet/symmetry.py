@@ -13,10 +13,12 @@ product formula and the value of one representative.
 
 Lambda is the kernel of v -> v . P on the reduced curve group, found by a
 group walk on int residues (``zero_lattice``) at every prime, good or bad.
-Ward's O(1) test, W(3 e_i) = W(4 e_i) = 0, guards it: it refuses an axis
-whose point reduces to the singular point.  The psi scan for the rank of
-apparition (``rank_of_apparition``, O(p) net values) is the definition and
-the tests' oracle; no build calls it.
+Ward's O(1) test, W(3 e_i) = W(4 e_i) = 0 (``_refuse_ward``), guards it:
+it refuses an axis whose point reduces to the singular point.
+``rank_of_apparition`` returns rho, the least n > 0 with W(n e_i) = 0, or
+raises ``NotSubgroupError`` where the zeros on the axis are not rho Z; its
+psi scan (O(p) net values) is the definition and the tests' oracle, and no
+build calls it.
 
 A net is normalized so that W(e_i) = 1 and W(e_i + e_j) = 1 for i != j
 (Stange; Ward at rank 1), so the theorem at v = e_i and v = e_i + e_j reads
@@ -36,10 +38,10 @@ and W(2 e_1) = psi_2 stays in the formula.  A vector v with v_k >= 0 gives
     chi(lambda_i, v) = prod_k chi(lambda_i, e_k)^(v_k),
 
 so chi(lambda_i, lambda_j) needs no net value (HNF entries are >= 0).
-``delta``, ``chi`` and ``xi`` stay the definitions, through an auxiliary
-representative u; the tests compare the tables with them, and no build
-calls them.  The tables, the representatives' values and
-``eval_by_symmetry`` run on int residues (``ReducedNet.residue``);
+``delta``, ``chi`` and ``xi`` stay the definitions, through one auxiliary
+representative u (``_auxiliary``); the tests compare the tables with
+them, and no build calls them.  The tables, the representatives' values
+and ``eval_by_symmetry`` run on int residues (``ReducedNet.residue``);
 ``PrimeFieldElement`` appears only in the ``SymmetryData`` fields and in
 return values.  Reading the tables off the units, in place of about ten
 delta quotients of ``PrimeFieldElement``s at a searched u, took the
@@ -59,18 +61,8 @@ from .fieldarith import PrimeFieldElement, _element
 from .lattice import IntegerLattice, Vector, lattice_from_generators
 from .net import ReducedNet
 
-UNIQUE = "unique"
-NONE_FOUND = "none"
-NON_UNIQUE = "non_unique"
-
-
-@dataclass(frozen=True)
-class ApparitionResult:
-    """Rank of apparition along one axis: a modulus, NONE or NON_UNIQUE."""
-
-    status: str
-    rho: int | None = None
-    bound: int | None = None
+def _plus(a: Vector, b: Vector) -> Vector:
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def _axis_index(rank: int, axis: int, n: int) -> Vector:
@@ -84,34 +76,33 @@ def default_search_bound(p: int) -> int:
     return p + 1 + 2 * math.isqrt(p - 1) + 3
 
 
-def _ward_non_unique(net: ReducedNet, axis: int) -> bool:
+def _refuse_ward(net: ReducedNet, axis: int) -> None:
     """Ward's criterion: W(3 e_axis) = W(4 e_axis) = 0 leaves the axis no
-    unique rank of apparition."""
-    return all(net.value(_axis_index(net.rank, axis, n)) == 0 for n in (3, 4))
+    unique rank of apparition, and raises ``NotSubgroupError``."""
+    if all(net.value(_axis_index(net.rank, axis, n)) == 0 for n in (3, 4)):
+        raise NotSubgroupError(f"axis {axis} has no unique rank of apparition (non_unique)")
 
 
-def rank_of_apparition(net: ReducedNet, axis: int, bound: int | None = None) -> ApparitionResult:
-    """Least n > 0 with W(n e_axis) = 0, with the divisibility law verified.
+def rank_of_apparition(net: ReducedNet, axis: int) -> int:
+    """rho, the least n > 0 with W(n e_axis) = 0, with the divisibility law
+    verified on a scan of ``default_search_bound(p)`` values.
 
-    Returns NON_UNIQUE under Ward's criterion (``_ward_non_unique``), NONE
-    when no zero occurs within the bound.  This O(p) scan of the axis is
+    Raises ``NotSubgroupError`` under Ward's criterion (``_refuse_ward``),
+    and where the zeros of the scan are not the multiples of a rho > 1,
+    none included.  On a ``ReducedNet`` a zero always occurs: rho is at
+    most #E_ns(F_p) <= p + 1 + 2 sqrt(p), and a P_i that reduces to the
+    singular point fails Ward's test first.  This O(p) scan of the axis is
     the definition of rho and the tests' oracle; ``zero_lattice`` does not
     call it, at any prime.
     """
-    if bound is None:
-        bound = default_search_bound(net.p)
-    e = lambda n: _axis_index(net.rank, axis, n)
-    if _ward_non_unique(net, axis):
-        return ApparitionResult(NON_UNIQUE, bound=bound)
-    zeros = [n for n in range(1, bound + 1) if net.value(e(n)) == 0]
-    if not zeros:
-        return ApparitionResult(NONE_FOUND, bound=bound)
-    rho = zeros[0]
-    if rho == 1 or zeros != [n for n in range(1, bound + 1) if n % rho == 0]:
+    _refuse_ward(net, axis)
+    bound = default_search_bound(net.p)
+    zeros = [n for n in range(1, bound + 1) if net.value(_axis_index(net.rank, axis, n)) == 0]
+    if not zeros or zeros[0] == 1 or zeros != list(range(zeros[0], bound + 1, zeros[0])):
         raise NotSubgroupError(
-            f"axis {axis}: zeros {zeros[:8]}... are not the multiples of {rho}"
+            f"axis {axis}: zeros {zeros[:8]}... up to {bound} are not the multiples of a rho > 1"
         )
-    return ApparitionResult(UNIQUE, rho=rho, bound=bound)
+    return zeros[0]
 
 
 def zero_lattice(net: ReducedNet) -> IntegerLattice:
@@ -149,8 +140,7 @@ def zero_lattice(net: ReducedNet) -> IntegerLattice:
     add, neg = net.net._law.residue_law(net.p)
     rank = net.rank
     for axis in range(rank):
-        if _ward_non_unique(net, axis):
-            raise NotSubgroupError(f"axis {axis} has no unique rank of apparition ({NON_UNIQUE})")
+        _refuse_ward(net, axis)
     generators: list[Vector] = []
     limit = default_search_bound(net.p) + 1
     table: dict[tuple[int, int] | None, tuple[int, ...]] = {None: ()}
@@ -178,7 +168,7 @@ def delta(net: ReducedNet, lam: Vector, v: Vector) -> PrimeFieldElement:
     wv = net.value(v)
     if wv == 0:
         raise ZeroDivisionError(f"delta is undefined at v = {v} (W(v) = 0)")
-    return net.value(tuple(a + b for a, b in zip(lam, v))) / wv
+    return net.value(_plus(lam, v)) / wv
 
 
 def _require_large_quotient(lattice: IntegerLattice) -> None:
@@ -188,32 +178,28 @@ def _require_large_quotient(lattice: IntegerLattice) -> None:
         )
 
 
-def chi(net: ReducedNet, lattice: IntegerLattice, lam: Vector, v: Vector) -> PrimeFieldElement:
-    """The bilinear symbol chi(lam, v) = delta(lam, v + u) / delta(lam, u).
-
-    The auxiliary u is the first canonical representative (lexicographic
-    order) with u and v + u both outside Lambda; the result does not
-    depend on the choice.
-    """
+def _auxiliary(lattice: IntegerLattice, v: Vector) -> Vector:
+    """The first canonical representative u (lexicographic order) with u
+    and v + u both outside Lambda.  The index is at least 4, and the two
+    conditions exclude at most two cosets, so one is always left."""
     _require_large_quotient(lattice)
-    for u in lattice.representatives():
-        if lattice.contains(u):
-            continue
-        vu = tuple(a + b for a, b in zip(v, u))
-        if lattice.contains(vu):
-            continue
-        return delta(net, lam, vu) / delta(net, lam, u)
-    raise SmallQuotientError("no admissible auxiliary representative found")
+    return next(u for u in lattice.representatives()
+                if not lattice.contains(u) and not lattice.contains(_plus(v, u)))
+
+
+def chi(net: ReducedNet, lattice: IntegerLattice, lam: Vector, v: Vector) -> PrimeFieldElement:
+    """The bilinear symbol chi(lam, v) = delta(lam, v + u) / delta(lam, u)
+    at the auxiliary u of v (``_auxiliary``); the result does not depend on
+    the choice."""
+    u = _auxiliary(lattice, v)
+    return delta(net, lam, _plus(v, u)) / delta(net, lam, u)
 
 
 def xi(net: ReducedNet, lattice: IntegerLattice, lam: Vector) -> PrimeFieldElement:
-    """The quadratic cocycle xi(lam) = delta(lam, v) / chi(lam, v)."""
-    _require_large_quotient(lattice)
-    for u in lattice.representatives():
-        if lattice.contains(u):
-            continue
-        return delta(net, lam, u) / chi(net, lattice, lam, u)
-    raise SmallQuotientError("no representative outside the lattice")
+    """The quadratic cocycle xi(lam) = delta(lam, u) / chi(lam, u), at the
+    auxiliary u of v = 0."""
+    u = _auxiliary(lattice, (0,) * lattice.rank)
+    return delta(net, lam, u) / chi(net, lattice, lam, u)
 
 
 @dataclass(frozen=True)
@@ -298,9 +284,9 @@ def eval_by_symmetry(sd: SymmetryData, v) -> PrimeFieldElement:
     return _element(w, p)
 
 
-def periodicity_check(sd: SymmetryData, samples: int = 50, seed: int = 0,
-                      radius: int = 12) -> bool:
-    """Spot-check W(v + (q - 1) lambda) = W(v) for basis lambda.
+def periodicity_check(sd: SymmetryData, samples: int = 50, seed: int = 0) -> bool:
+    """Spot-check W(v + (q - 1) lambda) = W(v) for basis lambda, at random
+    v with every |v_k| <= 12.
 
     The shifted side goes through the symmetry tables and the unshifted
     side through direct evaluation, so a corrupted table is detected.
@@ -308,7 +294,7 @@ def periodicity_check(sd: SymmetryData, samples: int = 50, seed: int = 0,
     rng = random.Random(seed)
     q = sd.p
     for _ in range(samples):
-        v = tuple(rng.randint(-radius, radius) for _ in range(sd.rank))
+        v = tuple(rng.randint(-12, 12) for _ in range(sd.rank))
         direct = sd.net.value(v)
         for lam in sd.lattice.basis:
             shifted = tuple(a + (q - 1) * b for a, b in zip(v, lam))

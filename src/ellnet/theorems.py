@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from .curve import is_singular_reduction
@@ -15,11 +16,7 @@ from .errors import NotEllipticSequenceError, PreconditionError, SingularReducti
 from .fieldarith import PrimeFieldElement, val_p
 from .net import EllipticNet, box_indices, reduce_base_points
 from .lattice import Vector
-from .symmetry import _axis_index
-
-
-def _plus(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
+from .symmetry import _axis_index, _plus
 
 
 @dataclass
@@ -182,41 +179,32 @@ def unique_apparition_test(values: Sequence, p: int | None = None) -> bool:
     return unique
 
 
-def _epsilon(net: EllipticNet, p: int, v: Vector, value: Callable) -> Fraction | None:
-    """eps(v) = lambda_p(v.P) - val_p(disc)/12 - val_p(W(v)), with W(v) from
-    ``value``; eps(0) = 0, and None where v.P is the identity."""
+def _epsilon(net: EllipticNet, p: int, v: Vector) -> Fraction | None:
+    """eps(v) = lambda_p(v.P) - val_p(disc)/12 - val_p(W(v)); eps(0) = 0,
+    and None where v.P is the identity."""
     if not any(v):
         return Fraction(0)
     height = net.local_height(v, p)
     if height is None:
         return None
-    return height - Fraction(val_p(net.curve.discriminant, p), 12) - val_p(value(v), p)
+    return height - Fraction(val_p(net.curve.discriminant, p), 12) - val_p(net.value(v), p)
 
 
 def epsilon_value(net: EllipticNet, p: int, v: Vector) -> Fraction:
     """eps(v) = lambda_p(v.P) - val_p(disc)/12 - val_p(W(v)); eps(0) = 0."""
-    eps = _epsilon(net, p, v, net.value)
+    eps = _epsilon(net, p, v)
     if eps is None:
         raise SingularReductionError(f"{v} . P is the identity; eps undefined")
     return eps
 
 
-def epsilon_quadratic_check(net: EllipticNet, p: int, box_radius: int,
-                            value_fn: Callable | None = None) -> bool:
+def epsilon_quadratic_check(net: EllipticNet, p: int, box_radius: int) -> bool:
     """Parallelogram law and integrality of eps over a box of index pairs.
 
     Pairs whose epsilon is undefined (a combination hits the identity) are
-    skipped.  ``value_fn`` overrides net evaluation, which the fault
-    injection tests use.
+    skipped.
     """
-    value = value_fn or net.value
-    cache: dict[Vector, Fraction | None] = {}
-
-    def eps(v: Vector) -> Fraction | None:
-        if v not in cache:
-            cache[v] = _epsilon(net, p, v, value)
-        return cache[v]
-
+    eps = cache(lambda v: _epsilon(net, p, v))
     box = box_indices(net.rank, box_radius)
     for v in box:
         ev = eps(v)

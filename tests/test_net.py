@@ -25,6 +25,7 @@ from ellnet import (
     decompose,
     factorize,
     initial_net_value,
+    is_prime,
     is_singular_reduction,
     rational_point,
     recurrence_check,
@@ -1547,6 +1548,26 @@ def test_reduced_net_is_built_on_int_residues(monkeypatch):
     assert reduced.gf_points == tuple(reduce_mod_p(E1, pt, 1009) for pt in (P1, Q1))
     assert reduced.gf_curve.b_invariants() == reduce_curve(E1, 1009).b_invariants()
     assert reduced.gf_curve is reduced.gf_curve
+
+
+@pytest.mark.parametrize("curve, points", [
+    (E1, (P1, Q1)), (E1, (Q1, P1)), (E2, (P2, Q2)), (E2, (Q2, P2)),
+    (CURVE_5077A, POINTS_5077A), (CURVE_234446A, POINTS_234446A),
+], ids=["E1-pq", "E1-qp", "E2-pq", "E2-qp", "5077a", "234446a"])
+def test_reduced_points_lie_on_the_reduced_curve(curve, points):
+    # ReducedNet checks no point mod p: decompose checked each (A, B, D) on
+    # the integral model in integers, and p does not divide D, so the
+    # identity holds mod p after multiplying by D^-6
+    net = EllipticNet(curve, points)
+    built = 0
+    for p in filter(is_prime, range(2, 400)):
+        try:
+            reduced = ReducedNet(net, p)
+        except PreconditionError:
+            continue
+        assert all(reduced.gf_curve.contains(pt) for pt in reduced.gf_points), p
+        built += 1
+    assert built >= 75  # of the 78 primes below 400
 
 
 @pytest.mark.parametrize("curve, points, p", [

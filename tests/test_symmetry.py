@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from ellnet import (
     chi,
     delta,
     eval_by_symmetry,
+    gf_point,
     is_prime,
     periodicity_check,
     rank_of_apparition,
@@ -29,7 +31,6 @@ from ellnet.errors import (DependentPointsError, EllnetError, NotSubgroupError, 
                            SingularCurveError, SmallQuotientError)
 from ellnet.lattice import lattice_from_generators
 from ellnet.net import box_indices
-from ellnet.symmetry import NON_UNIQUE, UNIQUE
 from conftest import E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2, assert_lattice_is_kernel
 
 # Published zero-lattice bases for E1 with generators (P, Q), P listed first.
@@ -45,8 +46,7 @@ PAPER_LATTICES = {
 def test_rank_of_apparition_mod_7(reduced1_pq, e1):
     net = reduced1_pq[7]
     for axis in (0, 1):
-        entry = rank_of_apparition(net, axis)
-        assert entry.status == UNIQUE and entry.rho == 13
+        assert rank_of_apparition(net, axis) == 13
     # oracle: the reduced group has 13 elements
     assert len(list(reduce_curve(e1, 7).enumerate_points())) == 13
 
@@ -54,7 +54,9 @@ def test_rank_of_apparition_mod_7(reduced1_pq, e1):
 def test_rank_of_apparition_non_unique(e2):
     # the singular-reduction point has psi_3 = psi_4 = 0 mod 7
     net = ReducedNet(EllipticNet(e2, (P2,)), 7)
-    assert rank_of_apparition(net, 0).status == NON_UNIQUE
+    message = r"^axis 0 has no unique rank of apparition \(non_unique\)$"
+    with pytest.raises(NotSubgroupError, match=message):
+        rank_of_apparition(net, 0)
 
 
 class FakeSequenceNet:
@@ -71,14 +73,21 @@ class FakeSequenceNet:
 
 def test_rank_of_apparition_synthetic_w3_w4():
     net = FakeSequenceNet([0, 1, 1, 0, 0])
-    assert rank_of_apparition(net, 0, bound=10).status == NON_UNIQUE
+    with pytest.raises(NotSubgroupError, match="no unique rank of apparition"):
+        rank_of_apparition(net, 0)
 
 
-def test_rank_of_apparition_none_within_bound(reduced1_pq):
-    from ellnet.symmetry import NONE_FOUND
+def test_rank_of_apparition_none_within_bound():
+    # no ReducedNet reaches this (rho <= #E_ns(F_p) lies within the scan);
+    # a sequence with no zero up to the bound is not a subgroup rho Z either
+    with pytest.raises(NotSubgroupError, match=r"zeros \[\]\.\.\. up to 13 are not the multiples"):
+        rank_of_apparition(FakeSequenceNet([0, 1, 1, 2, 3]), 0)
 
-    entry = rank_of_apparition(reduced1_pq[7], 0, bound=10)
-    assert entry.status == NONE_FOUND and entry.bound == 10
+
+def test_rank_of_apparition_refuses_zeros_off_a_subgroup():
+    # zeros at 2 and 3 but not 4: Ward's test passes, the pattern does not
+    with pytest.raises(NotSubgroupError, match=r"zeros \[2, 3\]\.\.\. up to 13"):
+        rank_of_apparition(FakeSequenceNet([0, 1, 0, 0, 1]), 0)
 
 
 def test_zero_lattice_matches_paper(reduced1_pq):
@@ -97,10 +106,7 @@ def test_zero_lattice_agrees_with_net_zeros(reduced1_pq):
 
 def _box_scan_lattice(net):
     """Oracle: every kernel vector of v -> v . P in the box prod [0, rho_i)."""
-    profile = [rank_of_apparition(net, axis) for axis in range(net.rank)]
-    if any(entry.status != UNIQUE for entry in profile):
-        raise NotSubgroupError("no unique rank of apparition")
-    rhos = [entry.rho for entry in profile]
+    rhos = [rank_of_apparition(net, axis) for axis in range(net.rank)]
     curve = net.gf_curve
     multiples = [[curve.mul(n, point) for n in range(rho)]
                  for point, rho in zip(net.gf_points, rhos)]
@@ -224,6 +230,119 @@ def test_tables_of_dependent_points_agree_with_the_net(p):
         assert eval_by_symmetry(sd, v) == w, v
         checked += 1
     assert checked > 500
+
+
+def _line(coeffs, p, T, U):
+    """(l, v, T + U) on int residues: l the line through T and U (the
+    tangent where T = U) and v the vertical through T + U, as functions of
+    (x, y); where U = -T, l is the vertical through T, v = 1 and T + U = O
+    (None)."""
+    a1, a2, a3, a4, _ = coeffs
+    (x1, y1), (x2, y2) = T, U
+    if x1 == x2 and (y1 + y2 + a1 * x2 + a3) % p == 0:
+        return (lambda x, y: x - x1), (lambda x, y: 1), None
+    if x1 == x2:
+        s = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * pow(2 * y1 + a1 * x1 + a3, -1, p) % p
+    else:
+        s = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (s * s + a1 * s - a2 - x1 - x2) % p
+    y3 = (-(s * (x3 - x1) + y1) - a1 * x3 - a3) % p
+    return (lambda x, y: y - y1 - s * (x - x1)), (lambda x, y: x - x3), (x3, y3)
+
+
+def _miller(coeffs, p, P, n, points):
+    """f_{n,P}, with divisor n (P) - n (O) where n . P = O, at each of
+    ``points`` by Miller's loop (f_{2i} = f_i^2 l / v, f_{i+1} = f_i l / v);
+    None where a line or vertical of the loop vanishes at one of them."""
+    T, f = P, [1] * len(points)
+    for bit in bin(n)[3:]:
+        for U, square in [(T, True)] + [(P, False)] * (bit == "1"):
+            line, vertical, T = _line(coeffs, p, T, U)
+            values = [(line(x, y) % p, vertical(x, y) % p) for x, y in points]
+            if not all(l and v for l, v in values):
+                return None
+            f = [(fi * fi if square else fi) * l * pow(v, -1, p) % p
+                 for fi, (l, v) in zip(f, values)]
+    assert T is None, "n . P is not O"
+    return f
+
+
+def _tate_pairing(curve, coeffs, P, Q, rho, rng):
+    """tau_rho(P, Q) = f_{rho,P}(Q + S) / f_{rho,P}(S) in F_p^* / (F_p^*)^rho,
+    as an int, at the first auxiliary point S (x in a seeded random order)
+    where Miller's loop meets no zero; None when no affine S of E(F_p)
+    works.  Reads no net value."""
+    p = curve.gf_modulus
+    a1, a2, a3, a4, a6 = coeffs
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    roots, half = {y * y % p: y for y in range(p)}, pow(2, -1, p)
+    xs = list(range(p))
+    rng.shuffle(xs)
+    for x in xs:  # (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
+        w = roots.get((4 * x ** 3 + b2 * x * x + 2 * b4 * x + b6) % p)
+        if w is None:
+            continue
+        for root in {w, -w % p}:
+            S = gf_point(x, (root - a1 * x - a3) * half % p, p)
+            if curve.is_singular_point(S):
+                continue
+            QS = curve.add(gf_point(*Q, p), S)
+            if QS.is_infinity:
+                continue
+            f = _miller(coeffs, p, P, rho, [(QS.x.residue, QS.y.residue), (x, S.y.residue)])
+            if f is not None:
+                return f[0] * pow(f[1], -1, p) % p
+    return None
+
+
+TATE_NETS = {
+    "E1-pq": (E1_COEFFS, (P1, Q1)),
+    "E1-qp": (E1_COEFFS, (Q1, P1)),
+    "E2-qp": (E2_COEFFS, (Q2, P2)),
+    "E2-pq": (E2_COEFFS, (P2, Q2)),
+}
+# the primes where both sides are not 1
+TATE_NONTRIVIAL = {"E1-pq": 22, "E1-qp": 21, "E2-qp": 41, "E2-pq": 39}
+
+
+@pytest.mark.parametrize("name", sorted(TATE_NETS))
+def test_chi_is_the_tate_pairing(name):
+    # Stange ("The Tate pairing via elliptic nets", 2007): with rho =
+    # ord(P_1) mod p, chi(rho e_1, e_2) = W(rho + 1, 1) / W(rho + 1, 0) is
+    # the reduced Tate pairing tau_rho(P_1, P_2) in F_p^* / (F_p^*)^rho, so
+    # both agree in mu_g, g = gcd(rho, p - 1), after the power (p - 1) / g.
+    # The table side decomposes rho e_1 on the lattice basis and multiplies
+    # the chi(lambda_k, e_2) entries by bilinearity; the pairing side is
+    # Miller's loop, which reads no net value
+    coeffs, points = TATE_NETS[name]
+    net = EllipticNet(WeierstrassCurve(*coeffs), points)
+    rng = random.Random(26)
+    nontrivial = trivial = no_auxiliary = 0
+    for p in [q for q in range(5, 398) if is_prime(q)] + LARGE_PRIMES:
+        try:
+            sd = build_symmetry_data(ReducedNet(net, p))
+        except EllnetError:
+            continue
+        curve, (P, Q) = sd.net.gf_curve, sd.net.gf_points
+        rho, T = 1, P
+        while not T.is_infinity:
+            rho, T = rho + 1, curve.add(T, P)
+        g = math.gcd(rho, p - 1)
+        if g == 1:  # both sides are 1
+            trivial += 1
+            continue
+        on_basis, rep = sd.lattice.decompose((rho, 0))
+        assert rep == (0, 0), p
+        table = math.prod(pow(row[1].residue, c, p) for row, c in zip(sd.chi_axis, on_basis))
+        tau = _tate_pairing(curve, tuple(c % p for c in coeffs), (P.x.residue, P.y.residue),
+                            (Q.x.residue, Q.y.residue), rho, rng)
+        if tau is None:  # E(F_p) = <P_1>: every S meets a zero of the loop
+            no_auxiliary += 1
+            continue
+        e = (p - 1) // g
+        assert pow(table, e, p) == pow(tau, e, p), p
+        nontrivial += pow(tau, e, p) != 1
+    assert nontrivial == TATE_NONTRIVIAL[name], (nontrivial, trivial, no_auxiliary)
 
 
 def test_dependent_triple_verify_keeps_its_output(capsys):
@@ -551,7 +670,7 @@ def _larger_prime_cases():
 def test_walk_lattice_matches_scan_at_larger_primes(curve, points, p):
     net = ReducedNet(EllipticNet(curve, points), p)
     sd = build_symmetry_data(net)
-    rhos = [rank_of_apparition(net, axis).rho for axis in range(net.rank)]
+    rhos = [rank_of_apparition(net, axis) for axis in range(net.rank)]
     assert [_axis_period(sd.lattice, axis) for axis in range(net.rank)] == rhos
     for row in sd.lattice.basis:
         assert net.value(row) == 0, row
@@ -645,7 +764,7 @@ def test_build_symmetry_data_p19(symmetry_data):
 def test_small_quotient_rejected(e1):
     # the rank-1 net of P mod 3 has apparition rank 3, so |Z/Lambda| = 3 < 4
     net = ReducedNet(EllipticNet(e1, (P1,)), 3)
-    assert rank_of_apparition(net, 0).rho == 3
+    assert rank_of_apparition(net, 0) == 3
     with pytest.raises(SmallQuotientError):
         build_symmetry_data(net)
 

@@ -190,9 +190,11 @@ def test_epsilon_at_bad_reduction_primes(net1):
     assert epsilon_quadratic_check(net1, 11, 3)
 
 
-def test_epsilon_fault_injection(net1):
-    bad = lambda v: net1.value(v) * (2 if v == (1, 2) else 1)
-    assert not epsilon_quadratic_check(net1, 2, 2, value_fn=bad)
+def test_epsilon_fault_injection(monkeypatch, e1):
+    net = EllipticNet(e1, (Q1, P1))
+    value = net.value
+    monkeypatch.setattr(net, "value", lambda v: value(v) * (2 if v == (1, 2) else 1))
+    assert not epsilon_quadratic_check(net, 2, 2)
 
 
 def test_epsilon_reads_heights_off_the_point_cache(monkeypatch, e1, net1, net2):
