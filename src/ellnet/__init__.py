@@ -13,7 +13,6 @@ from .curve import (
     WeierstrassCurve,
     decompose,
     gf_point,
-    is_singular_reduction,
     neron_local_height,
     rational_point,
     reduce_curve,

@@ -143,6 +143,8 @@ def cmd_verify(args) -> int:
 
     if args.check == "ayad":
         rep = theorems.ayad_equivalence_report(net, args.prime, args.radius, args.n_max)
+        for warning in rep.hypothesis_warnings:
+            print(f"warning: {warning}", file=sys.stderr)
         report("ayad all-equivalent", rep.all_equivalent,
                json.dumps(rep.to_dict()["properties"]))
     elif args.check == "valuation":

@@ -36,7 +36,7 @@ class CurvePoint:
         return self.x is None
 
     def __repr__(self):
-        return "INFINITY" if self.is_infinity else f"({self.x!r}, {self.y!r})"
+        return "INFINITY" if self.is_infinity else f"({self.x}, {self.y})"
 
 
 INFINITY = CurvePoint()
@@ -425,14 +425,6 @@ def _triple_residues(a: int, b: int, d: int, p: int) -> tuple[int, int] | None:
     inv_d = pow(d, -1, p)
     inv_d2 = inv_d * inv_d % p
     return a * inv_d2 % p, b * inv_d2 * inv_d % p
-
-
-def is_singular_reduction(curve: WeierstrassCurve, point: CurvePoint, p: int) -> bool:
-    """Whether the reduction of an affine rational point mod p is singular."""
-    reduced = reduce_mod_p(curve, point, p)
-    if reduced.is_infinity:
-        raise PreconditionError("point reduces to infinity mod p")
-    return reduce_curve(curve, p).is_singular_point(reduced)
 
 
 def neron_local_height(curve: WeierstrassCurve, point: CurvePoint, p: int) -> Fraction:

@@ -115,11 +115,10 @@ class DivisionPolynomials:
 
         No recursion, so no index size meets the recursion limit.  The
         doubling steps for the indices in [lo, hi] need exactly those in
-        [lo // 2 - 2 + lo % 2, hi // 2 + 2].  ``todo`` starts as [n]; each
-        pass fills it in order, and a pass that meets an index not yet known
-        (KeyError) puts the next window down in front of it and starts over.
-        So a value whose inputs are known takes one pass, and a chain of L
-        new halvings L + 1 passes, each failed one stopping in its lowest window."""
+        [max(lo // 2 - 2 + lo % 2, 0), hi // 2 + 2].  ``todo`` lists the
+        windows top-down, from [n, n] until the next one lies wholly in the
+        memo, and is filled in reverse: bottom-up, each window from the one
+        below it."""
         p = self.p
         if n < 0:
             w = -self._value(-n)
@@ -128,25 +127,22 @@ class DivisionPolynomials:
         if n in memo:
             return memo[n]
         even, exact = self._even, self._d is not None
-        todo, lo, hi = [n], n, n
-        while n not in memo:
-            try:
-                for m in todo:
-                    if m in memo:
-                        continue
-                    k = m // 2
-                    if m % 2:
-                        w = memo[k + 2] * memo[k] ** 3 - memo[k - 1] * memo[k + 1] ** 3
-                    elif even == 0:
-                        w = memo[0]
-                    else:
-                        w = memo[k] * (memo[k + 2] * memo[k - 1] ** 2
-                                       - memo[k - 2] * memo[k + 1] ** 2)
-                        w = w // even if exact else w * even
-                    memo[m] = w if p is None else w % p
-            except KeyError:
-                lo, hi = max(lo // 2 - 2 + lo % 2, 0), hi // 2 + 2
-                todo[:0] = range(lo, hi + 1)
+        todo, lo, hi = [n], n // 2 - 2 + n % 2, n // 2 + 2
+        while not all(map(memo.__contains__, range(lo, hi + 1))):
+            todo += range(hi, lo - 1, -1)
+            lo, hi = max(lo // 2 - 2 + lo % 2, 0), hi // 2 + 2
+        for m in reversed(todo):
+            if m in memo:
+                continue
+            k = m // 2
+            if m % 2:
+                w = memo[k + 2] * memo[k] ** 3 - memo[k - 1] * memo[k + 1] ** 3
+            elif even == 0:
+                w = memo[0]
+            else:
+                w = memo[k] * (memo[k + 2] * memo[k - 1] ** 2 - memo[k - 2] * memo[k + 1] ** 2)
+                w = w // even if exact else w * even
+            memo[m] = w if p is None else w % p
         return memo[n]
 
     def phi(self, n: int):

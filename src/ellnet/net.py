@@ -742,7 +742,7 @@ class EllipticNet:
         P_i reduces to a nonsingular point, so there the q-part of that gcd
         is q^(2 ord_q D_i), which is also the q-part of gcd(N, M) for
         M = D_i^2 s^2, s the part of w built from the primes of
-        ``_singular_modulus`` (the primes of singular reduction); at those
+        ``_singular_moduli`` (the primes of singular reduction); at those
         primes M holds all of w^2, so the gcd is taken in full.  gcd(N, M)
         is formed from residues mod M, with no full-size product or gcd;
         where M = 1 (D_i = 1 and w has no prime of singular reduction, as
@@ -766,7 +766,7 @@ class EllipticNet:
         i = next(k for k, c in enumerate(v) if c)
         a, _, d = self._steps[i][0]
         if type(w) is int:
-            mod = (d * _smooth_part(abs(w), self._singular_modulus)) ** 2
+            mod = (d * _smooth_part(abs(w), math.prod(self._singular_moduli))) ** 2
             if mod == 1:  # D_i = 1 and no prime of singular reduction divides w
                 return abs(w)
         up = self._hat(v[:i] + (v[i] + 1,) + v[i + 1:])
@@ -777,12 +777,17 @@ class EllipticNet:
         return d * abs(w) // _exact_sqrt(math.gcd(n, mod))
 
     @cached_property
-    def _singular_modulus(self) -> int:
-        """m = prod_i gcd(F_y, F_x) of the partials of the curve at P_i,
-        cleared of D (``IntegralModel._partials`` on the cached triple): a
-        prime divides m exactly when some P_i reduces to the singular point
-        mod it."""
-        return math.prod(math.gcd(*self._law._partials(*pt)) for pt, _ in self._steps)
+    def _singular_moduli(self) -> tuple[int, ...]:
+        """m_i = gcd(F_y, F_x) of the partials of the curve at P_i, cleared
+        of D (``IntegralModel._partials`` on the cached triple): a prime p
+        divides m_i exactly when P_i reduces to the singular point mod p (a
+        P_i that reduces to infinity is nonsingular).  The one source of
+        the primes of singular reduction, for ``denominator``, the
+        valuation gate and Ayad's property (e); a net with no integral
+        model raises ``ModelNotIntegralError``."""
+        if self._law is None:
+            raise ModelNotIntegralError("singular reduction needs an integral model")
+        return tuple(math.gcd(*self._law._partials(*pt)) for pt, _ in self._steps)
 
     def _chain_denominator(self, v: Index) -> int:
         """D_{v . P} for a nonzero index off the point cache's group-law
@@ -986,8 +991,6 @@ class ReducedNet:
     def __init__(self, net: EllipticNet, p: int):
         if not net.is_rational:
             raise PreconditionError("ReducedNet wraps an exact rational net")
-        if not net.curve.is_integral:
-            raise PreconditionError("reduction requires an integral model")
         _check_prime_modulus(p)
         self.net = net
         self.p = p

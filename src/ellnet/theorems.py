@@ -11,7 +11,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Sequence
 
-from .curve import is_singular_reduction
 from .errors import NotEllipticSequenceError, PreconditionError, SingularReductionError
 from .fieldarith import PrimeFieldElement, val_p
 from .net import EllipticNet, box_indices, reduce_base_points
@@ -57,14 +56,13 @@ def ayad_equivalence_report(net: EllipticNet, p: int, box_radius: int = 3,
                             n_max: int = 12) -> AyadReport:
     """Evaluate properties (a)-(e) with bounded searches over an exact net.
 
-    A P_i that reduces to infinity mod p is refused; each P_i +- P_j that
-    does is recorded as a warning rather than refused (``reduce_base_points``):
-    the bad-reduction fixtures exercise exactly those edges.  A value that
-    is zero counts as divisible by p.
+    A P_i that reduces to infinity mod p is refused, and so is a net with
+    no integral model; each P_i +- P_j that reduces to infinity is recorded
+    as a warning rather than refused (``reduce_base_points``): the
+    bad-reduction fixtures exercise exactly those edges.  A value that is
+    zero counts as divisible by p.  (e) reads the net's
+    ``_singular_moduli``.
     """
-    curve = net.curve
-    if not curve.is_integral:
-        raise PreconditionError("Ayad checker requires an integral model")
     _, warnings = reduce_base_points(net, p)
 
     rank = net.rank
@@ -89,7 +87,7 @@ def ayad_equivalence_report(net: EllipticNet, p: int, box_radius: int = 3,
     x1, e1 = net.points[0].x, _axis_index(rank, 0, 1)
     search("d", divisible(), lambda v: divides(net.value(v) ** 2 * x1 - net.value(_plus(v, e1))
                                                * net.value(tuple(a - b for a, b in zip(v, e1)))))
-    search("e", axes, lambda i: is_singular_reduction(curve, net.points[i], p))
+    search("e", axes, lambda i: net._singular_moduli[i] % p == 0)
     return AyadReport(p, box_radius, n_max, props, wit, warnings)
 
 
@@ -127,12 +125,14 @@ def valuation_match_report(net: EllipticNet, p: int, grid,
     Psi-hat is read off the net (``scaled_value``).  D comes from the
     group-law chain (``EllipticNet._chain_denominator``),
     not from ``denominator``, which reads it off the net at ranks 1 and 2:
-    so the check compares the net with the group law.
+    so the check compares the net with the group law.  With
+    ``require_nonsingular`` a P_i that reduces to the singular point mod p
+    (the net's ``_singular_moduli``) is refused; one that reduces to
+    infinity is nonsingular and passes.
     """
-    curve = net.curve
     if require_nonsingular:
-        for i, pt in enumerate(net.points):
-            if is_singular_reduction(curve, pt, p):
+        for i, m in enumerate(net._singular_moduli):
+            if m % p == 0:
                 raise PreconditionError(
                     f"P_{i} has singular reduction mod {p}; "
                     "pass require_nonsingular=False to inspect anyway"

@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from ellnet import (INFINITY, DivisionPolynomials, EllipticNet, ReducedNet, WeierstrassCurve,
-                    rational_point)
+                    rational_point, reduce_curve, reduce_mod_p)
 from ellnet.curve import decompose
 from ellnet.net import _normalize, _reduce_fraction
 
@@ -57,6 +57,14 @@ def triple(curve, point):
         return None
     dec = decompose(curve, point)
     return dec.a, dec.b, dec.d
+
+
+def reduces_to_singular_point(curve, point, p):
+    """Whether a rational point reduces to the singular point mod p, on the
+    reduced curve in ``PrimeFieldElement`` arithmetic: the reference that
+    the net's ``_singular_moduli`` is compared with.  A point that reduces
+    to infinity is nonsingular."""
+    return reduce_curve(curve, p).is_singular_point(reduce_mod_p(curve, point, p))
 
 
 def points_route(net, v):

@@ -21,7 +21,6 @@ from ellnet import (
     epsilon_quadratic_check,
     eval_by_symmetry,
     factorize,
-    is_singular_reduction,
     lattice_from_generators,
     neron_local_height,
     periodicity_check,
@@ -33,7 +32,7 @@ from ellnet import (
 )
 from ellnet.cli import main
 from ellnet.net import box_indices
-from conftest import P1, Q1
+from conftest import P1, Q1, reduces_to_singular_point
 
 DATA = Path(__file__).parent / "data"
 
@@ -205,7 +204,7 @@ def test_criterion_6_ayad_suite(net1, net2):
         for pt in net.points:
             dp = DivisionPolynomials(net.curve, pt)
             by_psi = val_p(dp.psi(2), p) > 0 and val_p(dp.psi(3), p) > 0
-            assert is_singular_reduction(net.curve, pt, p) == by_psi
+            assert reduces_to_singular_point(net.curve, pt, p) == by_psi
     elapsed = time.monotonic() - start
     assert elapsed < 10
     report("6 (Ayad equivalences on 7 fixture triples)", elapsed, 10)

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -423,6 +426,89 @@ def test_cli_matrix_never_tracebacks(argv):
             assert (proc.returncode, proc.stdout) == (2, "") and flag in proc.stderr, proc.stderr
 
 
+# The seeded argv fuzzer: curves, points, primes, grids, indices and every
+# verify check, drawn mostly from valid input, each run in-process through
+# main at sizes that finish quickly.  Valid point sets are listed per curve.
+FUZZ_CURVES = {
+    "0,0,0,0,-11": ["(3,4);(15,58)", "(15,58);(3,4)", "(345/64,-6179/512);(15,58)", "(3,4)"],
+    "0,1,7,28,0": ["(1,3);(0,0)", "(0,0);(1,3)", "(0,0)"],
+    "0,0,1,-7,6": ["(1,0);(2,0);(0,2)", "(0,2);(2,0);(1,0)", "(2,0);(0,2)"],
+    "1,-1,0,-79,289": ["(0,17);(-4,25);(4,-7)", "(4,-7);(0,17)", "(-4,25)"],
+    "0,0,0,-1,0": ["(0,0)", "(1,0);(-1,0)", "(-1,0)"],  # y^2 = x^3 - x: 2-torsion
+    "0,0,0,0,1": ["(2,3)", "(2,3);(0,1)", "(-1,0)"],  # y^2 = x^3 + 1: torsion
+}
+FUZZ_PAIRS = [(curve, points) for curve, sets in FUZZ_CURVES.items()
+              for points in sets if points.count(";") == 1]
+# malformed, singular (a cusp, a node) and non-integral curves
+FUZZ_BAD_CURVES = ["0,0,0,-11", "a,0,0,0,1", "", "0,0,0,0,0", "0,0,0,-3,2", "0,0,0,1/2,0"]
+# infinity, off the curve, malformed, and a repeated x
+FUZZ_BAD_POINTS = ["inf", "(3,4);inf", "(1,1);(15,58)", "(a,4)", "(3,4,5)", "(1/0,2)",
+                   "(3,4);(3,-4)", "(15,58);(15,58)", ";"]
+FUZZ_PRIMES = [q for q in range(2, 1010) if is_prime(q)]
+FUZZ_BAD_MODULI = [0, 1, -7, 4, 91]
+FUZZ_BAD_GRIDS = ["0x0", "3", "axb", "-1x3", "2x2x2", "x"]
+FUZZ_CHECKS = ["ayad", "valuation", "recurrence", "symmetry-props", "epsilon"]
+
+
+def _fuzz_argv(rng):
+    """One argv, weighted toward input that parses: tables mostly on two
+    points (a grid is rank 2), and more than half the primes below 50."""
+    command = rng.choice(["denom-table", "net-table", "reduced-table", "symmetry", "eval",
+                          "verify", "verify"])
+    if command.endswith("table") and rng.random() < 0.8:
+        curve, points = rng.choice(FUZZ_PAIRS)
+    elif rng.random() < 0.9:
+        curve = rng.choice(list(FUZZ_CURVES))
+        points = rng.choice(FUZZ_CURVES[curve] if rng.random() < 0.85 else FUZZ_BAD_POINTS)
+    else:
+        curve = rng.choice(FUZZ_BAD_CURVES)
+        points = rng.choice(FUZZ_CURVES["0,0,0,0,-11"])
+    base = ["--curve", curve, "--points", points,
+            "--orientation", rng.choice(["qp", "pq"])]
+    modulus = (rng.choice(FUZZ_PRIMES[:15] if rng.random() < 0.6 else FUZZ_PRIMES)
+               if rng.random() < 0.92 else rng.choice(FUZZ_BAD_MODULI))
+    prime = f"--prime={modulus}"
+    if command.endswith("table"):
+        grid = (f"{rng.randint(1, 4)}x{rng.randint(1, 4)}" if rng.random() < 0.9
+                else rng.choice(FUZZ_BAD_GRIDS))
+        argv = [command, *base, f"--grid={grid}", "--format", rng.choice(["plain", "factored",
+                                                                       "json"])]
+        return argv + [prime] if command == "reduced-table" else argv
+    if command == "symmetry":
+        return [command, *base, prime, "--format", rng.choice(["plain", "json"])]
+    if command == "eval":
+        rank = points.count(";") + 1
+        length = rank if rng.random() < 0.9 else rng.choice([1, 2, 3, 4])
+        index = ",".join(str(rng.randint(-10 ** rng.randint(0, 30), 10 ** rng.randint(0, 30)))
+                         for _ in range(length))
+        return [command, *base, prime, f"--index={index}",
+                "--method", rng.choice(["symmetry", "direct"])]
+    argv = ["verify", rng.choice(FUZZ_CHECKS), *base, "--radius", str(rng.randint(1, 2)),
+            "--n-max", str(rng.randint(3, 6)), "--trials", str(rng.randint(1, 30)),
+            "--seed", str(rng.randint(0, 9))]
+    if rng.random() < 0.9:
+        argv.append(prime)
+    return argv + ["--allow-singular"] * (rng.random() < 0.3)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_argv_fuzzer_never_raises(seed):
+    # every draw ends in exit 0, 1 or 2, with no exception out of main, and
+    # an exit 2 names its error on stderr
+    rng = random.Random(seed)
+    codes = Counter()
+    for _ in range(1500):
+        argv = _fuzz_argv(rng)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert code != 2 or err.getvalue().startswith("error: "), (argv, err.getvalue())
+        codes[code] += 1
+    # most draws get past parsing and answer
+    assert codes[0] > codes[2], codes
+
+
 def test_eval_direct_takes_psi_on_an_axis_of_rank_seven(capsys):
     # psi_300 of the seventh point mod 101: an axis index takes psi at every
     # rank, where the off-axis index of RANK_SEVEN_EVAL exits 2
@@ -571,3 +657,82 @@ def test_consecutive_main_calls_match_fresh_processes(capsys):
         code, out, _ = run_cli(capsys, argv)
         proc = run_subprocess(argv)
         assert (code, out) == (proc.returncode, proc.stdout), argv
+
+
+TWO_P_ARGS = ["--curve", "0,0,0,0,-11", "--points", "(345/64,-6179/512);(15,58)"]
+
+
+@pytest.mark.parametrize("gate", [[], ["--allow-singular"]], ids=["gated", "allow-singular"])
+def test_valuation_gate_passes_a_point_that_reduces_to_infinity(capsys, gate):
+    # 2P on E1 reduces to infinity mod 2, a nonsingular point: the gate
+    # lets it through, and the valuation identity holds on the box
+    assert run_cli(capsys, ["verify", "valuation", *TWO_P_ARGS, "--prime", "2",
+                            "--radius", "4", *gate]) == (
+        0, "PASS valuation match mod 2: 0 mismatches\n", "")
+
+
+def test_valuation_gate_refuses_singular_reduction(capsys):
+    assert run_cli(capsys, ["verify", "valuation", *E2_ARGS, "--prime", "7"]) == (
+        2, "", "error: P_1 has singular reduction mod 7; "
+               "pass require_nonsingular=False to inspect anyway\n")
+
+
+def test_verify_ayad_prints_the_hypothesis_warnings(capsys):
+    # P_0 +- P_1 both reduce to infinity mod 2; stdout and the exit code
+    # are the report's alone
+    assert run_cli(capsys, ["verify", "ayad", *PQ_ARGS, "--prime", "2"]) == (
+        1, 'FAIL ayad all-equivalent: {"a": false, "b": false, "c": true, "d": true, '
+           '"e": false}\n',
+        "warning: P_0 + P_1 reduces to infinity mod 2\n"
+        "warning: P_0 - P_1 reduces to infinity mod 2\n")
+
+
+def test_off_curve_point_prints_its_coordinates(capsys):
+    assert run_cli(capsys, ["net-table", "--curve", "0,0,0,0,-11", "--points",
+                            "(1,1);(15,58)", "--grid", "2x2"]) == (
+        2, "", "error: (1, 1) is not on the curve\n")
+    assert run_cli(capsys, ["denom-table", "--curve", "0,0,0,0,-11", "--points",
+                            "(1/2,3)", "--grid", "2x1"]) == (
+        2, "", "error: (1/2, 3) is not on the curve\n")
+
+
+def _fp_curve_free_argv():
+    """Every subcommand on E1 and E2, at a good prime and at a prime of
+    singular or bad reduction."""
+    argvs = []
+    for args, primes in ((E1_ARGS, (5, 11)), (PQ_ARGS, (13, 2)), (E2_ARGS, (5, 7)),
+                         (TWO_P_ARGS, (2, 5))):
+        argvs += [["denom-table", *args, "--grid", "3x3"],
+                  ["net-table", *args, "--grid", "3x3", "--format", "factored"],
+                  ["verify", "recurrence", *args, "--radius", "3", "--trials", "30"]]
+        for p in map(str, primes):
+            argvs += [["reduced-table", *args, "--grid", "3x3", "--prime", p],
+                      ["symmetry", *args, "--prime", p],
+                      ["symmetry", *args, "--prime", p, "--format", "plain"],
+                      ["eval", *args, "--prime", p, "--index=7,5"],
+                      ["eval", *args, "--prime", p, "--index=7,5", "--method", "direct"],
+                      ["verify", "ayad", *args, "--prime", p, "--radius", "2", "--n-max", "6"],
+                      ["verify", "valuation", *args, "--prime", p, "--radius", "3"],
+                      ["verify", "valuation", *args, "--prime", p, "--radius", "3",
+                       "--allow-singular"],
+                      ["verify", "epsilon", *args, "--prime", p, "--radius", "2"],
+                      ["verify", "symmetry-props", *args, "--prime", p, "--trials", "30"]]
+    return argvs
+
+
+def test_no_cli_command_reduces_the_curve_over_f_p(monkeypatch, capsys):
+    # the primes of singular reduction and the reduced points come from the
+    # net's cached (A, B, D) triples: no command builds the F_p curve or an
+    # F_p point, and every output is the same with those patched to raise
+    argvs = _fp_curve_free_argv()
+    expected = [run_cli(capsys, argv) for argv in argvs]
+    assert {code for code, _, _ in expected} == {0, 1, 2}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the F_p curve code ran")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("ellnet")]:
+        for name in ("reduce_curve", "reduce_mod_p", "gf_point"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert [run_cli(capsys, argv) for argv in argvs] == expected

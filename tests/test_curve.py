@@ -12,7 +12,6 @@ from ellnet import (
     WeierstrassCurve,
     decompose,
     gf_point,
-    is_singular_reduction,
     neron_local_height,
     rational_point,
     reduce_curve,
@@ -27,7 +26,7 @@ from ellnet.errors import (
     SingularReductionError,
 )
 from ellnet.curve import _b_invariants
-from conftest import P1, P2, Q1, Q2, triple
+from conftest import P1, P2, Q1, Q2, reduces_to_singular_point, triple
 
 
 def test_b_invariants_e1(e1):
@@ -170,14 +169,6 @@ def test_reduction_is_homomorphism_good_primes(e1):
                 assert lhs == rhs
 
 
-def test_is_singular_reduction(e1, e2):
-    assert is_singular_reduction(e2, P2, 7) is True
-    assert is_singular_reduction(e2, P2, 5) is False
-    assert is_singular_reduction(e1, P1, 5) is False
-    with pytest.raises(PreconditionError):
-        is_singular_reduction(e1, e1.mul(2, P1), 2)
-
-
 def test_singular_reduction_matches_psi_valuations(e1, e2):
     # Ayad (a) <=> (e): both partials vanish iff psi_2 and psi_3 have positive valuation
     from ellnet import DivisionPolynomials
@@ -187,7 +178,7 @@ def test_singular_reduction_matches_psi_valuations(e1, e2):
         for p in (2, 3, 5, 7, 11, 13):
             if reduce_mod_p(curve, pt, p).is_infinity:
                 continue
-            by_partials = is_singular_reduction(curve, pt, p)
+            by_partials = reduces_to_singular_point(curve, pt, p)
             by_psi = val_p(dp.psi(2), p) > 0 and val_p(dp.psi(3), p) > 0
             assert by_partials == by_psi
 

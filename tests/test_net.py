@@ -26,7 +26,6 @@ from ellnet import (
     factorize,
     initial_net_value,
     is_prime,
-    is_singular_reduction,
     rational_point,
     recurrence_check,
     reduce_curve,
@@ -48,7 +47,7 @@ from ellnet.net import (EXACT_FALLBACK_MAX_NORM, LADDER_BASE_NORM, _SEED_ROWS, _
                         _ladder_units, _net_terms, _normalize, _quotient, _reduce_fraction,
                         _seeded_box, _smooth_part, box_indices, reduce_base_points)
 from conftest import (E1_COEFFS, E2_COEFFS, P1, P2, Q1, Q2, assert_psi_is_exact_psi_reduced,
-                      points_route, triple)
+                      points_route, reduces_to_singular_point, triple)
 
 E1 = WeierstrassCurve(*E1_COEFFS)
 E2 = WeierstrassCurve(*E2_COEFFS)
@@ -1003,20 +1002,15 @@ def test_denominator_matches_the_group_law_chain(name):
 
 @pytest.mark.parametrize("name", sorted(VALUATION_NETS))
 def test_singular_modulus_names_the_primes_of_singular_reduction(name):
-    # a prime of the discriminant divides m exactly when some P_i reduces
-    # to the singular point; a P_i that reduces to infinity is nonsingular
+    # a prime of the discriminant divides m_i exactly when P_i reduces to
+    # the singular point; a P_i that reduces to infinity is nonsingular
     net = _valuation_net(name)
-    m = net._singular_modulus
-    assert m > 0
-
-    def singular(point, q):
-        try:
-            return is_singular_reduction(net.curve, point, q)
-        except PreconditionError:
-            return False
-
+    moduli = net._singular_moduli
+    assert len(moduli) == net.rank and all(m > 0 for m in moduli)
     for q, _ in factorize(int(net.curve.discriminant)).factors:
-        assert (m % q == 0) == any(singular(pt, q) for pt in net.points), q
+        for m, pt in zip(moduli, net.points):
+            assert (m % q == 0) == reduces_to_singular_point(net.curve, pt, q), q
+    m = math.prod(moduli)
     expected = {"e1-qp": 1, "e1-pq": 1, "e1-d2": 1, "e2-qp": 7, "e2-pq": 7, "5077a": 1,
                 "m6-d30": 6}
     assert m == expected.get(name, m)

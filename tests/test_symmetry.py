@@ -301,19 +301,26 @@ TATE_NETS = {
     "E2-qp": (E2_COEFFS, (Q2, P2)),
     "E2-pq": (E2_COEFFS, (P2, Q2)),
 }
-# the primes where both sides are not 1
-TATE_NONTRIVIAL = {"E1-pq": 22, "E1-qp": 21, "E2-qp": 41, "E2-pq": 39}
+# the primes where both sides are not 1, by net and axis; the second axis
+# of a net is the first of the net with its points swapped
+TATE_NONTRIVIAL = {("E1-pq", 0): 22, ("E1-qp", 0): 21, ("E2-qp", 0): 41, ("E2-pq", 0): 39,
+                   ("E1-pq", 1): 21, ("E1-qp", 1): 22, ("E2-qp", 1): 39, ("E2-pq", 1): 41}
 
 
-@pytest.mark.parametrize("name", sorted(TATE_NETS))
-def test_chi_is_the_tate_pairing(name):
+@pytest.mark.parametrize("name, axis", [(name, axis) for axis in (0, 1) for name in sorted(TATE_NETS)],
+                         ids=[name + ("-axis-2" if axis else "")
+                              for axis in (0, 1) for name in sorted(TATE_NETS)])
+def test_chi_is_the_tate_pairing(name, axis):
     # Stange ("The Tate pairing via elliptic nets", 2007): with rho =
     # ord(P_1) mod p, chi(rho e_1, e_2) = W(rho + 1, 1) / W(rho + 1, 0) is
     # the reduced Tate pairing tau_rho(P_1, P_2) in F_p^* / (F_p^*)^rho, so
     # both agree in mu_g, g = gcd(rho, p - 1), after the power (p - 1) / g.
     # The table side decomposes rho e_1 on the lattice basis and multiplies
     # the chi(lambda_k, e_2) entries by bilinearity; the pairing side is
-    # Miller's loop, which reads no net value
+    # Miller's loop, which reads no net value.  On the second axis, since
+    # Psi_(a,b)(P_1, P_2) = Psi_(b,a)(P_2, P_1), rho = ord(P_2), rho e_2
+    # takes the e_1 column chi(lambda_k, e_1), and the pairing is
+    # tau_rho(P_2, P_1)
     coeffs, points = TATE_NETS[name]
     net = EllipticNet(WeierstrassCurve(*coeffs), points)
     rng = random.Random(26)
@@ -323,7 +330,7 @@ def test_chi_is_the_tate_pairing(name):
             sd = build_symmetry_data(ReducedNet(net, p))
         except EllnetError:
             continue
-        curve, (P, Q) = sd.net.gf_curve, sd.net.gf_points
+        curve, P, Q = sd.net.gf_curve, sd.net.gf_points[axis], sd.net.gf_points[1 - axis]
         rho, T = 1, P
         while not T.is_infinity:
             rho, T = rho + 1, curve.add(T, P)
@@ -331,18 +338,19 @@ def test_chi_is_the_tate_pairing(name):
         if g == 1:  # both sides are 1
             trivial += 1
             continue
-        on_basis, rep = sd.lattice.decompose((rho, 0))
+        on_basis, rep = sd.lattice.decompose(tuple(rho * (k == axis) for k in range(2)))
         assert rep == (0, 0), p
-        table = math.prod(pow(row[1].residue, c, p) for row, c in zip(sd.chi_axis, on_basis))
+        table = math.prod(pow(row[1 - axis].residue, c, p)
+                          for row, c in zip(sd.chi_axis, on_basis))
         tau = _tate_pairing(curve, tuple(c % p for c in coeffs), (P.x.residue, P.y.residue),
                             (Q.x.residue, Q.y.residue), rho, rng)
-        if tau is None:  # E(F_p) = <P_1>: every S meets a zero of the loop
+        if tau is None:  # E(F_p) = <P>: every S meets a zero of the loop
             no_auxiliary += 1
             continue
         e = (p - 1) // g
         assert pow(table, e, p) == pow(tau, e, p), p
         nontrivial += pow(tau, e, p) != 1
-    assert nontrivial == TATE_NONTRIVIAL[name], (nontrivial, trivial, no_auxiliary)
+    assert nontrivial == TATE_NONTRIVIAL[name, axis], (nontrivial, trivial, no_auxiliary)
 
 
 def test_dependent_triple_verify_keeps_its_output(capsys):

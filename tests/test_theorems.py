@@ -8,6 +8,7 @@ from ellnet import (
     DivisionPolynomials,
     EllipticNet,
     QuadraticFormData,
+    ReducedNet,
     WeierstrassCurve,
     ayad_equivalence_report,
     decompose,
@@ -19,7 +20,8 @@ from ellnet import (
     val_p,
     valuation_match_report,
 )
-from ellnet.errors import EllnetError, NotEllipticSequenceError, PreconditionError
+from ellnet.errors import (EllnetError, ModelNotIntegralError, NotEllipticSequenceError,
+                           PreconditionError)
 from ellnet.net import box_indices
 from conftest import P1, P2, Q1, Q2
 
@@ -96,6 +98,22 @@ def test_valuation_match_gate(net2):
     report = valuation_match_report(net2, 7, (6, 9), require_nonsingular=False)
     assert not report.ok
     assert (0, 2) in report.mismatches  # psi_2(P) = 7 while D_{2P} = 1
+
+
+def test_valuation_gate_refuses_singular_reduction_only(e1):
+    # 2P reduces to infinity mod 2, a nonsingular point: the gate passes it
+    # and the identity holds on all 80 entries of the radius-4 box; a net
+    # with no integral model is refused by the gate, by Ayad's checker and
+    # by ReducedNet alike
+    report = valuation_match_report(EllipticNet(e1, (e1.mul(2, P1), Q1)), 2, 4)
+    assert report.ok and len(report.entries) == 80
+    rational = EllipticNet(WeierstrassCurve(0, 0, 0, 0, Fraction(1, 4)),
+                           (rational_point(0, Fraction(1, 2)),))
+    for check in (lambda: valuation_match_report(rational, 5, 2),
+                  lambda: ayad_equivalence_report(rational, 5),
+                  lambda: ReducedNet(rational, 5)):
+        with pytest.raises(ModelNotIntegralError):
+            check()
 
 
 def test_valuation_match_axis_units(net1):
