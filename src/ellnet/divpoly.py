@@ -84,6 +84,7 @@ class DivisionPolynomials:
         if p is not None:
             memo = {n: w % p for n, w in memo.items()}
         self.p, self._x, self._memo, self._d = p, x, memo, d
+        self._top = 4  # the largest m with [0, m] wholly in the memo
         # the even step divides by psi'_2 exactly with d, and else multiplies
         # by 1 / psi_2, taken once; 0 where psi_2 = 0
         if memo[2] == 0 or d is not None:
@@ -118,7 +119,9 @@ class DivisionPolynomials:
         [max(lo // 2 - 2 + lo % 2, 0), hi // 2 + 2].  ``todo`` lists the
         windows top-down, from [n, n] until the next one lies wholly in the
         memo, and is filled in reverse: bottom-up, each window from the one
-        below it."""
+        below it.  A window that ends at or below ``_top``, the end of the
+        memo's contiguous prefix [0, _top], is known to be there without a
+        scan, so a run of consecutive indices plans no window."""
         p = self.p
         if n < 0:
             w = -self._value(-n)
@@ -128,7 +131,7 @@ class DivisionPolynomials:
             return memo[n]
         even, exact = self._even, self._d is not None
         todo, lo, hi = [n], n // 2 - 2 + n % 2, n // 2 + 2
-        while not all(map(memo.__contains__, range(lo, hi + 1))):
+        while hi > self._top and not all(map(memo.__contains__, range(lo, hi + 1))):
             todo += range(hi, lo - 1, -1)
             lo, hi = max(lo // 2 - 2 + lo % 2, 0), hi // 2 + 2
         for m in reversed(todo):
@@ -143,6 +146,8 @@ class DivisionPolynomials:
                 w = memo[k] * (memo[k + 2] * memo[k - 1] ** 2 - memo[k - 2] * memo[k + 1] ** 2)
                 w = w // even if exact else w * even
             memo[m] = w if p is None else w % p
+        while self._top + 1 in memo:
+            self._top += 1
         return memo[n]
 
     def phi(self, n: int):

@@ -40,7 +40,7 @@ units' values:
   of the integral point (A_i, B_i) on the curve with coefficients
   a_j D_{P_i}^j), and the combine step divides exactly by the product
   of Psi-hat over the three units of its step (``_quotient``, cached per
-  offset r): a checked divmod, which keeps the exact ``Fraction`` where it
+  units): a checked divmod, which keeps the exact ``Fraction`` where it
   leaves a remainder.  At ranks 3 and up one does: a box value need not be
   integral (Psi-hat(1, 1, 1) = -1/2 on 234446a with x_i = 0, -4, 4, where
   F = 1).  At ranks 1 and 2 none has been seen on some 3,700 integral
@@ -76,9 +76,12 @@ The box of an exact net at ranks 3 to 6, and every value of a net on the
 recurrence strategy or over F_p, comes from ``EllipticNet._run``: an
 explicit stack of steps, each a generator that asks for the values it
 needs on its route, so the depth of an evaluation is bounded by memory,
-not by the interpreter's recursion limit.  There are two routes.
+not by the interpreter's recursion limit.  ``_run`` is the one entry to
+their memo: it returns a memoized value at once, so each value is stepped
+and counted once.  There are two routes.
 
-* ``points``: the base values, then the addition identity
+* ``points``: the base values (``initial_net_value``, W(0) among them),
+  then the addition identity
   ``W(v+u) = W(v)^2 W(u)^2 (X_u - X_v) / W(v-u)`` with ``u = +-e_i`` and the
   x-coordinates supplied by the curve group law.  The step axis is the one
   with the largest coordinate, so the max-norm shrinks toward the initial
@@ -97,8 +100,8 @@ not by the interpreter's recursion limit.  There are two routes.
   the tests; over F_p it is a linear oracle, which no library caller takes.
 * ``recurrence``: pure recurrence instantiations grounded in the initial
   values, with no group-law input.  Rank 1 delegates to the division
-  polynomial doubling identities.  Rank 2 starts from the seven initial
-  values, W(0) and five unit rows (``_recurrence_bases``), and takes every
+  polynomial doubling identities.  Rank 2 starts from eight base
+  values, W(0) among them, and five unit rows (``_recurrence_bases``), and takes every
   other index by the row of ``_recurrence_row``, one row affine in the
   index per region of the plane (axis, adjacent-line and interior
   formulas): a fixed well-founded schedule, validated against the points
@@ -159,9 +162,11 @@ RECURRENCE = "recurrence"
 
 
 def initial_net_value(curve: WeierstrassCurve, points: Sequence[CurvePoint], v: Sequence[int]):
-    """Net value for v in {e_i, 2e_i, e_i + e_j, 2e_i + e_j}, else None."""
+    """Net value for v in {0, e_i, 2e_i, e_i + e_j, 2e_i + e_j}, else None."""
     nonzero = [(i, c) for i, c in enumerate(v) if c]
     one = points[0].x ** 0
+    if not nonzero:
+        return one - one
     if len(nonzero) == 1:
         i, c = nonzero[0]
         if c == 1:
@@ -235,11 +240,11 @@ def _ladder_units(parity: Index) -> tuple[Index, Index, Index]:
 
 
 @cache
-def _children(r: Index) -> tuple[tuple[Index, ...], Callable[[dict], tuple]]:
+def _children(r: Index) -> tuple[tuple[Index, ...], Callable[[dict], tuple], tuple[Index, ...]]:
     """The eight child offsets t of the halving step at an index 2m + r,
-    relative to m, and a getter of their values from a dict keyed by
-    offset: W(2m + r) = prod W(m + t) over the first four minus prod
-    W(m + t) over the last four.
+    relative to m, a getter of their values from a dict keyed by offset,
+    and the step's units (g, c, h): W(2m + r) W(g) W(c) W(h) = prod
+    W(m + t) over the first four minus prod W(m + t) over the last four.
 
     The step is the row (m + a, m + b, c, d) of ``_net_terms``, with
     g = a - b, c and h = c + d units from ``_ladder_units``, where W = 1:
@@ -258,7 +263,7 @@ def _children(r: Index) -> tuple[tuple[Index, ...], Callable[[dict], tuple]]:
     a = tuple((x + y - z) // 2 for x, y, z in zip(r, g, d))
     _, t1, (t20, t21, t22, t23) = _net_terms(a, tuple(map(sub, a, g)), c, d)
     step = (t20, tuple(-x for x in t21), t22, t23, *t1)
-    return step, itemgetter(*step)
+    return step, itemgetter(*step), (g, c, h)
 
 
 def _max_norm(v: Index) -> int:
@@ -283,10 +288,10 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
     stored in ``memo``; every other
     index is an inner node, and its children make up the next level.  A
     bottom-up pass then fills the inner nodes deepest level first with
-    ``combine(+-(prod W(first) - prod W(second)), r)`` for the offset r
-    of ``_children``, stored in ``memo`` under the normalized index and
-    counted in ``counts["ladder"]``: ``x % p`` keeps residues reduced, and
-    an exact net divides Psi-hat by the Psi-hat of the units of r.  An
+    ``combine(+-(prod W(first) - prod W(second)), units)`` for the units
+    of the step's ``_children``, stored in ``memo`` under the normalized
+    index and counted in ``counts["ladder"]``: ``x % p`` keeps residues
+    reduced, and an exact net divides Psi-hat by the Psi-hat of the units.  An
     index that an earlier fill stored (its mirror on the same level, or the
     same index on a deeper one) is read from ``memo``, so each index is
     counted once.  The step divides by no net value, only by the units'
@@ -329,8 +334,8 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
                         raise
                     return box(key)
             else:
-                step, values_of = _children(r)
-                inner.append((o, u, s, r, values_of))
+                step, values_of, units = _children(r)
+                inner.append((o, u, s, units, values_of))
                 below.update(step)
                 continue
             known[o] = w if s > 0 else -w
@@ -339,12 +344,12 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
         offsets = below
     filled, new = None, 0
     for known, inner in reversed(levels):
-        for o, u, s, r, values_of in inner:
+        for o, u, s, units, values_of in inner:
             w = memo.get(u)  # set already by u's mirror on this level or u on a deeper one
             if w is None:
                 t0, t1, t2, t3, t4, t5, t6, t7 = values_of(filled)
                 first, second = t0 * t1 * t2 * t3, t4 * t5 * t6 * t7
-                w = memo[u] = combine(first - second if s > 0 else second - first, r)
+                w = memo[u] = combine(first - second if s > 0 else second - first, units)
                 new += 1
             known[o] = w if s > 0 else -w
         filled = known
@@ -423,10 +428,9 @@ class EllipticNet:
         self.points = points
         self.rank = len(points)
         self.strategy = strategy
-        self._zero = points[0].x - points[0].x
         self._values: dict[Index, object] = {}  # W on the step routes of ``_run``
         self._scaled: dict[Index, object] = {}  # Psi-hat on the rule of ``_net_value``
-        self._divisors: dict[tuple, object] = {}  # by offset r or a seed row's units
+        self._divisors: dict[tuple, object] = {}  # by a step's units
         self._law = law
         neg, origin = (curve.neg, INFINITY) if law is None else (law.neg, None)
         # (P_i, -P_i) in the cache's form
@@ -506,9 +510,7 @@ class EllipticNet:
             num, den = self._form.parts(v)
             return Fraction(self._hat(v) * den, num)
         key, sign = _normalize(v)
-        if key not in self._values:
-            self._run(self.strategy, key)
-        result = self._values[key]
+        result = self._run(self.strategy, key)
         return -result if sign < 0 else result
 
     def scaled_value(self, v: Sequence[int]):
@@ -559,23 +561,22 @@ class EllipticNet:
 
     def _points_value(self, u: Index):
         """Psi-hat(u) off the points route: the box of ranks 3 to 6."""
-        self._run(POINTS, u)
-        return self._scale(u, self._values[u])
+        return self._scale(u, self._run(POINTS, u))
 
-    def _divide(self, x, key: tuple):
+    def _divide(self, x, units: tuple[Index, ...]):
         """x / prod Psi-hat(u) = x / prod F_u over the three units u of a
-        step, where W = 1: a seed row's units, or (g, c, h) of the halving
-        step at offset r = key (``_ladder_units``), cached by key.  The
-        quotient is an int, or the exact ``Fraction`` where a checked
-        divmod leaves a remainder."""
-        d = self._divisors.get(key)
+        step (a seed row's, or those of a halving step), where W = 1,
+        cached by the units.  The quotient is an int, or the exact
+        ``Fraction`` where a checked divmod leaves a remainder."""
+        d = self._divisors.get(units)
         if d is None:
-            units = key if isinstance(key[0], tuple) else _ladder_units(tuple(c & 1 for c in key))
-            d = self._divisors[key] = math.prod(self._scale(u, 1) for u in units)
+            d = self._divisors[units] = math.prod(self._scale(u, 1) for u in units)
         return _quotient(x, d)
 
-    def _run(self, route: str, target: Index) -> None:
-        """Evaluate W(target) on an explicit stack of steps on one route.
+    def _run(self, route: str, target: Index):
+        """W(target) for a normalized index: from the memo ``_values`` if
+        it holds it, else evaluated on an explicit stack of steps on one
+        route.
 
         A step is a generator for one index.  It yields each index whose
         value it needs, is sent the signed W(index), and returns
@@ -586,6 +587,8 @@ class EllipticNet:
         divisor) ends the evaluation.
         """
         values = self._values
+        if target in values:
+            return values[target]
         make = self._solve if route == POINTS else self._recurrence
         stack = [(target, 1, make(target))]
         reply = None
@@ -606,6 +609,7 @@ class EllipticNet:
             else:
                 stack.append((key, sign, make(key)))
                 reply = None
+        return reply
 
     def _degenerate(self, what: str) -> EllnetError:
         """The error for a zero divisor, chosen by the field: over Q it
@@ -615,15 +619,10 @@ class EllipticNet:
             return DependentPointsError(f"{what}: base points are dependent")
         return DegenerateNetError(f"{what} mod {self.curve.gf_modulus}")
 
-    def _base_value(self, v: Index):
-        if not any(v):
-            return self._zero
-        return initial_net_value(self.curve, self.points, v)
-
     def _solve(self, v: Index):
         """The points route: a base value, the support reduction, or one
         point step on the axis with the largest coordinate."""
-        base = self._base_value(v)
+        base = initial_net_value(self.curve, self.points, v)
         if base is not None:
             return "base", base
         if self._is_small_support(v):
@@ -707,8 +706,7 @@ class EllipticNet:
         if self.rank != 2:
             raise PreconditionError("recurrence schedule is defined for rank <= 2")
         init = {v: initial_net_value(self.curve, self.points, v)
-                for v in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2))}
-        init[(0, 0)] = self._zero
+                for v in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2))}
         return _apply_steps(init, _RECURRENCE_BASE_STEPS, lambda x, units: x)
 
     def _recurrence(self, v: Index):
@@ -872,7 +870,7 @@ _SEED_ROWS = (
     ((-3, -2), (-2, -2), (-1, -1), (2, 1)),  # (3, 3)
 )
 _SEED_STEPS = _unit_steps(_SEED_ROWS)
-# the values the rank-2 recurrence schedule derives from its seven initial
+# the values the rank-2 recurrence schedule derives from its eight initial
 # ones: W(1,-1), W(2,-1), W(1,-2), W(3,0) and W(0,3), in that order
 _RECURRENCE_BASE_STEPS = _unit_steps((((0, -1), (1, 0), (1, 1), (0, 0)),
                                       ((1, 0), (0, -1), (0, 1), (1, 0)),

@@ -6,6 +6,7 @@ searches; the bounds used are always part of the report.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -110,7 +111,6 @@ def _grid(rank: int, shape) -> list[Vector]:
         return [v for v in box_indices(rank, shape) if any(v)]
     if rank != len(shape):
         raise ValueError("grid shape does not match rank")
-    import itertools
     return [v for v in itertools.product(*(range(s + 1) for s in shape)) if any(v)]
 
 

@@ -162,3 +162,22 @@ def test_psi_over_q_is_the_int_sequence_d_to_the_n_squared_psi(case):
         reduced = _plain_psi(reduce_curve(curve, p), reduce_mod_p(curve, point, p), 300)
         for n in range(301):
             assert dp.scaled(n) * pow(d, -n * n, p) % p == reduced[n].residue, (p, n)
+
+
+@pytest.mark.parametrize("modulus", [1000003, None], ids=["mod-1000003", "over-q"])
+def test_psi_in_mixed_order_matches_psi_filled_in_order(modulus):
+    # the window plan takes [0, _top] as known without a scan, so a memo
+    # filled sparsely, then consecutively, then in random order must give
+    # what a fresh memo gives when the same indices come in sorted order
+    point = E1.mul(2, P1)  # D = 8
+    curve = E1 if modulus is None else reduce_curve(E1, modulus)
+    if modulus is not None:
+        point = reduce_mod_p(E1, point, modulus)
+    rng = random.Random(28)
+    top = 120 if modulus is None else 10 ** 30
+    asked = [rng.randrange(top // 2, top) for _ in range(3)] + list(range(-3, 60))
+    asked += [rng.randrange(-top, top) for _ in range(40)] + rng.sample(range(40, 121), 81)
+    mixed, in_order = DivisionPolynomials(curve, point), DivisionPolynomials(curve, point)
+    expected = {n: in_order._value(n) for n in sorted(asked)}
+    assert [mixed._value(n) for n in asked] == [expected[n] for n in asked]
+    assert [mixed._value(n) for n in range(121)] == [in_order._value(n) for n in range(121)]

@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private function, method or module-level name it defines is used in
-the package.
+"""Every name a module of the package imports is used in that module, no
+module imports inside a function, and every private function, method or
+module-level name it defines is used in the package.
 
 No linter ships with the project, so this catches imports, helpers and
 tables left behind when the code that needed them goes.  ``__init__``
@@ -42,6 +42,27 @@ def test_every_import_is_used(module):
 def test_unused_import_is_reported():
     source = "from __future__ import annotations\nimport os, sys\nfrom a import b as c, d\nsys.exit(d)\n"
     assert unused_imports(source) == ["os (line 2)", "c (line 3)"]
+
+
+def imports_in_function_bodies(source: str) -> list[int]:
+    """The lines of the imports inside a function or method: every import
+    of the package stands at the top of its module (or of a class body),
+    so what a module depends on is read off its head."""
+    functions = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return sorted({node.lineno for function in functions for node in ast.walk(function)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_import_inside_a_function(module):
+    assert imports_in_function_bodies((PACKAGE / module).read_text()) == []
+
+
+def test_import_inside_a_function_is_reported():
+    source = ("import os\nclass C:\n    import sys\n    def m(self):\n        import json\n"
+              "def f():\n    def g():\n        from a import b\n    return g\n")
+    assert imports_in_function_bodies(source) == [5, 8]
 
 
 def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:

@@ -65,6 +65,15 @@ def test_initial_values(e1, net1):
     assert initial_net_value(e1, net1.points, (3, 0)) is None
 
 
+def test_initial_value_at_the_origin_is_the_fields_zero(e1):
+    # W(0) = 0 is a base value like the others, in the field of the points
+    zero = initial_net_value(e1, (P1, Q1), (0, 0))
+    assert zero == 0 and type(zero) is Fraction
+    points = tuple(reduce_mod_p(e1, pt, 101) for pt in (P1, Q1))
+    zero = initial_net_value(reduce_curve(e1, 101), points, (0, 0))
+    assert zero == PrimeFieldElement(0, 101)
+
+
 def test_initial_value_degenerate_pair(e1):
     with pytest.raises(DegeneratePairError):
         initial_net_value(e1, (P1, e1.neg(P1)), (2, 1))
@@ -459,7 +468,7 @@ def ladder_children(u):
     """The eight indices of the halving step at u, read off the compiled
     table with u on a level of its own: base u >> 1, offset u & 1."""
     base = tuple(c >> 1 for c in u)
-    step, _ = _children(tuple(c & 1 for c in u))
+    step, _, _ = _children(tuple(c & 1 for c in u))
     return [tuple(b + t for b, t in zip(base, offset)) for offset in step]
 
 
@@ -469,7 +478,7 @@ def assert_table_keeps_the_window(rank):
     window again, and the table commutes with r -> r + 2 e_i, so a child
     index depends on the parent index alone."""
     for r in itertools.product(*(range(span.start, span.stop + 1) for span in LADDER_WINDOW[rank])):
-        step, values_of = _children(r)
+        step, values_of, _ = _children(r)
         assert all(map(in_ladder_window, step)), (r, step)
         assert values_of({t: t for t in step}) == step, r
         for i in range(rank):
@@ -679,6 +688,33 @@ def test_rank_four_ladder(default_recursion_limit):
     v = (10 ** 29 + 1, -3 * 10 ** 28 - 7, 7 * 10 ** 29 + 3, -(10 ** 29) - 9)
     assert assert_group_law_identity(huge, huge.value, v) != 0
     assert huge.route_counts["ladder"] > 0
+
+
+ROUTE_COUNT_NETS = {
+    "e1-points": (E1, (P1, Q1), "points"),
+    "e1-recurrence": (E1, (P1, Q1), "recurrence"),
+    "5077a": (CURVE_5077A, POINTS_5077A, "points"),
+    "234446a": (CURVE_234446A, tuple(rational_point(x, y) for x, y in ((0, 17), (-4, 25), (4, -7))),
+                "points"),
+}
+
+
+@pytest.mark.parametrize("name", ROUTE_COUNT_NETS)
+def test_route_counts_add_up_to_the_memo(name):
+    # each value of a step route is stepped and counted once, also where
+    # the box of the rule of ``_net_value`` asks for one the points route
+    # already filled on its way to another
+    curve, points, strategy = ROUTE_COUNT_NETS[name]
+    net = EllipticNet(curve, points, strategy)
+    reduced = ReducedNet(EllipticNet(curve, points), 1009)
+    rng = random.Random(28)
+    for _ in range(20):
+        v = tuple(rng.randint(-9, 9) for _ in points)
+        net.value(v)
+        reduced.value(v)
+    counts = net.route_counts
+    assert counts["base"] + counts["points"] + counts["recurrence"] == len(net._values), counts
+    assert sum(reduced.route_counts.values()) == len(reduced._residues), reduced.route_counts
 
 
 # (4, 3) in place of (5, -2): a small relation among the four points

@@ -353,6 +353,49 @@ def test_chi_is_the_tate_pairing(name, axis):
     assert nontrivial == TATE_NONTRIVIAL[name, axis], (nontrivial, trivial, no_auxiliary)
 
 
+TATE_RANK_ONE = {"E1-P": (E1_COEFFS, P1), "E1-Q": (E1_COEFFS, Q1),
+                 "E2-P": (E2_COEFFS, P2), "E2-Q": (E2_COEFFS, Q2)}
+# the primes where both sides are not 1
+TATE_RANK_ONE_NONTRIVIAL = {"E1-P": 29, "E1-Q": 25, "E2-P": 42, "E2-Q": 43}
+
+
+@pytest.mark.parametrize("name", sorted(TATE_RANK_ONE))
+def test_rank_one_chi_is_the_tate_pairing(name):
+    # Stange ("The Tate pairing via elliptic nets", 2007) at rank 1: with
+    # rho = ord(P) mod p, chi(rho e_1, e_1) = psi_{rho+2} / (psi_{rho+1}
+    # psi_2) is the reduced Tate pairing tau_rho(P, P), so both agree in
+    # mu_g, g = gcd(rho, p - 1), after the power (p - 1) / g.  The basis of
+    # the zero lattice is rho e_1 itself, so the table side is the entry
+    # chi_axis[0][0]; the pairing side is Miller's loop
+    coeffs, point = TATE_RANK_ONE[name]
+    net = EllipticNet(WeierstrassCurve(*coeffs), (point,))
+    rng = random.Random(28)
+    nontrivial = trivial = no_auxiliary = 0
+    for p in [q for q in range(5, 398) if is_prime(q)] + LARGE_PRIMES:
+        try:
+            sd = build_symmetry_data(ReducedNet(net, p))
+        except EllnetError:
+            continue
+        curve, P = sd.net.gf_curve, sd.net.gf_points[0]
+        rho, T = 1, P
+        while not T.is_infinity:
+            rho, T = rho + 1, curve.add(T, P)
+        assert sd.lattice.basis == ((rho,),), p
+        g = math.gcd(rho, p - 1)
+        if g == 1:  # both sides are 1
+            trivial += 1
+            continue
+        P = (P.x.residue, P.y.residue)
+        tau = _tate_pairing(curve, tuple(c % p for c in coeffs), P, P, rho, rng)
+        if tau is None:  # E(F_p) = <P>: every S meets a zero of the loop
+            no_auxiliary += 1
+            continue
+        e = (p - 1) // g
+        assert pow(sd.chi_axis[0][0].residue, e, p) == pow(tau, e, p), p
+        nontrivial += pow(tau, e, p) != 1
+    assert nontrivial == TATE_RANK_ONE_NONTRIVIAL[name], (nontrivial, trivial, no_auxiliary)
+
+
 def test_dependent_triple_verify_keeps_its_output(capsys):
     # the identity check calls xi at lam_i + lam_j, whose auxiliary values
     # lie past the exact fallback's bound, so it refuses as a fresh net does
