@@ -14,15 +14,21 @@ index takes one halving ladder.  A recurrence instance writes W(u) times
 three units as a difference of two products of four values near u / 2,
 so O(log |u|) levels of a bounded number of values each reach the box and
 the axes.  One parity rule (``_ladder_units``) picks the
-instance at every rank from 2 to LADDER_MAX_RANK.  The ladder runs on a
-level-block schedule: at level j every index is (u >> j) + o for a small
-offset o, the children of o depend only on ((u >> j) & 1) + o, and one
-cached table (``_children``) gives them; a top-down pass over the offsets
-of each level and a bottom-up fill replace any recursion.  Where a box
-value raises, and on a net of rank above LADDER_MAX_RANK off the axes, the
-box callback answers the index itself.  The nets differ only in their
-callbacks, the box, psi and the combine step, which divides by the
-units' values:
+instance at every rank from 2 to LADDER_MAX_RANK.  The ladder runs on
+cached level plans: at level j every index is (u >> j) + o for a small
+offset o, and the children of o depend only on ((u >> j) & 1) + o
+(``_children``).  A plan is one level's offsets in a fixed order, and its
+transition, keyed by the positions of the level's inner nodes and the
+parity bits of u >> j, gives each inner node's units, a positional getter
+of the children's values and the next level's plan.  Plans hold offsets,
+positions and units, never a value, so one process-global cache serves
+every net and field; the per-index work left is building the index,
+normalizing it and looking it up in the memo.  A top-down pass over the
+levels and a bottom-up fill, on one list of values per level, replace any
+recursion.  Where a box value raises, and on a net of rank above
+LADDER_MAX_RANK off the axes, the net answers the index off its box route
+itself.  The nets differ only in their callbacks, the box, psi and the
+combine step, which divides by the units' values:
 
 * an exact net over Q on the points strategy runs the rule on the
   rescaled net Psi-hat(v) = F_v W(v), with F_v = prod over i <= j of
@@ -125,8 +131,10 @@ raises ``DegenerateNetError``; ``ReducedNet`` meets none, since its seeded
 box, the ladder and psi never divide by a zero.
 
 ``route_counts`` on a net counts its memoized values by route (base, seed,
-psi, ladder, points, recurrence), and on a ``ReducedNet`` its residues by
-source (seed, exact, psi, ladder).
+psi, ladder, box, points, recurrence: seed + psi + ladder + box is the
+size of the Psi-hat memo, base + points + recurrence that of the step
+routes' memo), and on a ``ReducedNet`` its residues by source (seed,
+exact, psi, ladder).
 """
 from __future__ import annotations
 
@@ -240,11 +248,11 @@ def _ladder_units(parity: Index) -> tuple[Index, Index, Index]:
 
 
 @cache
-def _children(r: Index) -> tuple[tuple[Index, ...], Callable[[dict], tuple], tuple[Index, ...]]:
+def _children(r: Index) -> tuple[tuple[Index, ...], tuple[Index, ...]]:
     """The eight child offsets t of the halving step at an index 2m + r,
-    relative to m, a getter of their values from a dict keyed by offset,
-    and the step's units (g, c, h): W(2m + r) W(g) W(c) W(h) = prod
-    W(m + t) over the first four minus prod W(m + t) over the last four.
+    relative to m, and the step's units (g, c, h): W(2m + r) W(g) W(c) W(h)
+    = prod W(m + t) over the first four minus prod W(m + t) over the last
+    four.
 
     The step is the row (m + a, m + b, c, d) of ``_net_terms``, with
     g = a - b, c and h = c + d units from ``_ladder_units``, where W = 1:
@@ -262,8 +270,47 @@ def _children(r: Index) -> tuple[tuple[Index, ...], Callable[[dict], tuple], tup
     d = tuple(map(sub, h, c))
     a = tuple((x + y - z) // 2 for x, y, z in zip(r, g, d))
     _, t1, (t20, t21, t22, t23) = _net_terms(a, tuple(map(sub, a, g)), c, d)
-    step = (t20, tuple(-x for x in t21), t22, t23, *t1)
-    return step, itemgetter(*step), (g, c, h)
+    return (t20, tuple(-x for x in t21), t22, t23, *t1), (g, c, h)
+
+
+# The level plans of the halving ladder, by their offsets: a plan is one
+# level's offsets and its transitions, so it holds no value of any net and
+# serves every net and field.  Every offset lies in a fixed window per rank
+# (tests/test_net.py, LADDER_WINDOW), so there are finitely many plans, but
+# at ranks 3 and 4 a new key still meets new ones (about 1,200 plans after
+# 500 random rank-3 keys, 66 per rank-4 key); past PLAN_CACHE_MAX plans,
+# some 2 KB each, a level's transition is built for the call alone.
+PLAN_CACHE_MAX = 2048
+_PLANS: dict[tuple[Index, ...], tuple] = {}
+
+
+def _plan(offsets: tuple[Index, ...]) -> tuple[tuple[Index, ...], dict]:
+    """The plan of the offsets: (offsets, transitions), one object per
+    offset tuple while the cache has room, its transitions filled on first
+    use."""
+    plan = _PLANS.get(offsets)
+    if plan is None:
+        plan = (offsets, {})
+        if len(_PLANS) < PLAN_CACHE_MAX:
+            _PLANS[offsets] = plan
+    return plan
+
+
+def _transition(offsets: tuple[Index, ...], bits: Index, inner: tuple[int, ...]):
+    """The next level of a plan whose level base has parity ``bits`` and
+    whose offsets at the positions ``inner`` are inner nodes: the next
+    plan, a getter of the eight children's values of every inner node in
+    turn from a list aligned to that plan, and each inner node's units.
+    The next offsets are the children of the inner nodes in the iteration
+    order of a set filled with them node by node, which fixes the order the
+    next level is visited in, and so what the memo holds where a box value
+    raises."""
+    below, children = set(), [_children(tuple(map(add, bits, offsets[i]))) for i in inner]
+    for step, _ in children:
+        below.update(step)
+    where = {o: k for k, o in enumerate(below)}
+    return (_plan(tuple(below)), itemgetter(*(where[t] for step, _ in children for t in step)),
+            tuple(units for _, units in children))
 
 
 def _max_norm(v: Index) -> int:
@@ -274,88 +321,97 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
                psi: Callable[[int, int], object], combine: Callable[[object, Index], object],
                counts: Counter):
     """W(key) for a normalized index by the source rule of the module
-    docstring, on the level-block schedule of the halving ladder,
-    memoized in ``memo`` with every value on its way.
+    docstring, on the level plans of the halving ladder, memoized in
+    ``memo`` with every value on its way; None where a box value on the
+    way raises.
 
     At level j every index the key needs is (key >> j) + o for a small
     offset o (per-coordinate floor halving), and the children of offset o
-    at level j + 1 are ``_children(((key >> j) & 1) + o)``.  A top-down
-    pass takes the offsets of each level once: an index whose normalized
-    form is in ``memo`` (a rank-2 memo holds the whole seeded box from the
-    start, so ``box`` serves ranks 3 and up), on an axis or 0 (from
-    ``psi(axis, n)``, counted in ``counts["psi"]``), or in the box
-    (max-norm at most LADDER_BASE_NORM, from ``box(u)``) is a known value,
-    stored in ``memo``; every other
-    index is an inner node, and its children make up the next level.  A
-    bottom-up pass then fills the inner nodes deepest level first with
-    ``combine(+-(prod W(first) - prod W(second)), units)`` for the units
-    of the step's ``_children``, stored in ``memo`` under the normalized
-    index and counted in ``counts["ladder"]``: ``x % p`` keeps residues
-    reduced, and an exact net divides Psi-hat by the Psi-hat of the units.  An
-    index that an earlier fill stored (its mirror on the same level, or the
-    same index on a deeper one) is read from ``memo``, so each index is
-    counted once.  The step divides by no net value, only by the units'
-    constant values, so it meets no zero divisor, and the key is reached in O(log |key|) levels
-    of a bounded number of offsets each.  Where a box value on the way
-    raises (dependent points), the key takes ``box(key)``, and so does an
-    off-axis key of rank above LADDER_MAX_RANK, at once; that value is
-    returned but not memoized, so a later ladder through the key meets the
-    raising box value too, and no answer depends on what ``memo`` held.
+    at level j + 1 are ``_children(((key >> j) & 1) + o)``.  A level's
+    offsets come in the fixed order of its plan (``_plan``), and its
+    values live in one list aligned to it.  A top-down pass takes each
+    level once: an index whose normalized form is in ``memo`` (a rank-2
+    memo holds the whole seeded box from the start, so ``box`` serves
+    ranks 3 and up), on an axis or 0 (from ``psi(axis, n)``, counted in
+    ``counts["psi"]``), or in the box (max-norm at most LADDER_BASE_NORM,
+    from ``box(u)``) is a known value, stored in ``memo``; every other
+    index is an inner node.  The plan's transition for the positions of
+    the inner nodes and the parity bits of the level base
+    (``_transition``, cached on the plan) gives each inner node's units
+    and a positional getter of its children, and the next level's plan.
+    A bottom-up pass then fills the inner nodes deepest level first with
+    ``combine(+-(prod W(first) - prod W(second)), units)``, stored in
+    ``memo`` under the normalized index and counted in
+    ``counts["ladder"]``: ``x % p`` keeps residues reduced, and an exact
+    net divides Psi-hat by the Psi-hat of the units.  An index that an
+    earlier fill stored (its mirror on the same level, or the same index
+    on a deeper one) is read from ``memo``, so each index is counted once.
+    The step divides by no net value, only by the units' constant values,
+    so it meets no zero divisor, and the key is reached in O(log |key|)
+    levels of a bounded number of offsets each.  An off-axis key of rank
+    above LADDER_MAX_RANK is a box value itself.  Where a box value on the
+    way raises (dependent points) the result is None: the caller answers
+    the key off its box route and does not memoize it, so a later ladder
+    through the key meets the raising box value too, and no answer
+    depends on what ``memo`` held.
     """
     rank = len(key)
-    levels, base, offsets = [], key, {(0,) * rank}
-    while offsets:
+    levels, base, (offsets, transitions) = [], key, _plan(((0,) * rank,))
+    while True:
         if rank == 2:
             b0, b1 = base
-            c0, c1 = b0 & 1, b1 & 1
-        else:
-            bits = tuple(x & 1 for x in base)
-        known, inner, below = {}, [], set()
+        values, inner = [], []
         for o in offsets:
             if rank == 2:  # unrolled: the index and its normalized form
                 o0, o1 = o
                 x0, x1 = b0 + o0, b1 + o1
                 u, s = ((x0, x1), 1) if x0 > 0 or not x0 and x1 >= 0 else ((-x0, -x1), -1)
-                r = (c0 + o0, c1 + o1)
             else:
                 u, s = _normalize(tuple(map(add, base, o)))
-                r = tuple(map(add, bits, o))
-            if u in memo:
-                w = memo[u]
-            elif u.count(0) >= rank - 1:  # an axis, or 0 = psi_0
-                n = sum(u)
-                w = memo[u] = psi(u.index(n), n)
-                counts["psi"] += 1
-            elif rank > 2 and (rank > LADDER_MAX_RANK or _max_norm(u) <= LADDER_BASE_NORM):
-                try:
-                    w = memo[u] = box(u)
-                except EllnetError:
-                    if u == key:
-                        raise
-                    return box(key)
-            else:
-                step, values_of, units = _children(r)
-                inner.append((o, u, s, units, values_of))
-                below.update(step)
-                continue
-            known[o] = w if s > 0 else -w
-        levels.append((known, inner))
+            w = memo.get(u)
+            if w is None:
+                if u.count(0) >= rank - 1:  # an axis, or 0 = psi_0
+                    n = sum(u)
+                    w = memo[u] = psi(u.index(n), n)
+                    counts["psi"] += 1
+                elif rank > 2 and (rank > LADDER_MAX_RANK or _max_norm(u) <= LADDER_BASE_NORM):
+                    try:
+                        w = memo[u] = box(u)
+                    except EllnetError:
+                        if u == key:
+                            raise
+                        return None
+                else:  # an inner node holds (u, s) until it is filled
+                    inner.append(len(values))
+                    values.append((u, s))
+                    continue
+            values.append(w if s > 0 else -w)
+        if not inner:
+            break
+        at = ((b0 & 1, b1 & 1) if rank == 2 else tuple(x & 1 for x in base), tuple(inner))
+        step = transitions.get(at)
+        if step is None:
+            step = _transition(offsets, *at)
+            if len(_PLANS) < PLAN_CACHE_MAX:
+                transitions[at] = step
+        (offsets, transitions), get, units = step
+        levels.append((values, inner, get, units))
         base = (b0 >> 1, b1 >> 1) if rank == 2 else tuple(x >> 1 for x in base)
-        offsets = below
-    filled, new = None, 0
-    for known, inner in reversed(levels):
-        for o, u, s, units, values_of in inner:
+    filled, new = values, 0
+    for values, inner, get, units in reversed(levels):
+        kids = iter(get(filled))
+        for i, g, (t0, t1, t2, t3, t4, t5, t6, t7) in zip(inner, units, zip(*[kids] * 8)):
+            u, s = values[i]
             w = memo.get(u)  # set already by u's mirror on this level or u on a deeper one
             if w is None:
-                t0, t1, t2, t3, t4, t5, t6, t7 = values_of(filled)
                 first, second = t0 * t1 * t2 * t3, t4 * t5 * t6 * t7
-                w = memo[u] = combine(first - second if s > 0 else second - first, units)
+                w = memo[u] = combine(first - second if s > 0 else second - first, g)
                 new += 1
-            known[o] = w if s > 0 else -w
-        filled = known
+            values[i] = w if s > 0 else -w
+        filled = values
     if new:
         counts["ladder"] += new
-    return filled[(0,) * rank]
+    return filled[0]
 
 
 def _quotient(x, d: int):
@@ -530,8 +586,10 @@ class EllipticNet:
         if w is None:
             if self.rank == 2 and not self._scaled:
                 self._seed_box()
-            w = _net_value(key, self._scaled, self._points_value, self._axis_psi, self._divide,
+            w = _net_value(key, self._scaled, self._box_value, self._axis_psi, self._divide,
                            self.route_counts)
+            if w is None:  # a box value on the way raises: the points route, unmemoized
+                w = self._scale(key, self._run(POINTS, key))
         return -w if sign < 0 else w
 
     @cached_property
@@ -559,9 +617,12 @@ class EllipticNet:
                                    self._axis_psi, self._divide)
         self.route_counts["seed"] = len(self._scaled)
 
-    def _points_value(self, u: Index):
-        """Psi-hat(u) off the points route: the box of ranks 3 to 6."""
-        return self._scale(u, self._run(POINTS, u))
+    def _box_value(self, u: Index):
+        """Psi-hat(u) off the points route, the box of ranks 3 to 6, which
+        ``_net_value`` memoizes: counted under ``box``."""
+        w = self._scale(u, self._run(POINTS, u))
+        self.route_counts["box"] += 1
+        return w
 
     def _divide(self, x, units: tuple[Index, ...]):
         """x / prod Psi-hat(u) = x / prod F_u over the three units u of a
@@ -826,26 +887,30 @@ def _instance(p: Index, q: Index, r: Index, s: Index) -> tuple[Index, int, tuple
     return target, -sign, tuple(map(_normalize, t1 + t2)), tuple(map(_normalize, divisors))
 
 
-def _unit_steps(rows) -> tuple[tuple[Index, int, tuple, tuple[Index, ...]], ...]:
+def _unit_steps(rows) -> tuple[tuple[Index, Callable, int, int, tuple[Index, ...]], ...]:
     """The ``_instance`` of each row whose divisors are units, where
-    W = +-1, as (target, sign, factors, units): the units' signs folded
-    into the sign, and the units their normalized indices."""
+    W = +-1, as (target, getter, s1, s2, units): a getter of the values
+    of the eight factors' normalized indices, the signs of T1 and T2 (the
+    row's, the units' and their factors' signs multiplied out), and the
+    units' normalized indices."""
     steps = []
     for row in rows:
         target, sign, factors, divisors = _instance(*row)
-        steps.append((target, sign * math.prod(s for _, s in divisors), factors,
-                      tuple(u for u, _ in divisors)))
+        sign *= math.prod(s for _, s in divisors)
+        signs = [s for _, s in factors]
+        steps.append((target, itemgetter(*(u for u, _ in factors)), sign * math.prod(signs[:4]),
+                      sign * math.prod(signs[4:]), tuple(u for u, _ in divisors)))
     return tuple(steps)
 
 
 def _apply_steps(values: dict[Index, object], steps, combine: Callable[[object, tuple], object]):
     """``values`` with the target of each of ``steps`` (``_unit_steps``)
-    added in turn, as ``combine(x, units)`` for x = sign * (T1 + T2):
+    added in turn, as ``combine(x, units)`` for x = s1 T1 + s2 T2:
     ``combine`` divides by the units' values or, where W = 1 on the units,
     keeps x."""
-    for target, sign, factors, units in steps:
-        w = [values[t] if s > 0 else -values[t] for t, s in factors]
-        values[target] = combine(sign * (w[0] * w[1] * w[2] * w[3] + w[4] * w[5] * w[6] * w[7]), units)
+    for target, get, s1, s2, units in steps:
+        t0, t1, t2, t3, t4, t5, t6, t7 = get(values)
+        values[target] = combine(s1 * (t0 * t1 * t2 * t3) + s2 * (t4 * t5 * t6 * t7), units)
     return values
 
 
@@ -1025,6 +1090,8 @@ class ReducedNet:
         if w is None:
             w = _net_value(key, self._residues, self._exact_residue, self._psi, self._residue,
                            self.route_counts)
+            if w is None:  # a box value on the way raises: exact over Q, unmemoized
+                w = self._exact_residue(key)
         return (w if sign > 0 else -w) % self.p
 
     def value(self, v: Sequence[int]) -> PrimeFieldElement:

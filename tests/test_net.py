@@ -468,7 +468,7 @@ def ladder_children(u):
     """The eight indices of the halving step at u, read off the compiled
     table with u on a level of its own: base u >> 1, offset u & 1."""
     base = tuple(c >> 1 for c in u)
-    step, _, _ = _children(tuple(c & 1 for c in u))
+    step, _ = _children(tuple(c & 1 for c in u))
     return [tuple(b + t for b, t in zip(base, offset)) for offset in step]
 
 
@@ -478,9 +478,8 @@ def assert_table_keeps_the_window(rank):
     window again, and the table commutes with r -> r + 2 e_i, so a child
     index depends on the parent index alone."""
     for r in itertools.product(*(range(span.start, span.stop + 1) for span in LADDER_WINDOW[rank])):
-        step, values_of, _ = _children(r)
+        step, _ = _children(r)
         assert all(map(in_ladder_window, step)), (r, step)
-        assert values_of({t: t for t in step}) == step, r
         for i in range(rank):
             shifted = r[:i] + (r[i] + 2,) + r[i + 1:]
             moved = tuple(t[:i] + (t[i] + 1,) + t[i + 1:] for t in step)
@@ -714,7 +713,22 @@ def test_route_counts_add_up_to_the_memo(name):
         reduced.value(v)
     counts = net.route_counts
     assert counts["base"] + counts["points"] + counts["recurrence"] == len(net._values), counts
+    assert counts["seed"] + counts["psi"] + counts["ladder"] + counts["box"] == len(net._scaled), counts
     assert sum(reduced.route_counts.values()) == len(reduced._residues), reduced.route_counts
+
+
+def test_box_values_of_an_exact_net_are_counted():
+    # at ranks 3 to 6 the box values that the rule of ``_net_value`` reads
+    # off the points route are memoized in ``_scaled`` and counted there
+    net = EllipticNet(CURVE_5077A, POINTS_5077A)
+    net.value((5, 4, 3))
+    net.value((7, -6, 2))
+    assert len(net._scaled) == 27 and len(net._values) == 43
+    assert net.route_counts == Counter(base=14, points=29, ladder=5, box=22)
+    # the box values are the points route's, scaled by F
+    for u, w in net._scaled.items():
+        if max(map(abs, u)) <= LADDER_BASE_NORM:
+            assert w == net._scale(u, net._values[u]), u
 
 
 # (4, 3) in place of (5, -2): a small relation among the four points

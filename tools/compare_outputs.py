@@ -2,7 +2,8 @@
 
 Every warm-up, op and probe of seeds 1 and 2 of the three bench workloads
 (``bench/workloads.py`` of this tree) runs through ``ellnet.cli.main``,
-together with a fixed list of ``verify`` and table argv (``fixed_argv``).
+together with a fixed list of ``verify``, table and ``eval --method
+direct`` argv (``fixed_argv``).
 Each tree runs the whole list in one subprocess, with its own ``src`` on
 the path.  Every argv whose exit code, stdout or stderr differs is listed;
 the exit code is 1 if there is any, else 0.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,18 @@ VERIFY = (
     ["epsilon", "--radius", "2"],
     ["symmetry-props", "--trials", "50"],
 )
+# eval --method direct where the bench's indices do not reach the ladder:
+# (curve, points, prime, digits, rank, count) of seeded indices, deep at
+# ranks 2 and 3, and on 234446a with a small relation among the points
+# (tests/test_net.py, DEPENDENT_234446A) within max-norm 28, where some box
+# values raise and the index takes the exact fallback, and one index past
+# that bound, which the exact fallback refuses
+DIRECT_EVALS = (
+    ("0,0,1,-7,6", "(1,0);(2,0);(0,2)", 1009, 30, 3, 3),
+    ("0,0,0,0,-11", "(3,4);(15,58)", 1000003, 300, 2, 1),
+)
+DEPENDENT = ("1,-1,0,-79,289", "(0,17);(1,14);(3,7);(4,3)", 101)
+DEPENDENT_INDICES = [(-9, 21, 28, 24), (-24, 25, 9, 29)]
 
 # Run in the child: read the argv list as JSON on stdin, answer one
 # [exit code, stdout, stderr] per argv as JSON on stdout.
@@ -57,7 +71,9 @@ json.dump(results, sys.stdout)
 
 
 def fixed_argv() -> list[list[str]]:
-    """``verify`` checks and tables on E1, E2 and 5077a, at small primes."""
+    """``verify`` checks and tables on E1, E2 and 5077a, at small primes,
+    and the ``eval --method direct`` argv of ``DIRECT_EVALS`` and
+    ``DEPENDENT``."""
     argvs = []
     for curve, point_sets in CURVES.values():
         for points in point_sets:
@@ -69,6 +85,14 @@ def fixed_argv() -> list[list[str]]:
                 argvs.append(["reduced-table", *base, "--grid", "4x4", "--prime", str(p)])
                 argvs += [["verify", check, *base, "--prime", str(p), *rest]
                           for check, *rest in VERIFY]
+    rng = random.Random(29)
+    evals = [(curve, points, p, tuple(rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+                                      for _ in range(rank)))
+             for curve, points, p, digits, rank, count in DIRECT_EVALS for _ in range(count)]
+    small = [tuple(rng.randint(-28, 28) for _ in range(4)) for _ in range(6)]
+    evals += [(*DEPENDENT, v) for v in DEPENDENT_INDICES + small]
+    argvs += [["eval", "--curve", curve, "--points", points, "--prime", str(p),
+               f"--index={','.join(map(str, v))}", "--method", "direct"] for curve, points, p, v in evals]
     return argvs
 
 
