@@ -278,21 +278,21 @@ def _children(r: Index) -> tuple[tuple[Index, ...], tuple[Index, ...]]:
 # serves every net and field.  Every offset lies in a fixed window per rank
 # (tests/test_net.py, LADDER_WINDOW), so there are finitely many plans, but
 # at ranks 3 and 4 a new key still meets new ones (about 1,200 plans after
-# 500 random rank-3 keys, 66 per rank-4 key); past PLAN_CACHE_MAX plans,
-# some 2 KB each, a level's transition is built for the call alone.
+# 500 random rank-3 keys, 66 per rank-4 key), so a cache of PLAN_CACHE_MAX
+# plans, some 2 KB each, is emptied when full and refills with the plans in
+# use.
 PLAN_CACHE_MAX = 2048
 _PLANS: dict[tuple[Index, ...], tuple] = {}
 
 
 def _plan(offsets: tuple[Index, ...]) -> tuple[tuple[Index, ...], dict]:
     """The plan of the offsets: (offsets, transitions), one object per
-    offset tuple while the cache has room, its transitions filled on first
-    use."""
+    offset tuple, its transitions filled on first use."""
     plan = _PLANS.get(offsets)
     if plan is None:
-        plan = (offsets, {})
-        if len(_PLANS) < PLAN_CACHE_MAX:
-            _PLANS[offsets] = plan
+        if len(_PLANS) >= PLAN_CACHE_MAX:
+            _PLANS.clear()
+        plan = _PLANS[offsets] = (offsets, {})
     return plan
 
 
@@ -305,12 +305,10 @@ def _transition(offsets: tuple[Index, ...], bits: Index, inner: tuple[int, ...])
     order of a set filled with them node by node, which fixes the order the
     next level is visited in, and so what the memo holds where a box value
     raises."""
-    below, children = set(), [_children(tuple(map(add, bits, offsets[i]))) for i in inner]
-    for step, _ in children:
-        below.update(step)
+    steps, units = zip(*[_children(tuple(map(add, bits, offsets[i]))) for i in inner])
+    below = tuple(set(itertools.chain.from_iterable(steps)))
     where = {o: k for k, o in enumerate(below)}
-    return (_plan(tuple(below)), itemgetter(*(where[t] for step, _ in children for t in step)),
-            tuple(units for _, units in children))
+    return _plan(below), itemgetter(*map(where.__getitem__, itertools.chain.from_iterable(steps))), units
 
 
 def _max_norm(v: Index) -> int:
@@ -391,9 +389,7 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
         at = ((b0 & 1, b1 & 1) if rank == 2 else tuple(x & 1 for x in base), tuple(inner))
         step = transitions.get(at)
         if step is None:
-            step = _transition(offsets, *at)
-            if len(_PLANS) < PLAN_CACHE_MAX:
-                transitions[at] = step
+            step = transitions[at] = _transition(offsets, *at)
         (offsets, transitions), get, units = step
         levels.append((values, inner, get, units))
         base = (b0 >> 1, b1 >> 1) if rank == 2 else tuple(x >> 1 for x in base)

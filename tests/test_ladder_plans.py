@@ -222,11 +222,11 @@ def test_plan_cache_stays_bounded(monkeypatch):
 
 
 def test_a_full_plan_cache_keeps_the_values(monkeypatch):
-    # past PLAN_CACHE_MAX a transition serves its call alone
+    # a full cache is emptied, and the plans are built again
     monkeypatch.setattr(net_module, "_PLANS", {})
     expected = sweep(FIRST_SWEEP[1:2], seed=3)
-    assert len(net_module._PLANS) > 100
+    assert len(net_module._PLANS) > 400
     monkeypatch.setattr(net_module, "_PLANS", {})
     monkeypatch.setattr(net_module, "PLAN_CACHE_MAX", 100)
     assert sweep(FIRST_SWEEP[1:2], seed=3) == expected
-    assert len(net_module._PLANS) == 100
+    assert 0 < len(net_module._PLANS) <= 100
