@@ -247,12 +247,17 @@ def _ladder_units(parity: Index) -> tuple[Index, Index, Index]:
     return tuple(tuple(int(i in group) for i in range(len(parity))) for group in groups)
 
 
+# every offset the ladder meets, by a small int, which hashes faster than
+# the offset's tuple
+_OFFSET_IDS: dict[Index, int] = {}
+
+
 @cache
-def _children(r: Index) -> tuple[tuple[Index, ...], tuple[Index, ...]]:
+def _children(r: Index) -> tuple[tuple[Index, ...], tuple[int, ...], tuple[Index, ...]]:
     """The eight child offsets t of the halving step at an index 2m + r,
-    relative to m, and the step's units (g, c, h): W(2m + r) W(g) W(c) W(h)
-    = prod W(m + t) over the first four minus prod W(m + t) over the last
-    four.
+    relative to m, their ids in ``_OFFSET_IDS``, and the step's units
+    (g, c, h): W(2m + r) W(g) W(c) W(h) = prod W(m + t) over the first four
+    minus prod W(m + t) over the last four.
 
     The step is the row (m + a, m + b, c, d) of ``_net_terms``, with
     g = a - b, c and h = c + d units from ``_ladder_units``, where W = 1:
@@ -270,17 +275,21 @@ def _children(r: Index) -> tuple[tuple[Index, ...], tuple[Index, ...]]:
     d = tuple(map(sub, h, c))
     a = tuple((x + y - z) // 2 for x, y, z in zip(r, g, d))
     _, t1, (t20, t21, t22, t23) = _net_terms(a, tuple(map(sub, a, g)), c, d)
-    return (t20, tuple(-x for x in t21), t22, t23, *t1), (g, c, h)
+    step = (t20, tuple(-x for x in t21), t22, t23, *t1)
+    return step, tuple(_OFFSET_IDS.setdefault(t, len(_OFFSET_IDS)) for t in step), (g, c, h)
 
 
 # The level plans of the halving ladder, by their offsets: a plan is one
 # level's offsets and its transitions, so it holds no value of any net and
 # serves every net and field.  Every offset lies in a fixed window per rank
 # (tests/test_net.py, LADDER_WINDOW), so there are finitely many plans, but
-# at ranks 3 and 4 a new key still meets new ones (about 1,200 plans after
-# 500 random rank-3 keys, 66 per rank-4 key), so a cache of PLAN_CACHE_MAX
-# plans, some 2 KB each, is emptied when full and refills with the plans in
-# use.
+# at ranks 3 and 4 new keys keep meeting new ones: 720 random 10-digit
+# rank-3 keys build about 1,600, and each 10-digit rank-4 key about 32,
+# which later keys seldom share.  A plan with its transitions takes about
+# 5.5 KB, so the cache is emptied when it holds PLAN_CACHE_MAX plans (some
+# 11 MB) and refills with the plans in use; 2,048 holds those rank-3 plans,
+# which a cache of 512 builds again and again (0.80 of the set-and-dict
+# schedule's time there, against 0.63).
 PLAN_CACHE_MAX = 2048
 _PLANS: dict[tuple[Index, ...], tuple] = {}
 
@@ -304,11 +313,14 @@ def _transition(offsets: tuple[Index, ...], bits: Index, inner: tuple[int, ...])
     The next offsets are the children of the inner nodes in the iteration
     order of a set filled with them node by node, which fixes the order the
     next level is visited in, and so what the memo holds where a box value
-    raises."""
-    steps, units = zip(*[_children(tuple(map(add, bits, offsets[i]))) for i in inner])
-    below = tuple(set(itertools.chain.from_iterable(steps)))
-    where = {o: k for k, o in enumerate(below)}
-    return _plan(below), itemgetter(*map(where.__getitem__, itertools.chain.from_iterable(steps))), units
+    raises.  Adding an offset that a set holds leaves the set as it was, so
+    the set is filled with each child once, in the order of first sight,
+    which a dict keyed by the children's ids finds."""
+    steps, ids, units = zip(*[_children(tuple(map(add, bits, offsets[i]))) for i in inner])
+    ids = tuple(itertools.chain.from_iterable(ids))
+    below = tuple(set(dict(zip(ids, itertools.chain.from_iterable(steps))).values()))
+    where = {_OFFSET_IDS[o]: k for k, o in enumerate(below)}
+    return _plan(below), itemgetter(*map(where.__getitem__, ids)), units
 
 
 def _max_norm(v: Index) -> int:
@@ -372,7 +384,7 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
                     n = sum(u)
                     w = memo[u] = psi(u.index(n), n)
                     counts["psi"] += 1
-                elif rank > 2 and (rank > LADDER_MAX_RANK or _max_norm(u) <= LADDER_BASE_NORM):
+                elif rank > 2 and (rank > LADDER_MAX_RANK or max(map(abs, u)) <= LADDER_BASE_NORM):
                     try:
                         w = memo[u] = box(u)
                     except EllnetError:
@@ -614,8 +626,9 @@ class EllipticNet:
         self.route_counts["seed"] = len(self._scaled)
 
     def _box_value(self, u: Index):
-        """Psi-hat(u) off the points route, the box of ranks 3 to 6, which
-        ``_net_value`` memoizes: counted under ``box``."""
+        """Psi-hat(u) off the points route, for ``_net_value``, which
+        memoizes it: the box of ranks 3 to 6, and every off-axis index of a
+        net of rank above LADDER_MAX_RANK.  Counted under ``box``."""
         w = self._scale(u, self._run(POINTS, u))
         self.route_counts["box"] += 1
         return w

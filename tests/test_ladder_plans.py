@@ -43,7 +43,7 @@ def reference_net_value(key, memo, box, psi, combine, counts):
                         raise
                     return None
             else:
-                step, units = _children(r)
+                step, _, units = _children(r)
                 inner.append((o, u, s, units, itemgetter(*step)))
                 below.update(step)
                 continue

@@ -468,7 +468,7 @@ def ladder_children(u):
     """The eight indices of the halving step at u, read off the compiled
     table with u on a level of its own: base u >> 1, offset u & 1."""
     base = tuple(c >> 1 for c in u)
-    step, _ = _children(tuple(c & 1 for c in u))
+    step, _, _ = _children(tuple(c & 1 for c in u))
     return [tuple(b + t for b, t in zip(base, offset)) for offset in step]
 
 
@@ -478,7 +478,7 @@ def assert_table_keeps_the_window(rank):
     window again, and the table commutes with r -> r + 2 e_i, so a child
     index depends on the parent index alone."""
     for r in itertools.product(*(range(span.start, span.stop + 1) for span in LADDER_WINDOW[rank])):
-        step, _ = _children(r)
+        step, _, _ = _children(r)
         assert all(map(in_ladder_window, step)), (r, step)
         for i in range(rank):
             shifted = r[:i] + (r[i] + 2,) + r[i + 1:]
