@@ -36,8 +36,11 @@ def parse_point(text: str) -> CurvePoint:
         return INFINITY
     parts = text[1:-1].split(",")
     if text.startswith("(") and text.endswith(")") and len(parts) == 2:
-        with contextlib.suppress(ValueError, ZeroDivisionError):  # "a", "1/0"
-            return rational_point(*parts)
+        try:  # int() reads an integer coordinate without Fraction's regex
+            return rational_point(*(int(s) if s.strip().lstrip("+-").isdecimal() else s
+                                    for s in parts))
+        except (ValueError, ZeroDivisionError):  # "a", "1/0"
+            pass
     raise ValueError(f'point {text!r} is not "(x,y)" or "inf"')
 
 
@@ -179,8 +182,14 @@ def cmd_verify(args) -> int:
     return VERIFY_FAILURE if failures else 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and the parser of each of its subcommands, by name,
+    built once a process."""
     parser = argparse.ArgumentParser(
         prog="ellnet",
         description="Elliptic nets, net polynomials and their symmetries.",
@@ -236,12 +245,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable the nonsingular-reduction gate of the valuation check")
     p.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the arguments after a
+    subcommand's name handed straight to that subcommand's parser, which
+    the full parser would run on them anyway after classifying each one.
+    Where that leaves an argument over, or argv does not start with a
+    subcommand, the full parser runs, so every usage error, help text and
+    exit code is its own."""
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     with _unlimited_int_digits():
         try:
             return args.func(args)

@@ -54,7 +54,7 @@ combine step, which divides by the units' values:
   integral model F = 1 and the values stay ``Fraction``s.
 * ``ReducedNet``: the seeded box built by the constructor from int residues
   (P_1 + P_2 read off the cached (A, B, D) triple mod p, with no group law
-  over Q), ``_exact_residue`` (exact over Q, then reduced) at ranks 3 to 6,
+  over Q), ``_box_residue`` (exact over Q, then reduced) at ranks 3 to 6,
   psi of the reduced point, and ``x % p`` on int residues: W = 1 on the
   units, so nothing is divided.
 
@@ -471,7 +471,8 @@ class EllipticNet:
             raise ValueError(f"unknown strategy {strategy!r}")
         points = tuple(points)
         if curve.gf_modulus is None:  # int coordinates would divide into floats
-            points = tuple(pt if pt.is_infinity else rational_point(pt.x, pt.y) for pt in points)
+            points = tuple(pt if pt.is_infinity or type(pt.x) is type(pt.y) is Fraction
+                           else rational_point(pt.x, pt.y) for pt in points)
         if not points:
             raise PreconditionError("at least one base point is required")
         law = IntegralModel(curve) if curve.is_integral else None
@@ -540,6 +541,15 @@ class EllipticNet:
             parent = t[:i] + (t[i] - s,) + t[i + 1:]
             cache[t] = add_points(cache[parent], self._steps[i][s < 0])
         return cache[v]
+
+    def _cached_sum(self, i: int, j: int, s: int):
+        """P_i + s P_j (s = +-1) from the point cache, filled with one
+        ``IntegralModel.add`` of the base triples at e_i + s e_j: the triple
+        the chain of ``_cached_point`` ends in, without its links."""
+        key = tuple((k == i) + s * (k == j) for k in range(self.rank))
+        if key not in self._points_cache:
+            self._points_cache[key] = self._law.add(self._steps[i][0], self._steps[j][s < 0])
+        return self._points_cache[key]
 
     def local_height(self, v: Sequence[int], p: int) -> Fraction | None:
         """lambda_p(v . P) as ``neron_local_height``, None at the identity,
@@ -981,7 +991,8 @@ def reduce_base_points(net: EllipticNet, p: int) -> tuple[tuple[tuple[int, int],
 
     Both are read off the net's cached (A, B, D) triples: a point reduces
     to infinity when it is the identity or p divides D, and P_i +- P_j is
-    the cached point at e_i +- e_j, formed by ``IntegralModel.add``."""
+    one ``IntegralModel.add`` of the triples of P_i and +-P_j
+    (``EllipticNet._cached_sum``)."""
     if net._law is None:
         raise ModelNotIntegralError("reduction requires an integral model")
     reduced = []
@@ -992,7 +1003,7 @@ def reduce_base_points(net: EllipticNet, p: int) -> tuple[tuple[tuple[int, int],
     defects = []
     for i, j in itertools.combinations(range(net.rank), 2):
         for sign, s in (("+", 1), ("-", -1)):
-            combo = net._cached_point(tuple((k == i) + s * (k == j) for k in range(net.rank)))
+            combo = net._cached_sum(i, j, s)
             if combo is None or combo[2] % p == 0:
                 defects.append(f"P_{i} {sign} P_{j} reduces to infinity mod {p}")
     return tuple(reduced), defects
@@ -1097,9 +1108,9 @@ class ReducedNet:
         key, sign = _normalize(self.net._key(v))
         w = self._residues.get(key)
         if w is None:
-            w = _net_value(key, self._residues, self._exact_residue, self._psi, self._residue,
+            w = _net_value(key, self._residues, self._box_residue, self._psi, self._residue,
                            self.route_counts)
-            if w is None:  # a box value on the way raises: exact over Q, unmemoized
+            if w is None:  # a box value on the way raises: exact over Q, unmemoized, uncounted
                 w = self._exact_residue(key)
         return (w if sign > 0 else -w) % self.p
 
@@ -1111,9 +1122,8 @@ class ReducedNet:
         return _reduce_fraction(self.net.value(v), self.p)
 
     def _exact_residue(self, u: Index) -> int:
-        """W(u) exact over Q and reduced, counted under ``exact``: the one
-        way this net reaches Q (ranks 3 and up), bounded at max-norm
-        EXACT_FALLBACK_MAX_NORM."""
+        """W(u) exact over Q and reduced: the one way this net reaches Q
+        (ranks 3 and up), bounded at max-norm EXACT_FALLBACK_MAX_NORM."""
         if _max_norm(u) > EXACT_FALLBACK_MAX_NORM:
             if self.rank > LADDER_MAX_RANK:
                 raise PreconditionError(
@@ -1122,7 +1132,12 @@ class ReducedNet:
             raise DependentPointsError(
                 "a box value on the ladder raises (dependent points), and the exact fallback "
                 f"takes indices of max-norm at most {EXACT_FALLBACK_MAX_NORM}")
-        w = self.exact_value(u).residue
+        return self.exact_value(u).residue
+
+    def _box_residue(self, u: Index) -> int:
+        """A box value for ``_net_value``, which memoizes it: exact over Q
+        and reduced, counted under ``exact``."""
+        w = self._exact_residue(u)
         self.route_counts["exact"] += 1
         return w
 

@@ -14,7 +14,7 @@ import pytest
 
 import ellnet
 from ellnet import EllipticNet, ReducedNet
-from ellnet.cli import main, parse_curve, parse_grid, parse_index, parse_point, parse_points
+from ellnet.cli import _parsers, build_parser, main, parse_curve, parse_grid, parse_index, parse_point, parse_points
 from ellnet.lattice import lattice_from_generators
 from ellnet.net import EXACT_FALLBACK_MAX_NORM, _reduce_fraction
 from ellnet.fieldarith import is_prime
@@ -278,6 +278,28 @@ def test_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["denom-table", "--curve", "0,0,0,0,-11"])
     assert exc.value.code == 2
+
+
+def _parse_exit(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def test_usage_errors_and_help_are_the_full_parsers(monkeypatch):
+    # main hands the arguments after a subcommand's name to its parser;
+    # every usage error and help text stays the full parser's, also where
+    # the subcommand's parser leaves an argument over (ellnet: error:
+    # unrecognized arguments, not ellnet eval: error)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+    import compare_outputs
+
+    argvs = [[], *compare_outputs.usage_argv()]
+    assert {a[0] for a in argvs if a} >= {"bogus", "--help", "-h", *_parsers()[1]}
+    for argv in argvs:
+        assert _parse_exit(main, argv) == _parse_exit(build_parser().parse_args, argv), argv
 
 
 # One argv per subcommand, each run as its own interpreter at the default

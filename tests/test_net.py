@@ -689,12 +689,20 @@ def test_rank_four_ladder(default_recursion_limit):
     assert huge.route_counts["ladder"] > 0
 
 
+# (4, 3) in place of (5, -2): a small relation among the four points
+# makes some box values raise
+DEPENDENT_234446A = POINTS_234446A[:3] + (rational_point(4, 3),)
+
+# (curve, points, strategy, the max-norm of the indices asked)
 ROUTE_COUNT_NETS = {
-    "e1-points": (E1, (P1, Q1), "points"),
-    "e1-recurrence": (E1, (P1, Q1), "recurrence"),
-    "5077a": (CURVE_5077A, POINTS_5077A, "points"),
+    "e1-points": (E1, (P1, Q1), "points", 9),
+    "e1-recurrence": (E1, (P1, Q1), "recurrence", 9),
+    "5077a": (CURVE_5077A, POINTS_5077A, "points", 9),
     "234446a": (CURVE_234446A, tuple(rational_point(x, y) for x, y in ((0, 17), (-4, 25), (4, -7))),
-                "points"),
+                "points", 9),
+    # within max-norm 28 some ladders meet a raising box value and take
+    # the exact fallback, which is not memoized, and some indices raise
+    "234446a-dependent": (CURVE_234446A, DEPENDENT_234446A, "points", EXACT_FALLBACK_MAX_NORM),
 }
 
 
@@ -702,15 +710,27 @@ ROUTE_COUNT_NETS = {
 def test_route_counts_add_up_to_the_memo(name):
     # each value of a step route is stepped and counted once, also where
     # the box of the rule of ``_net_value`` asks for one the points route
-    # already filled on its way to another
-    curve, points, strategy = ROUTE_COUNT_NETS[name]
+    # already filled on its way to another, and asking an index again
+    # counts nothing
+    curve, points, strategy, radius = ROUTE_COUNT_NETS[name]
     net = EllipticNet(curve, points, strategy)
     reduced = ReducedNet(EllipticNet(curve, points), 1009)
     rng = random.Random(28)
-    for _ in range(20):
-        v = tuple(rng.randint(-9, 9) for _ in points)
-        net.value(v)
-        reduced.value(v)
+    indices = [tuple(rng.randint(-radius, radius) for _ in points) for _ in range(20)]
+    refused = set()
+    for v in indices + indices:
+        raised = []
+        for value in (net.value, reduced.value):
+            try:  # any other error fails the test
+                value(v)
+            except DependentPointsError:
+                raised.append(True)
+            else:
+                raised.append(False)
+        assert raised[0] == raised[1], v
+        if raised[0]:
+            refused.add(v)
+    assert len(refused) == (5 if name == "234446a-dependent" else 0), refused
     counts = net.route_counts
     assert counts["base"] + counts["points"] + counts["recurrence"] == len(net._values), counts
     assert counts["seed"] + counts["psi"] + counts["ladder"] + counts["box"] == len(net._scaled), counts
@@ -729,11 +749,6 @@ def test_box_values_of_an_exact_net_are_counted():
     for u, w in net._scaled.items():
         if max(map(abs, u)) <= LADDER_BASE_NORM:
             assert w == net._scale(u, net._values[u]), u
-
-
-# (4, 3) in place of (5, -2): a small relation among the four points
-# makes some box values raise
-DEPENDENT_234446A = POINTS_234446A[:3] + (rational_point(4, 3),)
 
 
 def test_exact_fallback_is_bounded_by_max_norm():
@@ -1748,6 +1763,37 @@ def test_reduce_base_points_matches_fraction_law():
                                             curve, points, p), (points, p)
         defects += isinstance(got[1], list) and len(got[1])
     assert defects > 0
+
+
+def test_reduce_base_points_sums_match_the_point_chain():
+    # each P_i +- P_j is one IntegralModel.add of the base triples, stored
+    # at e_i +- e_j: the triple the chain of _cached_point builds on a
+    # fresh net, the defects it names in its order, and the refusal of
+    # ReducedNet its first defect
+    configs = [(E1, (P1, Q1)), (E1, (Q1, P1)), (E2, (P2, Q2)), (E2, (Q2, P2)),
+               (CURVE_5077A, POINTS_5077A), (CURVE_234446A, POINTS_234446A)]
+    refusals = 0
+    for curve, points in configs:
+        rank = len(points)
+        sums = [(f"P_{i} {sign} P_{j}", tuple((k == i) + s * (k == j) for k in range(rank)))
+                for i, j in itertools.combinations(range(rank), 2) for sign, s in (("+", 1), ("-", -1))]
+        for p in _primes(100):
+            net = EllipticNet(curve, points)
+            got = _outcome_with_message(reduce_base_points, net, p)
+            refusal = _outcome_with_message(ReducedNet, EllipticNet(curve, points), p)
+            if got[0] is PreconditionError:  # some P_i reduces to infinity
+                assert refusal == got and len(net._points_cache) == 1, (points, p)
+                continue
+            chain = EllipticNet(curve, points)
+            combos = [chain._cached_point(v) for _, v in sums]
+            assert [net._points_cache[v] for _, v in sums] == combos, (points, p)
+            defects = [f"{name} reduces to infinity mod {p}" for (name, _), combo in zip(sums, combos)
+                       if combo is None or combo[2] % p == 0]
+            assert got[1] == defects, (points, p)
+            if defects:
+                assert refusal == (PreconditionError, defects[0]), (points, p)
+                refusals += 1
+    assert refusals > 0
 
 
 def test_constructor_checks_each_base_point_once(monkeypatch):

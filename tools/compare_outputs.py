@@ -3,7 +3,7 @@
 Every warm-up, op and probe of seeds 1 and 2 of the three bench workloads
 (``bench/workloads.py`` of this tree) runs through ``ellnet.cli.main``,
 together with a fixed list of ``verify``, table and ``eval --method
-direct`` argv (``fixed_argv``).
+direct`` argv and of argv that end in a usage error (``fixed_argv``).
 Each tree runs the whole list in one subprocess, with its own ``src`` on
 the path.  Every argv whose exit code, stdout or stderr differs is listed;
 the exit code is 1 if there is any, else 0.
@@ -48,6 +48,15 @@ DIRECT_EVALS = (
 )
 DEPENDENT = ("1,-1,0,-79,289", "(0,17);(1,14);(3,7);(4,3)", 101)
 DEPENDENT_INDICES = [(-9, 21, 28, 24), (-24, 25, 9, 29)]
+# the arguments each subcommand needs besides --curve and --points
+SUBCOMMAND_ARGS = {
+    "denom-table": ["--grid", "2x2"],
+    "net-table": ["--grid", "2x2"],
+    "reduced-table": ["--grid", "2x2", "--prime", "7"],
+    "symmetry": ["--prime", "7"],
+    "eval": ["--prime", "7", "--index", "3,2"],
+    "verify": ["recurrence"],
+}
 
 # Run in the child: read the argv list as JSON on stdin, answer one
 # [exit code, stdout, stderr] per argv as JSON on stdout.
@@ -70,11 +79,29 @@ json.dump(results, sys.stdout)
 """
 
 
+def usage_argv() -> list[list[str]]:
+    """argv that end in argparse's usage error or help text: at the top
+    level an unknown command, ``--help`` and ``-h`` before a command; for
+    each subcommand a missing required option, a bad choice of
+    ``--format``, ``--method`` and ``--orientation``, a non-int
+    ``--prime``, an unknown option and ``-h``."""
+    argvs = [["bogus"], ["--help"], ["-h", "eval"]]
+    points = ["--points", "(3,4);(15,58)"]
+    for command, rest in SUBCOMMAND_ARGS.items():
+        full = [command, *rest, "--curve", "0,0,0,0,-11", *points]
+        argvs.append([command, *rest, *points])
+        argvs += [full + extra for extra in (["--format", "bogus"], ["--method", "bogus"],
+                                             ["--orientation", "bogus"], ["--prime", "x"],
+                                             ["--bogus", "1"])]
+        argvs.append([command, *rest, "-h"])
+    return argvs
+
+
 def fixed_argv() -> list[list[str]]:
     """``verify`` checks and tables on E1, E2 and 5077a, at small primes,
-    and the ``eval --method direct`` argv of ``DIRECT_EVALS`` and
-    ``DEPENDENT``."""
-    argvs = []
+    the ``eval --method direct`` argv of ``DIRECT_EVALS`` and ``DEPENDENT``,
+    and ``usage_argv``."""
+    argvs = usage_argv()
     for curve, point_sets in CURVES.values():
         for points in point_sets:
             base = ["--curve", curve, "--points", points]
