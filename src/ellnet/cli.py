@@ -20,6 +20,11 @@ from .net import EllipticNet, ReducedNet, recurrence_check
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+# A table's grid is refused past these bounds, before any net is built: a
+# cell's value grows with the square of its index, so the work grows with
+# the cells and the square of the larger side (README, "Command line").
+MAX_GRID_SIDE = 128
+MAX_GRID_CELLS = 4096
 
 
 def parse_curve(text: str) -> WeierstrassCurve:
@@ -55,6 +60,9 @@ def parse_grid(text: str) -> tuple[int, int]:
         raise ValueError(f'grid {text!r} is not "COLSxROWS"') from None
     if min(cols, rows) < 1:
         raise ValueError(f"grid {text!r} needs at least one column and one row")
+    if max(cols, rows) > MAX_GRID_SIDE or cols * rows > MAX_GRID_CELLS:
+        raise ValueError(f"grid {text!r} is past the bound of {MAX_GRID_SIDE} per side and "
+                         f"{MAX_GRID_CELLS} cells")
     return cols, rows
 
 
@@ -76,12 +84,26 @@ def _build_net(args) -> EllipticNet:
     return EllipticNet(parse_curve(args.curve), _oriented_points(args))
 
 
+def _cells(cols: int, rows: int) -> list[tuple[int, int]]:
+    """The indices (c, r) of a COLSxROWS grid, column by column."""
+    return [(c, r) for c in range(cols) for r in range(rows)]
+
+
+def _residues(net: EllipticNet, args):
+    reduced = ReducedNet(net, args.prime)
+    return reduced, reduced.residue, 0
+
+
 def cmd_table(args) -> int:
-    """Print a COLSxROWS grid of ``args.entries``: every entry is computed
-    first, column by column, so an error prints no partial table."""
+    """Print a COLSxROWS grid of entries.  ``args.entries`` gives the net
+    to fill, the entry of a cell, and how many columns past the grid the
+    entries read.  The net's values on the grid are filled in one sweep
+    (``fill``), then every entry is read, column by column, so an error
+    prints no partial table."""
     cols, rows = parse_grid(args.grid)
-    entry = args.entries(_build_net(args), args)
-    values = {(c, r): entry((c, r)) for c in range(cols) for r in range(rows)}
+    net, entry, extra = args.entries(_build_net(args), args)
+    net.fill(_cells(cols + extra, rows))
+    values = {v: entry(v) for v in _cells(cols, rows)}
     if args.format == render.JSON_FORMAT:
         print(json.dumps(render.table_json(values.__getitem__, cols, rows)))
     else:
@@ -210,16 +232,16 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p = sub.add_parser("denom-table", help="denominator net grid")
     common(p, grid=True)
-    p.set_defaults(func=cmd_table, entries=lambda net, args: net.denominator)
+    # D_{v.P} reads Psi-hat(v + e_1) too: one more column to fill
+    p.set_defaults(func=cmd_table, entries=lambda net, args: (net, net.denominator, 1))
 
     p = sub.add_parser("net-table", help="net polynomial value grid")
     common(p, grid=True)
-    p.set_defaults(func=cmd_table, entries=lambda net, args: net.value)
+    p.set_defaults(func=cmd_table, entries=lambda net, args: (net, net.value_pair, 0))
 
     p = sub.add_parser("reduced-table", help="net values reduced mod p")
     common(p, grid=True, prime=True, prime_required=True)
-    p.set_defaults(func=cmd_table,
-                   entries=lambda net, args: ReducedNet(net, args.prime).residue)
+    p.set_defaults(func=cmd_table, entries=_residues)
 
     p = sub.add_parser("symmetry", help="zero lattice and xi/chi tables mod p")
     common(p, prime=True, prime_required=True)

@@ -25,7 +25,11 @@ positions and units, never a value, so one process-global cache serves
 every net and field; the per-index work left is building the index,
 normalizing it and looking it up in the memo.  A top-down pass over the
 levels and a bottom-up fill, on one list of values per level, replace any
-recursion.  Where a box value raises, and on a net of rank above
+recursion.  A table's grid takes no ladder walk per cell: ``_fill`` visits
+its indices in increasing max-norm, so the eight children of a cell's
+halving step are mostly memoized when it is reached, and the cell is that
+one step; an index whose children are not all memoized, and an axis,
+take ``_net_value``.  Where a box value raises, and on a net of rank above
 LADDER_MAX_RANK off the axes, the net answers the index off its box route
 itself.  The nets differ only in their callbacks, the box, psi and the
 combine step, which divides by the units' values:
@@ -50,7 +54,8 @@ combine step, which divides by the units' values:
   leaves a remainder.  At ranks 3 and up one does: a box value need not be
   integral (Psi-hat(1, 1, 1) = -1/2 on 234446a with x_i = 0, -4, 4, where
   F = 1).  At ranks 1 and 2 none has been seen on some 3,700 integral
-  nets.  ``value`` returns W(v) = Psi-hat(v) / F_v.  Off an
+  nets.  ``value`` returns W(v) = Psi-hat(v) / F_v, and ``value_pair``
+  the same number as a coprime int pair for the tables.  Off an
   integral model F = 1 and the values stay ``Fraction``s.
 * ``ReducedNet``: the seeded box built by the constructor from int residues
   (P_1 + P_2 read off the cached (A, B, D) triple mod p, with no group law
@@ -422,6 +427,52 @@ def _net_value(key: Index, memo: dict, box: Callable[[Index], object],
     return filled[0]
 
 
+def _fill(indices, memo: dict, box: Callable[[Index], object],
+          psi: Callable[[int, int], object], combine: Callable[[object, Index], object],
+          counts: Counter) -> None:
+    """Fill ``memo`` with W at every one of the rank-2 ``indices`` in one
+    bottom-up sweep, on the callbacks of ``_net_value``.
+
+    The sweep visits the normalized indices in increasing max-norm.  The
+    halving step of an index u = 2m + r (``_children(r)``, m = u >> 1)
+    reads eight values at m + t, each smaller in max-norm than u once u
+    is past the box, so on a grid they have mostly been filled already.
+    Where all eight are in ``memo`` and u is off the axes, W(u) is that one
+    step, ``combine(prod W(first) - prod W(second), units)``, counted in
+    ``counts["ladder"]``; any other index goes through ``_net_value``,
+    which counts its own values.  So each value has one rule and one route
+    count, whether a grid is filled or read index by index."""
+    new = 0
+    for u in sorted({v if v[0] > 0 or not v[0] and v[1] >= 0 else (-v[0], -v[1]) for v in indices},
+                    key=_max_norm):
+        if u in memo:
+            continue
+        u0, u1 = u
+        if u0 and u1:
+            m0, m1 = u0 >> 1, u1 >> 1
+            step, _, units = _children((u0 & 1, u1 & 1))
+            kids = []
+            for o0, o1 in step:
+                x0, x1 = m0 + o0, m1 + o1
+                if x0 > 0 or not x0 and x1 >= 0:
+                    w = memo.get((x0, x1))
+                else:
+                    w = memo.get((-x0, -x1))
+                    if w is not None:
+                        w = -w
+                if w is None:
+                    break
+                kids.append(w)
+            else:
+                t0, t1, t2, t3, t4, t5, t6, t7 = kids
+                memo[u] = combine(t0 * t1 * t2 * t3 - t4 * t5 * t6 * t7, units)
+                new += 1
+                continue
+        _net_value(u, memo, box, psi, combine, counts)
+    if new:
+        counts["ladder"] += new
+
+
 def _quotient(x, d: int):
     """x / d: the int quotient where a checked divmod leaves no remainder,
     else the exact ``Fraction``, so no value depends on x being integral
@@ -586,6 +637,29 @@ class EllipticNet:
         key, sign = _normalize(v)
         result = self._run(self.strategy, key)
         return -result if sign < 0 else result
+
+    def value_pair(self, v: Sequence[int]) -> tuple[int, int]:
+        """W(v) over Q as a coprime int pair (num, den) with den > 0:
+        Psi-hat(v) den / num for F_v = num / den, reduced by one gcd, with
+        no ``Fraction``; on a net over Q.  ``value`` is the same number."""
+        v = self._key(v)
+        num, den = self._form.parts(v)
+        w = self._hat(v)
+        if type(w) is not int:  # a Psi-hat value that is not integral
+            num, w = num * w.denominator, w.numerator
+        w *= den
+        g = math.gcd(w, num)
+        return (w, num) if g == 1 else (w // g, num // g)
+
+    def fill(self, indices: Sequence[Index]) -> None:
+        """Memoize Psi-hat at every one of ``indices`` in one bottom-up
+        sweep (``_fill``), for a rank-2 net on the points strategy over Q;
+        any other net is left as it is, to answer each index when asked."""
+        if self.rank == 2 and self.strategy == POINTS and self.is_rational:
+            if not self._scaled:
+                self._seed_box()
+            _fill(indices, self._scaled, self._box_value, self._axis_psi, self._divide,
+                  self.route_counts)
 
     def scaled_value(self, v: Sequence[int]):
         """Psi-hat(v) = F_v W(v), an int wherever it is integral: on the
@@ -1116,6 +1190,14 @@ class ReducedNet:
 
     def value(self, v: Sequence[int]) -> PrimeFieldElement:
         return _element(self.residue(v), self.p)
+
+    def fill(self, indices: Sequence[Index]) -> None:
+        """Memoize the residues at every one of ``indices`` in one
+        bottom-up sweep (``_fill``), at rank 2; at any other rank the net
+        is left as it is."""
+        if self.rank == 2:
+            _fill(indices, self._residues, self._box_residue, self._psi, self._residue,
+                  self.route_counts)
 
     def exact_value(self, v: Sequence[int]) -> PrimeFieldElement:
         """Force the exact-over-Q-then-reduce path."""

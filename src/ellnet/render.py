@@ -21,15 +21,26 @@ FACTORED = "factored"
 JSON_FORMAT = "json"
 
 
-def factor_string(value) -> str:
+def _parts(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int, of a coprime int pair (num, den)
+    with den > 0, or of anything else ``Fraction`` takes."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is tuple:
+        return value
     value = Fraction(value)
-    if value == 0:
+    return value.numerator, value.denominator
+
+
+def factor_string(value) -> str:
+    num, den = _parts(value)
+    if num == 0:
         return "0"
-    sign = "-" if value < 0 else ""
+    sign = "-" if num < 0 else ""
     merged: dict[int, int] = {}
-    for p, e in factorize(abs(value.numerator)).factors:
+    for p, e in factorize(abs(num)).factors:
         merged[p] = e
-    for p, e in factorize(value.denominator).factors:
+    for p, e in factorize(den).factors:
         merged[p] = merged.get(p, 0) - e
     parts = [f"{p}^{e}" if e != 1 else str(p) for p, e in sorted(merged.items())]
     if not parts:
@@ -79,10 +90,10 @@ def decimal_string(n: int) -> str:
 
 
 def plain_string(value) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return decimal_string(value.numerator)
-    return f"{decimal_string(value.numerator)}/{decimal_string(value.denominator)}"
+    num, den = _parts(value)
+    if den == 1:
+        return decimal_string(num)
+    return f"{decimal_string(num)}/{decimal_string(den)}"
 
 
 def render_entry(value, fmt: str) -> str:
@@ -106,10 +117,7 @@ def table_json(entry: Callable[[tuple[int, int]], object], cols: int, rows: int)
     out = []
     for row in grid_rows(cols, rows):
         for v in row:
-            value = Fraction(entry(v))
-            out.append({
-                "index": list(v),
-                "value": {"num": decimal_string(value.numerator),
-                          "den": decimal_string(value.denominator)},
-            })
+            num, den = _parts(entry(v))
+            out.append({"index": list(v),
+                        "value": {"num": decimal_string(num), "den": decimal_string(den)}})
     return out

@@ -14,11 +14,13 @@ import pytest
 
 import ellnet
 from ellnet import EllipticNet, ReducedNet
-from ellnet.cli import _parsers, build_parser, main, parse_curve, parse_grid, parse_index, parse_point, parse_points
+from ellnet.cli import (MAX_GRID_CELLS, MAX_GRID_SIDE, _parsers, build_parser, main, parse_curve, parse_grid,
+                        parse_index, parse_point, parse_points)
 from ellnet.lattice import lattice_from_generators
 from ellnet.net import EXACT_FALLBACK_MAX_NORM, _reduce_fraction
 from ellnet.fieldarith import is_prime
-from ellnet.render import DECIMAL_SPLIT_BITS, SEPARATOR, decimal_string, factor_string, plain_string
+from ellnet.render import (DECIMAL_SPLIT_BITS, SEPARATOR, decimal_string, factor_string, plain_string,
+                           table_json)
 
 from conftest import assert_lattice_is_kernel, points_route
 
@@ -50,6 +52,22 @@ def test_plain_string():
     assert plain_string(Fraction(-8)) == "-8"
 
 
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(1), Fraction(-1), Fraction(116), Fraction(-153),
+                                   Fraction(51, 4), Fraction(-23 * 103, 2**36), Fraction(345, 64),
+                                   Fraction(-(3**40 + 2), 7**13)], ids=str)
+def test_renderers_read_an_int_pair_as_the_equal_fraction(value):
+    # net-table hands the renderers coprime int pairs (num, den), den > 0,
+    # and denom-table and reduced-table hand them ints
+    pair = (value.numerator, value.denominator)
+    assert plain_string(pair) == plain_string(value)
+    assert factor_string(pair) == factor_string(value)
+    assert table_json(lambda v: pair, 1, 1) == table_json(lambda v: value, 1, 1)
+    if value.denominator == 1:
+        n = value.numerator
+        assert (plain_string(n), factor_string(n)) == (plain_string(value), factor_string(value))
+        assert table_json(lambda v: n, 1, 1) == table_json(lambda v: value, 1, 1)
+
+
 def test_parsers():
     curve = parse_curve("0,1,7,28,0")
     assert curve.a4 == 28
@@ -68,6 +86,50 @@ def test_parsers():
     for text in ("0x0", "-1x3", "3x0"):
         with pytest.raises(ValueError, match="at least one column and one row"):
             parse_grid(text)
+
+
+def test_grid_is_bounded_before_any_net_is_built(capsys, monkeypatch):
+    # the bound admits every grid the tests and the bench run (1x120,
+    # 40x40, 60x60) and refuses one cell or one row past it
+    assert (MAX_GRID_SIDE, MAX_GRID_CELLS) == (128, 4096)
+    for cols, rows in ((1, 128), (128, 1), (64, 64), (32, 128), (128, 32), (1, 120), (60, 60)):
+        assert parse_grid(f"{cols}x{rows}") == (cols, rows)
+    monkeypatch.setattr(ellnet.cli, "EllipticNet", None)  # building a net would raise TypeError
+    for grid in ("129x1", "1x129", "65x64", "64x65", "33x128", "100000x100000"):
+        for command, extra in (("net-table", []), ("denom-table", []), ("reduced-table", ["--prime", "7"])):
+            assert run_cli(capsys, [command, *E1_ARGS, "--grid", grid, *extra]) == (
+                2, "", f"error: grid '{grid}' is past the bound of 128 per side and 4096 cells\n")
+
+
+# The costliest grids at the bound on the paper's points (README, "Command
+# line"), each run as its own interpreter: (argv, seconds, MB) with the time
+# and peak RSS measured on a 2-core VM under Python 3.11 (2.6 s / 28 MB and
+# 1.9 s / 73 MB), and the limits the test states, with room for a slower
+# machine
+BOUND_GRIDS = {
+    "denom-table-e2-32x128": (["denom-table", *E2_ARGS, "--grid", "32x128"], 15, 100),
+    "net-table-e1-128x32-json": (["net-table", *E1_ARGS, "--grid", "128x32", "--format", "json"], 15, 150),
+}
+MEASURE_CHILD = """
+import contextlib, io, resource, sys, time
+from ellnet.cli import main
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+@pytest.mark.parametrize("name", BOUND_GRIDS)
+def test_grid_at_the_bound_answers_within_its_budget(name):
+    argv, seconds, megabytes = BOUND_GRIDS[name]
+    src = str(Path(ellnet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", MEASURE_CHILD, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    code, elapsed, rss = proc.stdout.split()
+    assert (code, proc.stderr) == ("0", "")
+    assert float(elapsed) < seconds and float(rss) < megabytes, (elapsed, rss)
 
 
 def test_denom_table_golden(capsys):

@@ -2,6 +2,7 @@
 trees and lists every argv whose exit code, stdout or stderr differs."""
 
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,9 @@ def test_argv_list_holds_the_bench_seeds_and_the_fixed_list(compare):
             "--prime", "5"] in bench
     assert {a[1] for a in argvs if a[0] == "verify"} == {
         "ayad", "valuation", "recurrence", "epsilon", "symmetry-props"}
+    # tables past the bench's sizes, on every rank-2 point set
+    grids = Counter(a[a.index("--grid") + 1] for a in argvs if a[0].endswith("table"))
+    assert (grids["40x40"], grids["1x40"], grids["40x1"], grids["12x12"]) == (20, 10, 10, 15)
 
 
 def test_a_tree_matches_itself(compare, monkeypatch, capsys):

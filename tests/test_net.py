@@ -703,6 +703,8 @@ ROUTE_COUNT_NETS = {
     # within max-norm 28 some ladders meet a raising box value and take
     # the exact fallback, which is not memoized, and some indices raise
     "234446a-dependent": (CURVE_234446A, DEPENDENT_234446A, "points", EXACT_FALLBACK_MAX_NORM),
+    # a 12x12 grid filled in one sweep before the indices are asked
+    "e1-filled-grid": (E1, (P1, Q1), "points", 9),
 }
 
 
@@ -715,6 +717,10 @@ def test_route_counts_add_up_to_the_memo(name):
     curve, points, strategy, radius = ROUTE_COUNT_NETS[name]
     net = EllipticNet(curve, points, strategy)
     reduced = ReducedNet(EllipticNet(curve, points), 1009)
+    if name == "e1-filled-grid":
+        grid = [(c, r) for c in range(12) for r in range(12)]
+        net.fill(grid)
+        reduced.fill(grid)
     rng = random.Random(28)
     indices = [tuple(rng.randint(-radius, radius) for _ in points) for _ in range(20)]
     refused = set()
@@ -735,6 +741,110 @@ def test_route_counts_add_up_to_the_memo(name):
     assert counts["base"] + counts["points"] + counts["recurrence"] == len(net._values), counts
     assert counts["seed"] + counts["psi"] + counts["ladder"] + counts["box"] == len(net._scaled), counts
     assert sum(reduced.route_counts.values()) == len(reduced._residues), reduced.route_counts
+
+
+# The point sets of the grid fill: E1 and E2 in both orders, and E1 with a
+# first point of D_{P_1} = 8 > 1
+FILL_NETS = {
+    "e1-qp": (E1, (Q1, P1)),
+    "e1-pq": (E1, (P1, Q1)),
+    "e1-d8": (E1, (rational_point("345/64", "-6179/512"), Q1)),
+    "e2-qp": (E2, (Q2, P2)),
+    "e2-pq": (E2, (P2, Q2)),
+}
+FILL_GRIDS = [(1, 1), (1, 14), (14, 1), (7, 10), (29, 29), (40, 3)]
+
+
+def _grid_cells(cols, rows):
+    return [(c, r) for c in range(cols) for r in range(rows)]
+
+
+@pytest.mark.parametrize("grid", FILL_GRIDS, ids=[f"{c}x{r}" for c, r in FILL_GRIDS])
+@pytest.mark.parametrize("name", FILL_NETS)
+def test_fill_memoizes_what_a_fresh_net_gives(name, grid):
+    # every value the sweep stores, by a halving step or by ``_net_value``,
+    # is the value of a fresh net asked for that index alone, and the
+    # route counts add up to the memo
+    curve, points = FILL_NETS[name]
+    net = EllipticNet(curve, points)
+    net.fill(_grid_cells(*grid))
+    assert set(_grid_cells(*grid)) <= set(net._scaled)
+    for u, w in net._scaled.items():
+        assert EllipticNet(curve, points).scaled_value(u) == w, u
+    counts = net.route_counts
+    assert counts["seed"] + counts["psi"] + counts["ladder"] + counts["box"] == len(net._scaled)
+    # the axes off the seeded box (W(0), W(n e_i) for n <= 3) take psi
+    assert counts["psi"] == sum(not all(u) for u in net._scaled) - 7
+
+
+@pytest.mark.parametrize("p", [7, 61, 1000003])
+@pytest.mark.parametrize("name", FILL_NETS)
+def test_fill_of_a_reduced_net_memoizes_what_a_fresh_net_gives(name, p):
+    curve, points = FILL_NETS[name]
+    for grid in FILL_GRIDS:
+        reduced = ReducedNet(EllipticNet(curve, points), p)
+        reduced.fill(_grid_cells(*grid))
+        assert set(_grid_cells(*grid)) <= set(reduced._residues)
+        for u, w in reduced._residues.items():
+            assert ReducedNet(EllipticNet(curve, points), p).residue(u) == w % p, (grid, u)
+        assert sum(reduced.route_counts.values()) == len(reduced._residues)
+
+
+def test_fill_takes_a_lone_far_index_through_the_ladder():
+    # no child of (40, 39) is in the memo, so the sweep hands it to
+    # ``_net_value``: the memo and the route counts are those of asking it
+    filled, asked = EllipticNet(E1, (Q1, P1)), EllipticNet(E1, (Q1, P1))
+    filled.fill([(40, 39)])
+    asked.scaled_value((40, 39))
+    assert filled._scaled == asked._scaled and filled.route_counts == asked.route_counts
+    # a second fill of the same index finds it in the memo
+    filled.fill([(40, 39), (-40, -39)])
+    assert filled.route_counts == asked.route_counts
+
+
+def test_fill_raises_nothing_on_a_torsion_net():
+    # P = (2, 3) has order 6 on y^2 = x^3 + 1: the sweep stores W(6, 0) = 0
+    # and raises nothing, so the table raises at its first failing cell
+    net = EllipticNet(WeierstrassCurve(0, 0, 0, 0, 1), (rational_point(2, 3), rational_point(0, 1)))
+    net.fill(_grid_cells(8, 4))
+    assert net._scaled[6, 0] == 0
+    with pytest.raises(DependentPointsError, match=r"\(6, 0\)"):
+        net.denominator((6, 0))
+
+
+def test_fill_leaves_other_nets_as_they_are():
+    # only a rank-2 net on the points strategy over Q, or a rank-2
+    # ``ReducedNet``, is filled
+    for net in (EllipticNet(E1, (P1, Q1), "recurrence"), EllipticNet(CURVE_5077A, POINTS_5077A)):
+        net.fill(_grid_cells(3, 3))
+        assert not net._scaled and not net._values
+    reduced = ReducedNet(EllipticNet(CURVE_5077A, POINTS_5077A), 1009)
+    reduced.fill(_grid_cells(3, 3))
+    assert not reduced._residues
+
+
+@pytest.mark.parametrize("name", FILL_NETS)
+def test_value_pair_is_the_value_in_lowest_terms(name):
+    # E1's values have denominators > 1, E2's are ints
+    net = EllipticNet(*FILL_NETS[name])
+    for v in box_indices(2, 30):
+        num, den = net.value_pair(v)
+        value = Fraction(net.value(v))
+        assert (num, den) == (value.numerator, value.denominator), v
+        assert type(num) is type(den) is int
+
+
+def test_value_pair_of_a_psi_hat_that_is_a_fraction():
+    # with G = 3^(v1 v2) in place of F on E1 (P,Q) (as in
+    # test_ladder_divides_exactly_or_keeps_the_fraction) many G W(v) are
+    # Fractions, and the pair divides G out of them too
+    net = EllipticNet(E1, (P1, Q1))
+    net.__dict__["_form"] = QuadraticFormData(((Fraction(1), Fraction(3)), (Fraction(3), Fraction(1))))
+    fresh = EllipticNet(E1, (P1, Q1))
+    for v in box_indices(2, 6):
+        value = fresh.value(v)
+        assert net.value_pair(v) == (value.numerator, value.denominator), v
+    assert sum(type(w) is Fraction for w in net._scaled.values()) > 50
 
 
 def test_box_values_of_an_exact_net_are_counted():

@@ -46,6 +46,11 @@ DIRECT_EVALS = (
     ("0,0,1,-7,6", "(1,0);(2,0);(0,2)", 1009, 30, 3, 3),
     ("0,0,0,0,-11", "(3,4);(15,58)", 1000003, 300, 2, 1),
 )
+# tables past the bench's grid sizes on the rank-2 point sets of CURVES:
+# (grid, formats) of net-table and denom-table, and reduced-table's grid
+# at its primes
+BIG_TABLES = (("40x40", ("plain", "json")), ("1x40", ("plain",)), ("40x1", ("plain",)))
+REDUCED_GRID, REDUCED_PRIMES = "12x12", (7, 61, 1000003)
 DEPENDENT = ("1,-1,0,-79,289", "(0,17);(1,14);(3,7);(4,3)", 101)
 DEPENDENT_INDICES = [(-9, 21, 28, 24), (-24, 25, 9, 29)]
 # the arguments each subcommand needs besides --curve and --points
@@ -99,7 +104,8 @@ def usage_argv() -> list[list[str]]:
 
 def fixed_argv() -> list[list[str]]:
     """``verify`` checks and tables on E1, E2 and 5077a, at small primes,
-    the ``eval --method direct`` argv of ``DIRECT_EVALS`` and ``DEPENDENT``,
+    the larger tables of ``BIG_TABLES`` at rank 2, the ``eval --method
+    direct`` argv of ``DIRECT_EVALS`` and ``DEPENDENT``,
     and ``usage_argv``."""
     argvs = usage_argv()
     for curve, point_sets in CURVES.values():
@@ -112,6 +118,11 @@ def fixed_argv() -> list[list[str]]:
                 argvs.append(["reduced-table", *base, "--grid", "4x4", "--prime", str(p)])
                 argvs += [["verify", check, *base, "--prime", str(p), *rest]
                           for check, *rest in VERIFY]
+            if points.count(";") == 1:
+                argvs += [[kind, *base, "--grid", grid, "--format", fmt] for grid, formats in BIG_TABLES
+                          for kind in ("net-table", "denom-table") for fmt in formats]
+                argvs += [["reduced-table", *base, "--grid", REDUCED_GRID, "--prime", str(p)]
+                          for p in REDUCED_PRIMES]
     rng = random.Random(29)
     evals = [(curve, points, p, tuple(rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
                                       for _ in range(rank)))
